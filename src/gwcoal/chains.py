@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .environment import Environment, lf_a1_tail
-from .errors import ChainStateError, DomainError, NotLinearFractionalError
-from .pgf import EtaLaw, eta_law_at_depth
+from .environment import Environment
+from .errors import ChainStateError, DomainError
+from .pgf import EtaLaw
 from .sampling import (
     UniformStream,
     as_stream,
@@ -47,12 +47,9 @@ class EtaSamplers:
     """Per-level samplers of the spine-sibling law, levels 1..N."""
 
     def __init__(self, env: Environment):
-        self.env = env
         self.horizon = env.horizon
-        self._laws: list[EtaLaw] = [eta_law_at_depth(env, m) for m in range(1, env.horizon + 1)]
-        self._cum: list[tuple[float, ...] | None] = []
-        for law in self._laws:
-            self._cum.append(None if law.geom is not None else cumulative(law.probs))
+        self._laws: list[EtaLaw] = [env.levels.eta(m) for m in range(1, env.horizon + 1)]
+        self._cum = [None if law.geom is not None else cumulative(law.probs) for law in self._laws]
 
     def law(self, level: int) -> EtaLaw:
         return self._laws[level - 1]
@@ -215,18 +212,10 @@ def lf_cpp_sample(env: Environment, rng, count: int) -> list[float]:
     Values are levels 1..N; draws falling past the horizon are returned as
     ``BEYOND_HORIZON`` (math.inf) and carry the mass P(time > N).
     """
-    if not env.is_linear_fractional:
-        raise NotLinearFractionalError("closed-form sampling needs an LF environment")
     if count < 0:
         raise DomainError("count must be >= 0")
     N = env.horizon
-    tails = [lf_a1_tail(env, n) for n in range(1, N + 1)]
-    pmf = []
-    prev = 1.0
-    for t in tails:
-        pmf.append(prev - t)
-        prev = t
-    cum = cumulative(pmf)
+    cum = env.levels.lf_cumulative
     stream = as_stream(rng)
     out: list[float] = []
     for _ in range(count):
@@ -238,16 +227,8 @@ def lf_cpp_sample(env: Environment, rng, count: int) -> list[float]:
 def lf_run(env: Environment, rng, max_individuals: int = 1_000_000) -> ChainRun:
     """Genealogy sampled from the LF closed form: independent coalescent
     times drawn until one falls past the horizon."""
-    if not env.is_linear_fractional:
-        raise NotLinearFractionalError("closed-form sampling needs an LF environment")
     N = env.horizon
-    tails = [lf_a1_tail(env, n) for n in range(1, N + 1)]
-    pmf = []
-    prev = 1.0
-    for t in tails:
-        pmf.append(prev - t)
-        prev = t
-    cum = cumulative(pmf)
+    cum = env.levels.lf_cumulative
     stream = as_stream(rng)
     run = ChainRun()
     while len(run.a_values) < max_individuals:

@@ -324,9 +324,7 @@ def cmd_eta(args) -> int:
     env = _load_env(args)
     rows = []
     for level in range(1, env.horizon + 1):
-        law = eta_law_at_depth(env, level)
-        if law.geom is not None:
-            law = law.materialized(args.tol)
+        law = eta_law_at_depth(env, level).materialized(args.tol)
         for k, p in enumerate(law.probs):
             rows.append([level, k, repr(float(p))])
     _write_rows(args, ["level", "k", "p"], rows)

@@ -7,18 +7,31 @@ do not reproduce within the modeled window.
 
 Backward indices follow the convention used throughout the package: a
 generation ``m`` satisfies ``-N <= m <= -1`` for reproducing individuals,
-and composition ranges use ``-N <= m <= n <= 0``.
+and composition ranges use ``-N <= m <= n <= 0``.  Per-level quantities live
+in one ``LevelTable`` per environment, ``Environment.levels``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from fractions import Fraction
+from functools import cached_property
+from typing import Sequence
 
-from .errors import EnvFormatError, HorizonError, NotLinearFractionalError
+from .errors import (
+    DegenerateEnvironmentError,
+    DomainError,
+    EnvFormatError,
+    HorizonError,
+    NotLinearFractionalError,
+)
 from .laws import FiniteSupportLaw, LinearFractionalLaw, Number, OffspringLaw
+from .sampling import cumulative
+
+_NO_SURVIVAL = "survival probability is zero; conditioned quantities undefined"
 
 
 @dataclass(frozen=True)
@@ -33,13 +46,10 @@ class Environment:
     def horizon(self) -> int:
         return len(self.laws)
 
-    def law_for_generation(self, m: int) -> OffspringLaw:
-        """Offspring law of individuals at generation m, for -N <= m <= -1."""
-        if not -self.horizon <= m <= -1:
-            raise HorizonError(
-                f"generation {m} outside [-{self.horizon}, -1] for horizon {self.horizon}"
-            )
-        return self.laws[m + self.horizon]
+    @cached_property
+    def levels(self) -> LevelTable:
+        """Per-level table of this environment, built once, filled lazily."""
+        return LevelTable(self.laws)
 
     def shift(self, k: int) -> "Environment":
         """Drop the k oldest laws, leaving the window of the last N-k generations."""
@@ -68,8 +78,156 @@ class Environment:
         return {"horizon": self.horizon, "laws": entries}
 
     def digest(self) -> str:
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:12]
+
+
+def _range_laws(env: Environment, m: int, n: int):
+    N = env.horizon
+    if not -N <= m <= n <= 0:
+        raise HorizonError(f"range [{m}, {n}] outside [-{N}, 0]")
+    # laws acting into generations m+1 .. n, oldest first
+    return env.laws[m + N : n + N]
+
+
+@dataclass(frozen=True)
+class EtaLaw:
+    """Distribution of the extra surviving daughters along the spine.
+
+    Given that an individual has at least one daughter with descendants at
+    generation 0, this is the law of the number of such daughters minus one.
+    Finite-support offspring laws yield a finite table in ``probs``; an LF
+    first law yields an exact geometric with success probability ``geom``
+    (``probs`` then holds a truncated table and ``tail`` its missing mass).
+    """
+
+    probs: tuple[Number, ...]
+    geom: float | None = None
+    tail: float = 0.0
+
+    def prob(self, k: int) -> Number:
+        if k < 0:
+            raise DomainError("support is k >= 0")
+        if self.geom is not None:
+            return self.geom * (1.0 - self.geom) ** k
+        return self.probs[k] if k < len(self.probs) else 0 * self.probs[0]
+
+    def total(self) -> Number:
+        if self.geom is not None and not self.probs:
+            return 1.0
+        return sum(self.probs) + self.tail
+
+    def materialized(self, tol: float = 1e-13, kmax: int = 100_000) -> "EtaLaw":
+        """Finite table covering all but at most ``tol`` of the mass."""
+        if self.geom is None:
+            return self
+        lam = self.geom
+        if lam >= 1.0:
+            return EtaLaw(probs=(1.0,), geom=lam, tail=0.0)
+        # P(value > K) = (1-lam)^(K+1)
+        need = min(kmax, max(0, math.ceil(math.log(tol) / math.log(1.0 - lam))))
+        probs = tuple(lam * (1.0 - lam) ** k for k in range(need + 1))
+        return EtaLaw(probs=probs, geom=lam, tail=(1.0 - lam) ** (need + 1))
+
+
+class LevelTable:
+    """Per-level quantities of one environment, from one backward pass.
+
+    Level k = 1..N lies k generations above the present and reproduces by
+    f_k = ``laws[N - k]``.  From u_0 = 0 and D_0 = 1 the pass sets u_k =
+    f_k(u_{k-1}), the chance that one level-k individual has no descendant
+    at generation 0, D_k = D_{k-1} f_k'(u_{k-1}), p_k = P(eta_k = 0) and
+    P_k = p_1 ... p_k, which must equal the closed form D_k / (1 - u_k).
+    Columns grow only as deep as the deepest level read: exact values grow
+    doubly exponentially in size with the depth.  The LF column is the same
+    pass in closed form, from the s-coefficients alone.
+    """
+
+    def __init__(self, laws: Sequence[OffspringLaw]):
+        self.laws = tuple(laws)
+        self.horizon = len(self.laws)
+        exact = all(isinstance(law, FiniteSupportLaw) and law.is_exact for law in self.laws)
+        self.zero: Number = Fraction(0) if exact else 0.0
+        self._rows: list[tuple] = [(self.zero, 1, math.nan, 1)]
+        self._eta: dict[int, EtaLaw] = {}
+
+    def _check(self, k: int, lowest: int = 1) -> None:
+        if not lowest <= k <= self.horizon:
+            raise HorizonError(f"depth {k} outside [{lowest}, {self.horizon}]")
+
+    def column(self, k: int) -> tuple[Number, Number, Number, Number]:
+        """(u_k, D_k, p_k, P_k) for 0 <= k <= N; p_k is NaN at a
+        finite-support level without survival, and so is P_k from there on."""
+        self._check(k, 0)
+        while (j := len(self._rows)) <= k:
+            u, deriv, _, product = self._rows[j - 1]
+            law = self.laws[self.horizon - j]
+            fprime, nxt = law.pgf_deriv(u, 1), law.pgf(u)
+            if isinstance(law, LinearFractionalLaw):
+                p0 = (1.0 - law.q) / (1.0 - law.q * float(u))
+            else:
+                p0 = (1 - u) * fprime / (1 - nxt) if nxt != 1 else math.nan
+            # concurrent runs share the table: a racing fill of the same level
+            # overwrites an equal row instead of appending a second one
+            self._rows[j : j + 1] = [(nxt, deriv * fprime, p0, product * p0)]
+        return self._rows[k]
+
+    def eta(self, k: int) -> EtaLaw:
+        """Spine-sibling law at level k."""
+        if k not in self._eta:
+            self._check(k)
+            u, (extinct, _, p0, _) = self.column(k - 1)[0], self.column(k)
+            f, surv = self.laws[self.horizon - k], 1 - extinct
+            if surv == 0:
+                raise DegenerateEnvironmentError(_NO_SURVIVAL)
+            if isinstance(f, LinearFractionalLaw):
+                self._eta[k] = EtaLaw(probs=(), geom=p0)
+            else:
+                alive = 1 - u
+                self._eta[k] = EtaLaw(probs=(p0,) + tuple(
+                    alive ** (j + 1) * f.pgf_deriv(u, j + 1) / (math.factorial(j + 1) * surv)
+                    for j in range(1, max(f.max_children, 1))
+                ))
+        return self._eta[k]
+
+    @cached_property
+    def offspring_cumulatives(self) -> list[tuple[float, ...] | None]:
+        """Cumulative table of each generation's finite-support law, oldest
+        first; None for a linear-fractional law."""
+        return [cumulative(law.probs) if isinstance(law, FiniteSupportLaw) else None
+                for law in self.laws]
+
+    @cached_property
+    def _lf(self) -> tuple[list[float], list[float]]:
+        coeffs: list[float] = []
+        sums = [0.0]
+        ratio = 1.0  # product of r/p over the levels already folded in
+        for law in reversed(self.laws):
+            if not isinstance(law, LinearFractionalLaw):
+                break
+            coeffs.append((1.0 - law.p) / law.p * ratio)
+            ratio *= law.r / law.p
+            sums.append(sums[-1] + coeffs[-1])
+        return coeffs, sums
+
+    def lf_column(self, k: int) -> tuple[list[float], list[float]]:
+        """LF s-coefficients s_1, s_2, ... (see ``lf_s_coefficients``) and
+        their running sums S_0 = 0, S_1, ..., covering at least levels 1..k."""
+        self._check(k)
+        if k > len(self._lf[0]):
+            raise NotLinearFractionalError(f"level {len(self._lf[0]) + 1} is not linear fractional")
+        return self._lf
+
+    @cached_property
+    def lf_cumulative(self) -> tuple[float, ...]:
+        """Cumulative law of the first coalescent time over levels 1..N of an
+        LF environment; the rest of the mass lies past the horizon."""
+        tails = [1.0 / (1.0 + s) for s in self.lf_column(self.horizon)[1]]
+        return cumulative([tails[k - 1] - tails[k] for k in range(1, self.horizon + 1)])
 
 
 def environment_from_dict(doc: dict) -> Environment:
@@ -172,21 +330,6 @@ class LfParams:
         return 1.0 - self.r * (1.0 - s) / (1.0 - self.q * s)
 
 
-def _lf_range(env: Environment, m: int, n: int) -> list[LinearFractionalLaw]:
-    """Laws acting between generations m and n, newest last."""
-    N = env.horizon
-    if not -N <= m <= n <= 0:
-        raise HorizonError(f"range [{m}, {n}] outside [-{N}, 0]")
-    laws = env.laws[m + N : n + N]
-    for law in laws:
-        if not isinstance(law, LinearFractionalLaw):
-            raise NotLinearFractionalError(
-                "composition closed form needs every law in the range to be "
-                "linear fractional"
-            )
-    return list(laws)
-
-
 def lf_compose(env: Environment, m: int, n: int) -> LfParams:
     """Composite law of the population n-m generations below one founder.
 
@@ -195,7 +338,12 @@ def lf_compose(env: Environment, m: int, n: int) -> LfParams:
     composite normalized second factorial moment accumulates one weighted
     term per generation.
     """
-    laws = _lf_range(env, m, n)
+    laws = _range_laws(env, m, n)
+    if not all(isinstance(law, LinearFractionalLaw) for law in laws):
+        raise NotLinearFractionalError(
+            "composition closed form needs every law in the range to be "
+            "linear fractional"
+        )
     if any(law.r == 0 for law in laws):
         return LfParams(r=0.0, p=1.0)
     mean = 1.0
@@ -225,22 +373,12 @@ def lf_s_coefficients(env: Environment, n: int) -> tuple[float, ...]:
     surviving lineages have not met within n generations is
     1 / (1 + sum of these weights).
     """
-    N = env.horizon
-    if not 1 <= n <= N:
-        raise HorizonError(f"depth {n} outside [1, {N}]")
-    params = _lf_range(env, -n, 0)  # laws e_{-n+1} .. e_0, oldest first
-    out: list[float] = []
-    ratio = 1.0  # product of r_j/p_j for j between i+1 and 0
-    for law in reversed(params):
-        out.append((1.0 - law.p) / law.p * ratio)
-        ratio *= law.r / law.p
-    out.reverse()
-    return tuple(out)
+    return tuple(reversed(env.levels.lf_column(n)[0][:n]))
 
 
 def lf_a1_tail(env: Environment, n: int) -> float:
     """Closed-form tail P(first coalescent time > n) for an LF environment."""
-    return 1.0 / (1.0 + sum(lf_s_coefficients(env, n)))
+    return 1.0 / (1.0 + env.levels.lf_column(n)[1][n])
 
 
 def lf_eta_success(env: Environment, depth: int) -> float:
@@ -250,8 +388,5 @@ def lf_eta_success(env: Environment, depth: int) -> float:
     the leftmost lineage is geometric for LF environments; this returns the
     success parameter at the given level (1 = closest to the present).
     """
-    s = lf_s_coefficients(env, depth)
-    if depth == 1:
-        total = 1.0 + s[0]
-        return 1.0 / total  # equals p_0
-    return (1.0 + sum(s[1:])) / (1.0 + sum(s))
+    sums = env.levels.lf_column(depth)[1]
+    return (1.0 + sums[depth - 1]) / (1.0 + sums[depth])

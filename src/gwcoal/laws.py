@@ -52,6 +52,9 @@ class FiniteSupportLaw:
         if self.is_exact:
             if total != 1:
                 raise EnvFormatError(f"probabilities sum to {total}, expected exactly 1")
+        elif not math.isfinite(total):
+            # a NaN or infinite entry makes the sum non-finite
+            raise EnvFormatError("non-finite probability in finite-support law")
         elif abs(total - 1) > PROB_SUM_TOL:
             raise EnvFormatError(f"probabilities sum to {float(total)!r}, expected 1")
 
@@ -175,12 +178,3 @@ def dirac(k: int) -> FiniteSupportLaw:
     probs[k] = Fraction(1)
     return FiniteSupportLaw(tuple(probs))
 
-
-def pgf_eval(law: OffspringLaw, s: Number) -> Number:
-    """Evaluate the law's generating function at s in [0,1]."""
-    return law.pgf(s)
-
-
-def pgf_deriv(law: OffspringLaw, s: Number, k: int) -> Number:
-    """Evaluate the k-th derivative of the law's generating function at s."""
-    return law.pgf_deriv(s, k)

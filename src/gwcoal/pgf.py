@@ -4,29 +4,17 @@ All range indices are backward generation labels: a range (m, n) with
 -N <= m <= n <= 0 composes the per-generation generating functions acting
 between those two generations, newest innermost.  Values stay exact when the
 underlying laws carry Fraction probabilities and the evaluation point is a
-Fraction.
+Fraction.  They are the reference route that the per-environment table
+``Environment.levels`` is checked against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .environment import Environment
+from .environment import _NO_SURVIVAL, Environment, EtaLaw, LevelTable, _range_laws
 from .errors import DegenerateEnvironmentError, DomainError, HorizonError
-from .laws import FiniteSupportLaw, LinearFractionalLaw, Number
-
-# closed form and telescoping product must agree to this slack (floats only)
-IDENTITY_TOL = 1e-12
-
-
-def _range_laws(env: Environment, m: int, n: int):
-    N = env.horizon
-    if not -N <= m <= n <= 0:
-        raise HorizonError(f"range [{m}, {n}] outside [-{N}, 0]")
-    # laws acting into generations m+1 .. n, oldest first
-    return env.laws[m + N : n + N]
+from .laws import Number
 
 
 def compose_range(env: Environment, m: int, n: int, s: Number) -> Number:
@@ -58,54 +46,9 @@ def survival_prob(env: Environment, n: int) -> Number:
     N = env.horizon
     if not 0 <= n <= N:
         raise HorizonError(f"forward depth {n} outside [0, {N}]")
-    return 1 - compose_range(env, -N, -N + n, _zero_like(env))
-
-
-def _zero_like(env: Environment) -> Number:
-    exact = all(
-        isinstance(law, FiniteSupportLaw) and law.is_exact for law in env.laws
-    )
-    return Fraction(0) if exact else 0.0
-
-
-@dataclass(frozen=True)
-class EtaLaw:
-    """Distribution of the extra surviving daughters along the spine.
-
-    Given that an individual has at least one daughter with descendants at
-    generation 0, this is the law of the number of such daughters minus one.
-    Finite-support offspring laws yield a finite table in ``probs``; an LF
-    first law yields an exact geometric with success probability ``geom``
-    (``probs`` then holds a truncated table and ``tail`` its missing mass).
-    """
-
-    probs: tuple[Number, ...]
-    geom: float | None = None
-    tail: float = 0.0
-
-    def prob(self, k: int) -> Number:
-        if k < 0:
-            raise DomainError("support is k >= 0")
-        if self.geom is not None:
-            return self.geom * (1.0 - self.geom) ** k
-        return self.probs[k] if k < len(self.probs) else 0 * self.probs[0]
-
-    def total(self) -> Number:
-        if self.geom is not None and not self.probs:
-            return 1.0
-        return sum(self.probs) + self.tail
-
-    def materialized(self, tol: float = 1e-13, kmax: int = 100_000) -> "EtaLaw":
-        """Finite table covering all but at most ``tol`` of the mass."""
-        if self.geom is None:
-            return self
-        lam = self.geom
-        if lam >= 1.0:
-            return EtaLaw(probs=(1.0,), geom=lam, tail=0.0)
-        # P(value > K) = (1-lam)^(K+1)
-        need = min(kmax, max(0, math.ceil(math.log(tol) / math.log(1.0 - lam))))
-        probs = tuple(lam * (1.0 - lam) ** k for k in range(need + 1))
-        return EtaLaw(probs=probs, geom=lam, tail=(1.0 - lam) ** (need + 1))
+    if n == N:
+        return 1 - env.levels.column(N)[0]
+    return 1 - compose_range(env, -N, -N + n, env.levels.zero)
 
 
 def eta_prob_generic(env: Environment, n: int, k: int) -> Number:
@@ -122,12 +65,10 @@ def eta_prob_generic(env: Environment, n: int, k: int) -> Number:
         raise DomainError("support is k >= 0")
     surv = survival_prob(env, n)
     if surv == 0:
-        raise DegenerateEnvironmentError(
-            "survival probability is zero; conditioned quantities undefined"
-        )
+        raise DegenerateEnvironmentError(_NO_SURVIVAL)
     first = env.laws[0]
     # probability a single daughter of the founder has depth-n descendants
-    u = compose_range(env, -N + 1, -N + n, _zero_like(env))
+    u = compose_range(env, -N + 1, -N + n, env.levels.zero)
     alive = 1 - u
     deriv = first.pgf_deriv(u, k + 1)
     return alive ** (k + 1) * deriv / (math.factorial(k + 1) * surv)
@@ -135,20 +76,7 @@ def eta_prob_generic(env: Environment, n: int, k: int) -> Number:
 
 def eta_pmf(env: Environment, n: int) -> EtaLaw:
     """Law of eta_n for the founder of ``env`` (see ``eta_prob_generic``)."""
-    N = env.horizon
-    first = env.laws[0]
-    if isinstance(first, LinearFractionalLaw):
-        u = float(compose_range(env, -N + 1, -N + n, 0.0))
-        surv = float(survival_prob(env, n))
-        if surv == 0.0:
-            raise DegenerateEnvironmentError(
-                "survival probability is zero; conditioned quantities undefined"
-            )
-        lam = (1.0 - first.q) / (1.0 - first.q * u)
-        return EtaLaw(probs=(), geom=lam)
-    kmax = first.max_children
-    probs = tuple(eta_prob_generic(env, n, k) for k in range(max(kmax, 1)))
-    return EtaLaw(probs=probs)
+    return (env.levels if n == env.horizon else LevelTable(env.laws[:n])).eta(n)
 
 
 def eta_law_at_depth(env: Environment, depth: int) -> EtaLaw:
@@ -157,59 +85,17 @@ def eta_law_at_depth(env: Environment, depth: int) -> EtaLaw:
     Level 1 is the parent generation of the present individuals; level N is
     the founder.  Only the newest ``depth`` laws of the environment matter.
     """
-    N = env.horizon
-    if not 1 <= depth <= N:
-        raise HorizonError(f"depth {depth} outside [1, {N}]")
-    return eta_pmf(env.shift(N - depth), depth)
-
-
-def eta_zero_prob(env: Environment, m: int) -> Number:
-    """P(eta = 0) at generation m in backward indexing, -N <= m <= -1.
-
-    Equals the chance that an individual at generation m, conditioned on
-    having descendants at generation 0, has exactly one daughter with such
-    descendants.
-    """
-    N = env.horizon
-    if not -N <= m <= -1:
-        raise HorizonError(f"generation {m} outside [-{N}, -1]")
-    zero = _zero_like(env)
-    u = compose_range(env, m + 1, 0, zero)
-    den = 1 - compose_range(env, m, 0, zero)
-    if den == 0:
-        raise DegenerateEnvironmentError(
-            "survival probability is zero; conditioned quantities undefined"
-        )
-    law = env.law_for_generation(m)
-    return (1 - u) * law.pgf_deriv(u, 1) / den
+    return env.levels.eta(depth)
 
 
 def a1_tail(env: Environment, n: int) -> Number:
-    """P(the two leftmost surviving lineages stay distinct for n levels).
-
-    Computed by the closed form f'(0)/(1 - f(0)) over the newest n laws and
-    cross-checked against the telescoping product of per-level probabilities
-    of seeing no extra surviving daughter.
-    """
+    """P(the two leftmost surviving lineages stay distinct for n levels):
+    the closed form f'(0)/(1 - f(0)) over the newest n laws."""
     N = env.horizon
     if not 1 <= n <= N:
         raise HorizonError(f"depth {n} outside [1, {N}]")
-    zero = _zero_like(env)
-    den = 1 - compose_range(env, -n, 0, zero)
+    u, deriv, _, _ = env.levels.column(n)
+    den = 1 - u
     if den == 0:
-        raise DegenerateEnvironmentError(
-            "survival probability is zero; conditioned quantities undefined"
-        )
-    closed = compose_deriv(env, -n, 0, zero) / den
-    product: Number = 1
-    for i in range(1, n + 1):
-        product = product * eta_zero_prob(env, -i)
-    if isinstance(closed, Fraction) and isinstance(product, Fraction):
-        agree = closed == product
-    else:
-        agree = abs(float(closed) - float(product)) <= IDENTITY_TOL
-    if not agree:
-        raise AssertionError(
-            f"tail identity violated: closed form {closed} vs product {product}"
-        )
-    return closed
+        raise DegenerateEnvironmentError(_NO_SURVIVAL)
+    return deriv / den

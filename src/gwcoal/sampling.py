@@ -81,14 +81,10 @@ def geometric_failures(success: float, stream: UniformStream) -> int:
     return int(math.log1p(-u) / math.log1p(-success))
 
 
-def draw_count(law: OffspringLaw, stream: UniformStream, _cache={}) -> int:
+def draw_count(law: OffspringLaw, stream: UniformStream) -> int:
     """Sample one child count from an offspring law."""
     if isinstance(law, FiniteSupportLaw):
-        cum = _cache.get(law.probs)
-        if cum is None:
-            cum = cumulative(law.probs)
-            _cache[law.probs] = cum
-        return draw_from_cumulative(cum, stream)
+        return draw_from_cumulative(cumulative(law.probs), stream)
     # linear fractional: zero with prob 1-r, else 1 + geometric failures
     if stream.next() < 1.0 - law.r:
         return 0

@@ -29,7 +29,7 @@ from .errors import (
     HorizonError,
 )
 from .pgf import survival_prob
-from .sampling import UniformStream, as_stream, draw_count
+from .sampling import UniformStream, as_stream, draw_count, draw_from_cumulative
 
 
 class Tree:
@@ -136,9 +136,11 @@ def simulate_tree(env: Environment, rng) -> Tree:
     stream = as_stream(rng)
     counts: list[list[int]] = []
     width = 1
-    for d in range(env.horizon):
-        law = env.laws[d]
-        row = [draw_count(law, stream) for _ in range(width)]
+    for law, cum in zip(env.laws, env.levels.offspring_cumulatives):
+        if cum is None:
+            row = [draw_count(law, stream) for _ in range(width)]
+        else:
+            row = [draw_from_cumulative(cum, stream) for _ in range(width)]
         counts.append(row)
         width = sum(row)
     return Tree(env, counts)

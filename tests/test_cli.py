@@ -68,6 +68,15 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "laws[1]" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "tail", "verify"])
+    def test_nan_probability_rejected(self, capsys, tmp_path, command):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"laws": [{"type": "pmf", "p": [NaN, 0.5, 0.5]}]}')
+        code, out, err = run_cli(capsys, command, "--env", str(bad))
+        assert code == EXIT_CONFIG
+        assert "non-finite" in err
+        assert out == ""
+
     def test_lf_sampler_needs_lf_env(self, capsys):
         code, _, _ = run_cli(
             capsys, "chain", "--env", env_path("binom_n3"), "--process", "lf"

@@ -7,30 +7,28 @@ from gwcoal import (
     Environment,
     FiniteSupportLaw,
     LinearFractionalLaw,
-    LfParams,
     constant_environment,
     environment_from_dict,
     lf_a1_tail,
-    lf_compose,
-    lf_eta_success,
-    lf_s_coefficients,
     load_environment,
     save_environment,
 )
-from gwcoal.environment import _lf_range
+from gwcoal.environment import LfParams, lf_compose, lf_eta_success, lf_s_coefficients
 from gwcoal.errors import EnvFormatError, HorizonError, NotLinearFractionalError
 from gwcoal.pgf import compose_range
 
 
 class TestEnvironment:
-    def test_horizon_and_indexing(self, binom3):
+    def test_horizon_and_indexing(self, binom3, varying3):
         assert binom3.horizon == 3
-        assert binom3.law_for_generation(-3) is binom3.laws[0]
-        assert binom3.law_for_generation(-1) is binom3.laws[2]
+        # level 1 of the table reproduces by the newest law
+        newest = Environment(varying3.laws[2:])
+        assert varying3.levels.eta(1) == newest.levels.eta(1)
+        assert varying3.levels.eta(1) != Environment(varying3.laws[:1]).levels.eta(1)
         with pytest.raises(HorizonError):
-            binom3.law_for_generation(0)
+            binom3.levels.eta(0)
         with pytest.raises(HorizonError):
-            binom3.law_for_generation(-4)
+            binom3.levels.eta(4)
 
     def test_shift_drops_oldest(self, varying3):
         sub = varying3.shift(1)
@@ -140,7 +138,7 @@ class TestLfClosedForms:
         with pytest.raises(NotLinearFractionalError):
             lf_compose(binom3, -3, 0)
         with pytest.raises(NotLinearFractionalError):
-            _lf_range(binom3, -3, 0)
+            lf_a1_tail(binom3, 1)
 
     def test_s_coefficients_constant_critical(self, lf_half_n6):
         # r = p = 1/2 keeps every per-level ratio at one

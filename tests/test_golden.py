@@ -1,0 +1,70 @@
+"""Seeded CLI outputs pinned by digest.
+
+``golden_outputs.json`` maps each command line below to the sha256 of the
+bytes it writes with ``--out``.  A refactor that keeps the random-stream
+contract must reproduce every digest.  To regenerate the file at a commit
+whose outputs are the reference:
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden_outputs.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from gwcoal.cli import EXIT_OK, main
+
+HERE = Path(__file__).resolve().parent
+ENVS = HERE.parent / "envs"
+GOLDEN = HERE / "golden_outputs.json"
+SEED = "7"
+SAMPLES = "200"
+
+
+def commands() -> dict[str, list[str]]:
+    """Label -> argv, for every bundled environment."""
+    out: dict[str, list[str]] = {}
+    for path in sorted(ENVS.glob("*.json")):
+        env = ["--env", str(path)]
+        campaign = env + ["--seed", SEED, "--samples", SAMPLES]
+        processes = ["b", "d"] + (["lf"] if path.stem.startswith("lf_") else [])
+        out[f"{path.stem}:tail"] = ["tail"] + env
+        out[f"{path.stem}:eta"] = ["eta"] + env
+        out[f"{path.stem}:simulate"] = ["simulate"] + campaign
+        for process in processes:
+            out[f"{path.stem}:chain-{process}"] = ["chain", "--process", process] + campaign
+    return out
+
+
+def digest(argv: list[str]) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "out"
+        code = main(argv + ["--out", str(target)])
+        assert code == EXIT_OK, f"{argv} exited {code}"
+        return hashlib.sha256(target.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict[str, str]:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_command(golden):
+    assert sorted(golden) == sorted(commands())
+
+
+@pytest.mark.parametrize("label", sorted(commands()))
+def test_output_bytes_unchanged(label, golden, capsys):
+    assert digest(commands()[label]) == golden[label]
+
+
+if __name__ == "__main__":
+    json.dump({label: digest(argv) for label, argv in commands().items()},
+              sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")

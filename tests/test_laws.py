@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gwcoal import FiniteSupportLaw, LinearFractionalLaw, dirac, pgf_deriv, pgf_eval
+from gwcoal import FiniteSupportLaw, LinearFractionalLaw, dirac
 from gwcoal.errors import DomainError, EnvFormatError
 
 
@@ -34,6 +34,11 @@ class TestFiniteSupportLaw:
             FiniteSupportLaw((0.5, 0.4))
         with pytest.raises(EnvFormatError):
             FiniteSupportLaw((Fraction(1, 2), Fraction(1, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(EnvFormatError, match="non-finite"):
+            FiniteSupportLaw((bad, 0.5, 0.5))
 
     def test_basic_quantities(self, binom_law):
         assert binom_law.mean() == pytest.approx(1.0)
@@ -158,9 +163,3 @@ def test_dirac():
     assert law.is_exact
     assert dirac(0).max_children == 0
 
-
-def test_module_level_dispatch(binom_law, lf_law):
-    assert pgf_eval(binom_law, 0.5) == binom_law.pgf(0.5)
-    assert pgf_eval(lf_law, 0.5) == lf_law.pgf(0.5)
-    assert pgf_deriv(binom_law, 0.5, 2) == binom_law.pgf_deriv(0.5, 2)
-    assert pgf_deriv(lf_law, 0.5, 2) == lf_law.pgf_deriv(0.5, 2)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -12,14 +14,16 @@ from gwcoal import (
     compose_range,
     constant_environment,
     dirac,
+    environment_from_dict,
     eta_law_at_depth,
-    eta_pmf,
     eta_prob_generic,
-    eta_zero_prob,
+    load_environment,
     survival_prob,
 )
 from gwcoal.errors import DegenerateEnvironmentError, DomainError, HorizonError
-from gwcoal.pgf import EtaLaw
+from gwcoal.pgf import EtaLaw, LevelTable, eta_pmf
+
+from conftest import ENVS
 
 
 def exact_binom_env(n):
@@ -140,7 +144,7 @@ class TestFirstTimeTail:
         env = varying3.as_rational()
         prod = Fraction(1)
         for i in (1, 2, 3):
-            prod *= eta_zero_prob(env, -i)
+            prod *= eta_law_at_depth(env, i).prob(0)
         assert a1_tail(env, 3) == prod
 
     def test_monotone_in_depth(self, binom3):
@@ -156,10 +160,100 @@ class TestFirstTimeTail:
         # one child each generation: the lineage can never split
         env = constant_environment(dirac(1), 3)
         assert a1_tail(env, 3) == 1
-        assert eta_zero_prob(env, -2) == 1
+        assert eta_law_at_depth(env, 2).prob(0) == 1
 
-    def test_eta_zero_prob_range(self, binom3):
+
+FINITE_ENVS = [
+    p.stem for p in sorted(ENVS.glob("*.json")) if load_environment(str(p)).is_finite_support
+]
+
+
+class TestLevelTable:
+    @pytest.mark.parametrize("name", FINITE_ENVS)
+    def test_matches_reference_routes_exactly(self, name):
+        env = load_environment(str(ENVS / f"{name}.json")).as_rational()
+        N = env.horizon
+        levels = env.levels
+        zero = Fraction(0)
+        assert levels.column(0)[:2] == (0, 1) and levels.column(0)[3] == 1
+        product = 1
+        for k in range(1, N + 1):
+            u, deriv, p0, telescoped = levels.column(k)
+            assert (u, deriv) == (compose_range(env, -k, 0, zero), compose_deriv(env, -k, 0, zero))
+            sub = env.shift(N - k)
+            law = levels.eta(k)
+            assert law.probs == tuple(
+                eta_prob_generic(sub, k, j) for j in range(len(law.probs))
+            )
+            product *= law.probs[0]
+            assert p0 == law.probs[0] and telescoped == product
+        assert survival_prob(env, N) == 1 - compose_range(env, -N, 0, zero)
+
+    def test_built_once_per_environment(self, varying3):
+        assert varying3.levels is varying3.levels
+        assert varying3.shift(1).levels is not varying3.levels
+
+    def test_lazy_depth(self, monkeypatch):
+        # exact values double in size per level: 200 exact levels never finish
+        law = FiniteSupportLaw((Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
+        env = constant_environment(law, 200)
+        calls = []
+        real = FiniteSupportLaw.pgf
+        monkeypatch.setattr(
+            FiniteSupportLaw, "pgf", lambda self, s: calls.append(s) or real(self, s)
+        )
+        tail = a1_tail(env, 8)
+        assert len(calls) == 8  # one evaluation per level, newest 8 only
+        calls.clear()
+        assert a1_tail(env, 8) == tail
+        eta_law_at_depth(env, 8)
+        assert calls == []
+        zero = Fraction(0)
+        assert tail == compose_deriv(env, -8, 0, zero) / (1 - compose_range(env, -8, 0, zero))
+
+    def test_degenerate_old_generation_raises_only_when_read(self):
+        env = environment_from_dict(
+            {"laws": [{"type": "pmf", "p": [1.0]}] + [{"type": "pmf", "p": [0.25, 0.5, 0.25]}] * 3}
+        )
+        assert a1_tail(env, 3) > 0
+        assert eta_law_at_depth(env, 3).total() == pytest.approx(1.0)
+        assert survival_prob(env, 4) == 0
+        with pytest.raises(DegenerateEnvironmentError):
+            a1_tail(env, 4)
+        with pytest.raises(DegenerateEnvironmentError):
+            eta_law_at_depth(env, 4)
+
+    def test_depth_range(self, binom3):
+        for k in (-1, 4):
+            with pytest.raises(HorizonError):
+                binom3.levels.column(k)
         with pytest.raises(HorizonError):
-            eta_zero_prob(binom3, 0)
-        with pytest.raises(HorizonError):
-            eta_zero_prob(binom3, -4)
+            binom3.levels.eta(0)
+
+    def test_concurrent_fills_agree(self):
+        # racing fills must neither corrupt nor duplicate a level's row
+        law = FiniteSupportLaw((0.25, 0.5, 0.25))
+        N, workers = 300, 8
+        expected = [LevelTable((law,) * N).column(k) for k in range(N + 1)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                env = constant_environment(law, N)
+                barrier = threading.Barrier(workers)
+                seen = [None] * workers
+
+                def read(i):
+                    barrier.wait()
+                    seen[i] = [env.levels.column(k) for k in range(N, -1, -1)][::-1]
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(workers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert all(rows == expected for rows in seen)
+                assert len(env.levels._rows) == N + 1
+        finally:
+            sys.setswitchinterval(old)

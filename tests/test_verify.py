@@ -31,9 +31,10 @@ from gwcoal.errors import (
     EnumerationGuardError,
     NotLinearFractionalError,
 )
-from gwcoal.verify import chain_step_laws, encode_bt
+from gwcoal.pgf import LevelTable
+from gwcoal.verify import a1_telescoping_check, chain_step_laws, encode_bt
 
-from conftest import env_path
+from conftest import ENVS, env_path
 
 # conditioned genealogy law of the two-generation three-point environment,
 # derived by enumerating all surviving shapes by hand before any code ran
@@ -164,6 +165,31 @@ class TestPopulationLaw:
         res = a1_identity_check(lf_half_n1, 1)
         assert res.passed
 
+    @pytest.mark.parametrize("name", sorted(p.stem for p in ENVS.glob("*.json")))
+    def test_telescoping_passes_on_bundled_envs(self, name):
+        env = load_environment(env_path(name))
+        res = a1_telescoping_check(env)
+        assert res.passed and res.threshold == 1e-12, res
+        if env.is_finite_support:
+            res = a1_telescoping_check(env.as_rational())
+            assert res.passed and res.metric == 0 and res.threshold == 0, res
+
+    @pytest.mark.parametrize("exact, scale", [(False, 1 + 1e-9), (True, 1 + Fraction(1, 2**80))])
+    def test_telescoping_fails_on_perturbed_product(self, monkeypatch, varying3, exact, scale):
+        # the exact perturbation is far below the float tolerance: only
+        # exact comparison can see it
+        real = LevelTable.column
+
+        def perturbed(self, k):
+            u, deriv, p0, product = real(self, k)
+            return u, deriv, p0, product * scale if k == 3 else product
+
+        monkeypatch.setattr(LevelTable, "column", perturbed)
+        env = varying3.as_rational() if exact else varying3
+        res = a1_telescoping_check(env)
+        assert not res.passed
+        assert res.metric > 0
+
     def test_tail_equals_singleton_share(self, binom2_exact):
         # P(first time beyond the horizon) is P(K = 1)
         from gwcoal import a1_tail
@@ -250,6 +276,7 @@ class TestSuite:
             env = load_environment(env_path(name))
             results = run_verify_suite(env, rational=env.is_finite_support)
             assert results, name
+            assert "a1-tail-telescoping" in [r.name for r in results]
             for res in results:
                 assert res.passed, f"{name}: {res.name}: {res.detail}"
 
