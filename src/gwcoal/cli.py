@@ -21,11 +21,12 @@ Exit codes: 0 ok, 1 check or validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
 
-from .chains import b_run, d_run, lf_run, validate_b_run, validate_d_run
+from .chains import EtaSamplers, b_run, d_run, lf_run, validate_b_run, validate_d_run
 from .environment import Environment, load_environment
 from .errors import (
     AttemptCapError,
@@ -55,7 +56,7 @@ EXIT_GUARD = 4
 
 def _add_common(p: argparse.ArgumentParser, needs_env: bool = True) -> None:
     p.add_argument("--env", required=needs_env, help="environment JSON file")
-    p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+    p.add_argument("--seed", type=int, default=0, help="master seed in [0, 2**64)")
     p.add_argument("--samples", type=int, default=1, help="number of runs")
     p.add_argument(
         "--horizon",
@@ -63,11 +64,11 @@ def _add_common(p: argparse.ArgumentParser, needs_env: bool = True) -> None:
         default=None,
         help="override: keep only the newest H generations of the environment",
     )
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gwcoal",
@@ -179,10 +180,8 @@ def _load_env(args) -> Environment:
 def _check_campaign(args) -> None:
     if args.samples < 1:
         raise EnvFormatError("--samples must be >= 1")
-    if args.threads < 1:
-        raise EnvFormatError("--threads must be >= 1")
-    if args.seed < 0:
-        raise EnvFormatError("--seed must be >= 0")
+    if not 0 <= args.seed < 1 << 64:
+        raise EnvFormatError(f"--seed must be in [0, 2**64), got {args.seed}")
 
 
 def _emit(args, text: str) -> None:
@@ -228,7 +227,7 @@ def cmd_simulate(args) -> int:
         cpp = coalescent_times(tree)
         return [run_id, cpp.k, ";".join(str(a) for a in cpp.a)]
 
-    rows = indexed_map(one, args.samples, args.threads)
+    rows = indexed_map(one, args.samples)
     _write_rows(args, ["run_id", "K", "A"], rows)
     ks = [row[1] for row in rows]
     mean_k = sum(ks) / len(ks)
@@ -241,26 +240,25 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _run_chain(env: Environment, args, run_id: int):
-    stream = stream_for_run(args.seed, run_id)
-    if args.process == "b":
-        return b_run(env, stream, max_individuals=args.max_individuals)
-    if args.process == "d":
-        return d_run(env, stream, max_individuals=args.max_individuals)
-    return lf_run(env, stream, max_individuals=args.max_individuals)
-
-
 def cmd_chain(args) -> int:
     env = _load_env(args)
     _check_campaign(args)
     if args.trace and args.samples != 1:
         raise EnvFormatError("--trace requires --samples 1")
-    if args.process == "lf" and not env.is_linear_fractional:
-        raise NotLinearFractionalError(
-            "--process lf requires every law in the environment to be linear fractional"
-        )
-
-    runs = indexed_map(lambda i: _run_chain(env, args, i), args.samples, args.threads)
+    if args.process == "lf":
+        if not env.is_linear_fractional:
+            raise NotLinearFractionalError(
+                "--process lf requires every law in the environment to be linear fractional"
+            )
+        chain_run = lf_run
+    else:
+        # the spine-sibling samplers depend on the environment only
+        chain_run = functools.partial(b_run if args.process == "b" else d_run,
+                                      samplers=EtaSamplers(env))
+    runs = indexed_map(
+        lambda i: chain_run(env, stream_for_run(args.seed, i), args.max_individuals),
+        args.samples,
+    )
     if args.validate:
         for run in runs:
             if args.process == "b":
@@ -346,20 +344,13 @@ def cmd_tail(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_CONFIG
         return EXIT_OK if code == 0 else EXIT_CONFIG
     try:
         return args.func(args)
-    except (EnvFormatError, NotLinearFractionalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (DegenerateEnvironmentError, AttemptCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -369,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     except ChainStateError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except GwcoalError as exc:
+    except (GwcoalError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

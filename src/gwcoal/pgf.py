@@ -11,6 +11,7 @@ Fraction.  They are the reference route that the per-environment table
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 from .environment import _NO_SURVIVAL, Environment, EtaLaw, LevelTable, _range_laws
 from .errors import DegenerateEnvironmentError, DomainError, HorizonError
@@ -58,10 +59,15 @@ def eta_prob_generic(env: Environment, n: int, k: int) -> Number:
     the number of its daughters with descendants at that depth, minus one,
     conditioned on there being at least one.
     """
+    return eta_probs_generic(env, n, (k,))[0]
+
+
+def eta_probs_generic(env: Environment, n: int, ks: Sequence[int]) -> list[Number]:
+    """``eta_prob_generic`` for each k in ``ks``, composing the range once."""
     N = env.horizon
     if not 1 <= n <= N:
         raise HorizonError(f"forward depth {n} outside [1, {N}]")
-    if k < 0:
+    if any(k < 0 for k in ks):
         raise DomainError("support is k >= 0")
     surv = survival_prob(env, n)
     if surv == 0:
@@ -70,8 +76,8 @@ def eta_prob_generic(env: Environment, n: int, k: int) -> Number:
     # probability a single daughter of the founder has depth-n descendants
     u = compose_range(env, -N + 1, -N + n, env.levels.zero)
     alive = 1 - u
-    deriv = first.pgf_deriv(u, k + 1)
-    return alive ** (k + 1) * deriv / (math.factorial(k + 1) * surv)
+    return [alive ** (k + 1) * first.pgf_deriv(u, k + 1) / (math.factorial(k + 1) * surv)
+            for k in ks]
 
 
 def eta_pmf(env: Environment, n: int) -> EtaLaw:

@@ -1,41 +1,46 @@
 """Reproducible random number plumbing.
 
 Every sampler in the package consumes uniforms from a ``UniformStream``.
-Streams are derived from ``(seed, run_id)`` pairs, so a campaign of runs
-gives identical results no matter how the runs are spread over workers.
+Run ``r`` of seed ``s`` reads the PCG64 stream of ``SeedSequence((s, r))``
+in order, so each run's output depends on its own pair only.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
+from .errors import DomainError
 from .laws import FiniteSupportLaw, LinearFractionalLaw, OffspringLaw
-
-_MASK64 = (1 << 64) - 1
 
 T = TypeVar("T")
 
 
+def _check_seed(seed: int) -> int:
+    if not 0 <= int(seed) < 1 << 64:
+        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
+    return int(seed)
+
+
 def rng_for_run(seed: int, run_id: int) -> np.random.Generator:
     """Independent generator for one run of a campaign."""
-    entropy = (int(seed) & _MASK64, int(run_id))
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.default_rng(np.random.SeedSequence((_check_seed(seed), int(run_id))))
 
 
 class UniformStream:
-    """Block-buffered uniforms in [0, 1) drawn from a numpy generator."""
+    """Uniforms in [0, 1) from a numpy generator, in blocks of 32 doubling up
+    to ``block``: a float64 uniform takes one 64-bit output, so the values
+    read are those of one ``rng.random(n)`` call whatever the block sizes."""
 
     __slots__ = ("_rng", "_block", "_buf", "_pos")
 
     def __init__(self, rng: np.random.Generator | int, block: int = 8192):
         if isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(np.random.SeedSequence(int(rng) & _MASK64))
+            rng = np.random.default_rng(np.random.SeedSequence(_check_seed(rng)))
         self._rng = rng
         self._block = block
         self._buf: list[float] = []
@@ -43,7 +48,8 @@ class UniformStream:
 
     def next(self) -> float:
         if self._pos >= len(self._buf):
-            self._buf = self._rng.random(self._block).tolist()
+            size = min(self._block, max(32, 2 * len(self._buf)))
+            self._buf = self._rng.random(size).tolist()
             self._pos = 0
         u = self._buf[self._pos]
         self._pos += 1
@@ -91,13 +97,10 @@ def draw_count(law: OffspringLaw, stream: UniformStream) -> int:
     return 1 + geometric_failures(law.p, stream)
 
 
-def indexed_map(fn: Callable[[int], T], n_runs: int, threads: int = 1) -> list[T]:
-    """Apply fn to run ids 0..n_runs-1, merging results in run order.
+def indexed_map(fn: Callable[[int], T], n_runs: int) -> list[T]:
+    """Apply fn to run ids 0..n_runs-1 in run order.
 
-    The per-run work must derive all of its randomness from the run id, so
-    the thread count cannot change any output.
+    The per-run work derives all of its randomness from the run id, so the
+    first n rows of a campaign do not depend on its length.
     """
-    if threads <= 1:
-        return [fn(i) for i in range(n_runs)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_runs)))
+    return [fn(i) for i in range(n_runs)]

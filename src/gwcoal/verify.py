@@ -31,7 +31,7 @@ from .errors import (
     NotLinearFractionalError,
 )
 from .laws import FiniteSupportLaw, LinearFractionalLaw, Number
-from .pgf import a1_tail, eta_law_at_depth, eta_prob_generic
+from .pgf import a1_tail, eta_law_at_depth, eta_probs_generic
 from .sampling import as_stream
 from .tree import BtState, bt_update, cpp_and_marks, simulate_tree
 
@@ -729,9 +729,8 @@ def lf_closed_form_checks(
     for depth in range(1, env.horizon + 1):
         geom = eta_law_at_depth(env, depth)
         sub = env.shift(env.horizon - depth)
-        for k in range(kmax + 1):
-            generic = float(eta_prob_generic(sub, depth, k))
-            eta_gap = max(eta_gap, abs(generic - float(geom.prob(k))))
+        for k, generic in enumerate(eta_probs_generic(sub, depth, range(kmax + 1))):
+            eta_gap = max(eta_gap, abs(float(generic) - float(geom.prob(k))))
     return [
         CheckResult(
             name="lf-tail-two-routes",

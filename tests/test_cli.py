@@ -1,13 +1,18 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from gwcoal.chains import EtaSamplers
 from gwcoal.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_DEGENERATE,
     EXIT_GUARD,
     EXIT_OK,
+    build_parser,
     main,
 )
 
@@ -129,6 +134,76 @@ class TestExitCodes:
         assert main(["--help"]) == EXIT_OK
         capsys.readouterr()
 
+    def test_threads_option_is_gone(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--env", env_path("binom_n3"), "--threads", "2"
+        )
+        assert code == EXIT_CONFIG
+        assert "unrecognized arguments: --threads 2" in err
+        assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("seed", [2 ** 64, 2 ** 64 + 1, -1])
+    @pytest.mark.parametrize("command", ["simulate", "chain"])
+    def test_seed_outside_64_bits(self, capsys, command, seed):
+        code, out, err = run_cli(
+            capsys, command, "--env", env_path("binom_n3"), "--seed", str(seed)
+        )
+        assert code == EXIT_CONFIG
+        assert "--seed must be in [0, 2**64)" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_largest_seed_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "chain", "--env", env_path("binom_n3"), "--seed", str(2 ** 64 - 1)
+        )
+        assert code == EXIT_OK
+        assert out.startswith("run_id,K,A\n0,")
+
+    def test_verify_witness_seed_outside_64_bits(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--env", env_path("binom_n5"), "--witness",
+            "--witness-mc-samples", "10", "--seed", str(2 ** 64),
+        )
+        assert code == EXIT_CONFIG
+        assert "2**64" in err and "Traceback" not in err
+
+
+class TestParser:
+    CALLS = (
+        ("simulate", "--env", env_path("binom_n3"), "--samples", "5", "--seed", "2"),
+        ("chain", "--env", env_path("binom_n3"), "--samples", "0"),
+        ("tail", "--env", env_path("varying_n3")),
+        ("chain", "--env", env_path("varying_n3"), "--process", "d", "--samples", "4"),
+        ("simulate", "--env", env_path("binom_n3"), "--samples", "5", "--seed", "2"),
+    )
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_back_to_back_calls_match_fresh_parsers(self, capsys):
+        fresh = []
+        for argv in self.CALLS:
+            build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        reused = [run_cli(capsys, *argv) for argv in self.CALLS]
+        assert [r[0] for r in reused] == [EXIT_OK, EXIT_CONFIG, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert reused == fresh
+        assert reused[0] == reused[-1]
+
+
+def test_import_loads_no_worker_pools():
+    # worker-pool modules cost import time in every fresh process
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import gwcoal; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('concurrent', 'multiprocessing'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
 
 class TestSimulate:
     def test_deterministic_tree(self, capsys, dirac2_env):
@@ -154,20 +229,6 @@ class TestSimulate:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
-
-    def test_threads_do_not_change_output(self, capsys):
-        base = (
-            "simulate",
-            "--env",
-            env_path("binom_n3"),
-            "--samples",
-            "40",
-            "--seed",
-            "3",
-        )
-        _, out1, _ = run_cli(capsys, *base, "--threads", "1")
-        _, out4, _ = run_cli(capsys, *base, "--threads", "4")
-        assert out1 == out4
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -224,6 +285,23 @@ class TestChain:
         assert len(lines) == 4
         first = lines[1].split(",", 2)
         assert first[0] == "1" and first[1] == "1"
+
+    @pytest.mark.parametrize("process, builds", [("b", 1), ("d", 1), ("lf", 0)])
+    def test_samplers_built_once_per_campaign(self, capsys, monkeypatch, process, builds):
+        calls = []
+        init = EtaSamplers.__init__
+
+        def counting(self, env):
+            calls.append(env.horizon)
+            init(self, env)
+
+        monkeypatch.setattr(EtaSamplers, "__init__", counting)
+        code, _, _ = run_cli(
+            capsys, "chain", "--env", env_path("lf_half_n6"), "--process", process,
+            "--samples", "50",
+        )
+        assert code == EXIT_OK
+        assert calls == [6] * builds
 
     def test_d_process_runs(self, capsys):
         code, out, _ = run_cli(

@@ -1,9 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwcoal import FiniteSupportLaw, LinearFractionalLaw, indexed_map, rng_for_run, stream_for_run
+from gwcoal.errors import DomainError
 from gwcoal.sampling import (
     UniformStream,
     as_stream,
@@ -25,10 +28,16 @@ class TestStreams:
         b = [stream_for_run(9, 2).next() for _ in range(3)]
         assert a == b
 
-    def test_seed_masked_to_64_bits(self):
-        big = stream_for_run(2 ** 64 + 5, 0).next()
-        small = stream_for_run(5, 0).next()
-        assert big == small
+    @pytest.mark.parametrize("seed", [2 ** 64, 2 ** 64 + 1])
+    def test_seed_past_64_bits_rejected(self, seed):
+        with pytest.raises(DomainError, match=r"2\*\*64"):
+            rng_for_run(seed, 0)
+        with pytest.raises(DomainError, match=r"2\*\*64"):
+            UniformStream(seed)
+
+    def test_largest_seed_accepted(self):
+        assert 0 <= stream_for_run(2 ** 64 - 1, 0).next() < 1
+        assert 0 <= UniformStream(2 ** 64 - 1).next() < 1
 
     def test_as_stream_accepts_int_rng_stream(self):
         s = as_stream(7)
@@ -41,6 +50,23 @@ class TestStreams:
         vals = [s.next() for _ in range(10)]
         assert len(set(vals)) == 10
         assert all(0 <= v < 1 for v in vals)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cap=st.integers(min_value=1, max_value=8192),
+        n=st.integers(min_value=0, max_value=20_000),
+        seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+    )
+    def test_reads_the_generator_in_order(self, cap, n, seed):
+        stream = UniformStream(np.random.default_rng(seed), block=cap)
+        expected = np.random.default_rng(seed).random(n).tolist()
+        assert [stream.next() for _ in range(n)] == expected
+
+    def test_first_block_is_small(self):
+        # a run that reads one uniform generates 32, not a full block
+        rng = np.random.default_rng(5)
+        UniformStream(rng).next()
+        assert rng.random() == np.random.default_rng(5).random(33)[32]
 
 
 class TestDiscreteDraws:
@@ -100,10 +126,4 @@ class TestDiscreteDraws:
 
 class TestIndexedMap:
     def test_preserves_order(self):
-        assert indexed_map(lambda i: i * i, 6, threads=3) == [0, 1, 4, 9, 16, 25]
-
-    def test_thread_count_does_not_change_results(self):
-        def work(i):
-            return [round(stream_for_run(21, i).next(), 12) for _ in range(3)]
-
-        assert indexed_map(work, 40, threads=1) == indexed_map(work, 40, threads=4)
+        assert indexed_map(lambda i: i * i, 6) == [0, 1, 4, 9, 16, 25]
