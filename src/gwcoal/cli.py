@@ -177,11 +177,14 @@ def _load_env(args) -> Environment:
     return env
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise EnvFormatError(message)
+
+
 def _check_campaign(args) -> None:
-    if args.samples < 1:
-        raise EnvFormatError("--samples must be >= 1")
-    if not 0 <= args.seed < 1 << 64:
-        raise EnvFormatError(f"--seed must be in [0, 2**64), got {args.seed}")
+    _require(args.samples >= 1, "--samples must be >= 1")
+    _require(0 <= args.seed < 1 << 64, f"--seed must be in [0, 2**64), got {args.seed}")
 
 
 def _emit(args, text: str) -> None:
@@ -218,6 +221,7 @@ def _write_rows(args, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_simulate(args) -> int:
+    _require(args.max_attempts >= 1, f"--max-attempts must be >= 1, got {args.max_attempts}")
     env = _load_env(args)
     _check_campaign(args)
 
@@ -231,16 +235,23 @@ def cmd_simulate(args) -> int:
     _write_rows(args, ["run_id", "K", "A"], rows)
     ks = [row[1] for row in rows]
     mean_k = sum(ks) / len(ks)
-    # K = 1 means the first coalescent time lies beyond every level
+    # runs per first coalescent time; K = 1 puts it beyond every level (N + 1)
+    N = env.horizon
+    first = [0] * (N + 2)
+    for row in rows:
+        first[N + 1 if row[1] == 1 else int(row[2].split(";", 1)[0])] += 1
     tails = []
-    for n in range(1, env.horizon + 1):
-        hits = sum(1 for row in rows if row[1] == 1 or int(row[2].split(";")[0]) > n)
+    hits = len(rows)
+    for n in range(1, N + 1):
+        hits -= first[n]
         tails.append(f"P(A1>{n})={hits / len(rows):.6f}")
     print(f"runs={len(rows)} mean_K={mean_k:.6f} " + " ".join(tails), file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_chain(args) -> int:
+    _require(args.max_individuals >= 1,
+             f"--max-individuals must be >= 1, got {args.max_individuals}")
     env = _load_env(args)
     _check_campaign(args)
     if args.trace and args.samples != 1:
@@ -294,6 +305,9 @@ def cmd_verify(args) -> int:
         line = "PASS" if report.passed else "FAIL"
         print(f"{line} reference-table " + ("; ".join(report.mismatches) or "all rows re-derived"))
         return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    _require(args.witness_mc_samples >= 0,
+             f"--witness-mc-samples must be >= 0, got {args.witness_mc_samples}")
+    _require(args.guard >= 1, f"--guard must be >= 1, got {args.guard}")
     env = _load_env(args)
     results = run_verify_suite(
         env,
@@ -319,6 +333,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eta(args) -> int:
+    # also rejects nan and inf
+    _require(0 < args.tol < 1, f"--tol must be in (0, 1), got {args.tol}")
     env = _load_env(args)
     rows = []
     for level in range(1, env.horizon + 1):

@@ -69,12 +69,12 @@ def eta_probs_generic(env: Environment, n: int, ks: Sequence[int]) -> list[Numbe
         raise HorizonError(f"forward depth {n} outside [1, {N}]")
     if any(k < 0 for k in ks):
         raise DomainError("support is k >= 0")
-    surv = survival_prob(env, n)
+    first = env.laws[0]
+    # probability a single daughter of the founder has no depth-n descendant
+    u = compose_range(env, -N + 1, -N + n, env.levels.zero)
+    surv = 1 - first.pgf(u)
     if surv == 0:
         raise DegenerateEnvironmentError(_NO_SURVIVAL)
-    first = env.laws[0]
-    # probability a single daughter of the founder has depth-n descendants
-    u = compose_range(env, -N + 1, -N + n, env.levels.zero)
     alive = 1 - u
     return [alive ** (k + 1) * first.pgf_deriv(u, k + 1) / (math.factorial(k + 1) * surv)
             for k in ks]

@@ -46,14 +46,34 @@ class UniformStream:
         self._buf: list[float] = []
         self._pos = 0
 
+    def _refill(self) -> list[float]:
+        size = min(self._block, max(32, 2 * len(self._buf)))
+        self._buf = self._rng.random(size).tolist()
+        self._pos = 0
+        return self._buf
+
     def next(self) -> float:
         if self._pos >= len(self._buf):
-            size = min(self._block, max(32, 2 * len(self._buf)))
-            self._buf = self._rng.random(size).tolist()
-            self._pos = 0
+            self._refill()
         u = self._buf[self._pos]
         self._pos += 1
         return u
+
+    def take(self, n: int) -> list[float]:
+        """The next n uniforms, the values of n calls to ``next``."""
+        buf, pos = self._buf, self._pos
+        end = pos + n
+        if end <= len(buf):
+            self._pos = end
+            return buf[pos:end]
+        out = buf[pos:]
+        while True:
+            buf = self._refill()
+            need = n - len(out)
+            if need <= len(buf):
+                self._pos = need
+                return out + buf[:need]
+            out += buf
 
 
 def stream_for_run(seed: int, run_id: int, block: int = 8192) -> UniformStream:

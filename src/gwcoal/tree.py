@@ -17,7 +17,8 @@ Extraction functions recover, for each present individual i:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (
     HorizonError,
 )
 from .pgf import survival_prob
-from .sampling import UniformStream, as_stream, draw_count, draw_from_cumulative
+from .sampling import UniformStream, as_stream, draw_count
 
 
 class Tree:
@@ -37,17 +38,11 @@ class Tree:
 
     ``counts[d][j]`` is the child count of the j-th node (left to right) at
     depth d, for 0 <= d < N.  Depth-N nodes are the present individuals.
+    ``parents`` is built with the tree; ``child_start``, ``alive`` and
+    ``max_rank`` are built together on first read.
     """
 
-    __slots__ = (
-        "env",
-        "counts",
-        "parents",
-        "child_start",
-        "alive",
-        "max_rank",
-        "attempts",
-    )
+    __slots__ = ("env", "counts", "parents", "attempts", "_ranks")
 
     def __init__(self, env: Environment, counts: list[list[int]]):
         N = env.horizon
@@ -58,49 +53,63 @@ class Tree:
         self.env = env
         self.counts = counts
         self.attempts = 1
+        self._ranks = None
 
         # children of node j at depth d occupy a contiguous block at depth d+1
-        self.child_start: list[list[int]] = []
-        self.parents: list[list[int]] = [[-1]]
-        for d in range(N):
-            row = counts[d]
+        parents: list[list[int]] = [[-1]]
+        width = 1
+        for d, row in enumerate(counts):
+            if len(row) != width:
+                raise DomainError(f"depth {d} has {len(row)} counts but {width} nodes")
+            parent_row: list[int] = []
+            extend = parent_row.extend
+            for j, c in enumerate(row):
+                if c:
+                    extend([j] * c)
+            parents.append(parent_row)
+            width = len(parent_row)
+        self.parents = parents
+
+    def _build_ranks(self) -> tuple[list[list[int]], list[list[bool]], list[list[int]]]:
+        N = self.horizon
+        child_start = []
+        for row in self.counts:
             starts = []
             acc = 0
-            parent_row = []
-            for j, c in enumerate(row):
+            for c in row:
                 starts.append(acc)
                 acc += c
-                parent_row.extend([j] * c)
-            self.child_start.append(starts)
-            self.parents.append(parent_row)
-            expected = len(self.parents[d])
-            if d > 0 and len(row) != expected:
-                raise DomainError(
-                    f"depth {d} has {len(row)} counts but {expected} nodes"
-                )
-
+            child_start.append(starts)
         # alive = has at least one descendant at depth N (present individuals
         # count as their own descendants)
-        k = len(self.parents[N])
-        self.alive: list[list[bool]] = [None] * (N + 1)  # type: ignore[list-item]
-        self.max_rank: list[list[int]] = [None] * (N + 1)  # type: ignore[list-item]
-        self.alive[N] = [True] * k
-        self.max_rank[N] = list(range(1, k + 1))
+        k = self.k
+        alive: list[list[bool]] = [None] * (N + 1)  # type: ignore[list-item]
+        max_rank: list[list[int]] = [None] * (N + 1)  # type: ignore[list-item]
+        alive[N] = [True] * k
+        max_rank[N] = list(range(1, k + 1))
         for d in range(N - 1, -1, -1):
-            row = counts[d]
-            starts = self.child_start[d]
-            child_rank = self.max_rank[d + 1]
-            alive_row = []
-            rank_row = []
-            for j, c in enumerate(row):
-                best = 0
-                for pos in range(starts[j], starts[j] + c):
-                    if child_rank[pos] > best:
-                        best = child_rank[pos]
-                alive_row.append(best > 0)
-                rank_row.append(best)
-            self.alive[d] = alive_row
-            self.max_rank[d] = rank_row
+            child_rank = max_rank[d + 1]
+            rank_row = [max(child_rank[s:s + c], default=0)
+                        for s, c in zip(child_start[d], self.counts[d])]
+            alive[d] = [best > 0 for best in rank_row]
+            max_rank[d] = rank_row
+        self._ranks = (child_start, alive, max_rank)
+        return self._ranks
+
+    @property
+    def child_start(self) -> list[list[int]]:
+        """Position of each node's first child in the next generation."""
+        return (self._ranks or self._build_ranks())[0]
+
+    @property
+    def alive(self) -> list[list[bool]]:
+        """Whether each node has a descendant among the present individuals."""
+        return (self._ranks or self._build_ranks())[1]
+
+    @property
+    def max_rank(self) -> list[list[int]]:
+        """Largest rank of each node's present descendants, 0 when none."""
+        return (self._ranks or self._build_ranks())[2]
 
     @property
     def horizon(self) -> int:
@@ -118,11 +127,12 @@ class Tree:
 
     def label(self, depth: int, pos: int) -> tuple[int, ...]:
         """Ulam-Harris label: 1-based child positions from the founder down."""
+        child_start = self.child_start
         out = []
         d, j = depth, pos
         while d > 0:
             parent = self.parents[d][j]
-            out.append(j - self.child_start[d - 1][parent] + 1)
+            out.append(j - child_start[d - 1][parent] + 1)
             d, j = d - 1, parent
         out.reverse()
         return tuple(out)
@@ -131,31 +141,51 @@ class Tree:
         return f"Tree(horizon={self.horizon}, k={self.k})"
 
 
-def simulate_tree(env: Environment, rng) -> Tree:
-    """Draw one tree; ``rng`` may be a seed, numpy Generator, or UniformStream."""
-    stream = as_stream(rng)
+def _draw_counts(env: Environment, stream: UniformStream) -> tuple[list[list[int]], int]:
+    """Child counts one generation at a time, and the final width.
+
+    Stops after the first generation with no children, so a dead draw has
+    fewer than N rows; generations without individuals read no uniforms.
+    """
     counts: list[list[int]] = []
     width = 1
     for law, cum in zip(env.laws, env.levels.offspring_cumulatives):
         if cum is None:
             row = [draw_count(law, stream) for _ in range(width)]
         else:
-            row = [draw_from_cumulative(cum, stream) for _ in range(width)]
+            row = [bisect_right(cum, u) for u in stream.take(width)]
         counts.append(row)
         width = sum(row)
+        if not width:
+            break
+    return counts, width
+
+
+def simulate_tree(env: Environment, rng) -> Tree:
+    """Draw one tree; ``rng`` may be a seed, numpy Generator, or UniformStream.
+
+    Generations after an extinction have empty count rows.
+    """
+    counts, _ = _draw_counts(env, as_stream(rng))
+    counts.extend([] for _ in range(env.horizon - len(counts)))
     return Tree(env, counts)
 
 
 def condition_on_survival(env: Environment, rng, max_attempts: int = 100_000) -> Tree:
-    """Rejection-sample a tree with at least one present individual."""
+    """Rejection-sample a tree with at least one present individual.
+
+    Dead draws are rejected from their child counts; only the accepted draw
+    is built into a ``Tree``.
+    """
     if survival_prob(env, env.horizon) == 0:
         raise DegenerateEnvironmentError(
             "environment cannot produce survivors; conditioning is undefined"
         )
     stream = as_stream(rng)
     for attempt in range(1, max_attempts + 1):
-        tree = simulate_tree(env, stream)
-        if tree.k > 0:
+        counts, width = _draw_counts(env, stream)
+        if width:
+            tree = Tree(env, counts)
             tree.attempts = attempt
             return tree
     raise AttemptCapError(f"no surviving tree in {max_attempts} attempts")
@@ -309,6 +339,7 @@ def cpp_and_marks(tree: Tree, upto: int | None = None) -> tuple[list[int], list[
     marks: list[int] = []
     parents = tree.parents
     child_start = tree.child_start
+    max_rank = tree.max_rank
     counts = tree.counts
     for i in range(pairs):
         left, right = i, i + 1
@@ -320,7 +351,7 @@ def cpp_and_marks(tree: Tree, upto: int | None = None) -> tuple[list[int], list[
         a_vals.append(N - d)
         start = child_start[d][left]
         span = counts[d][left]
-        ranks = tree.max_rank[d + 1]
+        ranks = max_rank[d + 1]
         hits = 0
         for c in range(start, start + span):
             if ranks[c] >= i + 1:
@@ -349,14 +380,16 @@ def dump_tree(tree: Tree) -> str:
     integer sequences.  The founder's empty label prints as '-'.
     """
     lines = []
+    alive = tree.alive
+    child_start = tree.child_start
 
     def visit(depth: int, pos: int, label: tuple[int, ...]) -> None:
         count = tree.counts[depth][pos] if depth < tree.horizon else 0
         name = ".".join(str(x) for x in label) if label else "-"
-        flag = 1 if tree.alive[depth][pos] else 0
+        flag = 1 if alive[depth][pos] else 0
         lines.append(f"{name} {count} {flag}")
         if depth < tree.horizon:
-            start = tree.child_start[depth][pos]
+            start = child_start[depth][pos]
             for c in range(count):
                 visit(depth + 1, start + c, label + (c + 1,))
 

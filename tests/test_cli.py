@@ -168,6 +168,47 @@ class TestExitCodes:
         assert "2**64" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--env", "ENV", "--max-attempts", "0"], "--max-attempts must be >= 1"),
+            (["simulate", "--env", "ENV", "--max-attempts", "-5"], "--max-attempts must be >= 1"),
+            (["chain", "--env", "ENV", "--max-individuals", "0"], "--max-individuals must be >= 1"),
+            (["chain", "--env", "ENV", "--max-individuals", "-1"], "--max-individuals must be >= 1"),
+            (["verify", "--env", "ENV", "--witness", "--witness-mc-samples", "-3"],
+             "--witness-mc-samples must be >= 0"),
+            (["verify", "--env", "ENV", "--guard", "-1"], "--guard must be >= 1"),
+            (["verify", "--env", "ENV", "--guard", "0"], "--guard must be >= 1"),
+            (["eta", "--env", "LF", "--tol", "0"], "--tol must be in (0, 1)"),
+            (["eta", "--env", "LF", "--tol", "-1"], "--tol must be in (0, 1)"),
+            (["eta", "--env", "LF", "--tol", "nan"], "--tol must be in (0, 1)"),
+            (["eta", "--env", "LF", "--tol", "inf"], "--tol must be in (0, 1)"),
+            (["eta", "--env", "LF", "--tol", "2"], "--tol must be in (0, 1)"),
+        ],
+    )
+    def test_bad_option_values(self, capsys, argv, message):
+        paths = {"ENV": env_path("binom_n5"), "LF": env_path("lf_half_n6")}
+        code, out, err = run_cli(capsys, *[paths.get(a, a) for a in argv])
+        assert code == EXIT_CONFIG
+        assert message in err
+        assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--env", "D2", "--max-attempts", "1", "--samples", "3"],
+            ["chain", "--env", "ENV", "--max-individuals", "1"],
+            ["verify", "--env", "ENV", "--witness", "--witness-mc-samples", "0"],
+            ["eta", "--env", "LF", "--tol", "0.5"],
+        ],
+    )
+    def test_smallest_option_values_accepted(self, capsys, dirac2_env, argv):
+        paths = {"ENV": env_path("binom_n5"), "LF": env_path("lf_half_n6"), "D2": dirac2_env}
+        code, out, _ = run_cli(capsys, *[paths.get(a, a) for a in argv])
+        assert code == EXIT_OK
+        assert out
+
+
 class TestParser:
     CALLS = (
         ("simulate", "--env", env_path("binom_n3"), "--samples", "5", "--seed", "2"),
@@ -269,6 +310,30 @@ class TestSimulate:
         assert out.strip().splitlines()[1] == "0,2,1"
 
 
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_summary_matches_per_level_count(self, capsys, tmp_path, deep):
+        if deep:
+            # near-critical binary law over 200 generations
+            path = tmp_path / "deep.json"
+            path.write_text(json.dumps({"laws": [{"type": "pmf", "p": [0.24, 0.5, 0.26]}] * 200}))
+            env, horizon, samples = str(path), 200, "40"
+        else:
+            env, horizon, samples = env_path("binom_n6"), 6, "300"
+        code, out, err = run_cli(capsys, "simulate", "--env", env, "--samples", samples,
+                                 "--seed", "5")
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        ks = [int(row[1]) for row in rows]
+        # the summary as it was once computed: one pass over the rows per level
+        tails = []
+        for n in range(1, horizon + 1):
+            hits = sum(1 for row in rows if row[1] == "1" or int(row[2].split(";")[0]) > n)
+            tails.append(f"P(A1>{n})={hits / len(rows):.6f}")
+        expected = f"runs={len(rows)} mean_K={sum(ks) / len(ks):.6f} " + " ".join(tails) + "\n"
+        assert err == expected
+        assert len(set(tails)) > 1
+
+
 class TestChain:
     def test_backward_chain_matches_tree(self, capsys, dirac2_env):
         code, out, _ = run_cli(capsys, "chain", "--env", dirac2_env, "--process", "b")
@@ -333,16 +398,18 @@ class TestChain:
         assert len(out.strip().splitlines()) == 31
         assert "runs=30" in err
 
-    def test_unfinished_runs_have_empty_k(self, capsys):
+    def test_unfinished_runs_have_empty_k(self, capsys, dirac2_env):
+        # every run of the all-twins tree emits three times, so a cap of one
+        # leaves each of them unfinished
         code, out, err = run_cli(
             capsys,
             "chain",
             "--env",
-            env_path("binom_n3"),
+            dirac2_env,
             "--samples",
             "10",
             "--max-individuals",
-            "0",
+            "1",
         )
         assert code == EXIT_OK
         for line in out.strip().splitlines()[1:]:

@@ -62,6 +62,36 @@ class TestStreams:
         expected = np.random.default_rng(seed).random(n).tolist()
         assert [stream.next() for _ in range(n)] == expected
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cap=st.integers(min_value=1, max_value=8192),
+        reads=st.lists(
+            st.one_of(st.none(), st.integers(min_value=0, max_value=3000)), max_size=40
+        ),
+        seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+    )
+    def test_take_and_next_interleave_in_order(self, cap, reads, seed):
+        # None is one next(), an integer n is one take(n)
+        stream = UniformStream(np.random.default_rng(seed), block=cap)
+        got = []
+        for n in reads:
+            if n is None:
+                got.append(stream.next())
+            else:
+                block = stream.take(n)
+                assert len(block) == n
+                got.extend(block)
+        assert got == np.random.default_rng(seed).random(len(got)).tolist()
+
+    def test_take_refills_like_next(self):
+        # the block schedule, and so the generator's state, is that of next()
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        UniformStream(a, block=64).take(100)
+        s = UniformStream(b, block=64)
+        for _ in range(100):
+            s.next()
+        assert a.random() == b.random()
+
     def test_first_block_is_small(self):
         # a run that reads one uniform generates 32, not a full block
         rng = np.random.default_rng(5)

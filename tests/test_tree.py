@@ -18,11 +18,14 @@ from gwcoal import (
     extract_Btilde,
     extract_D,
     genealogy_from_cpp,
+    load_environment,
     simulate_tree,
     stream_for_run,
 )
-from gwcoal.errors import AttemptCapError, DegenerateEnvironmentError
+from gwcoal.errors import AttemptCapError, DegenerateEnvironmentError, DomainError
 from gwcoal.tree import bt_min, bt_star
+
+from conftest import env_path
 
 
 @pytest.fixture
@@ -198,3 +201,141 @@ class TestSimulation:
         p = 39 / 64
         se = (p * (1 - p) / n) ** 0.5
         assert abs(alive / n - p) < 4 * se
+
+
+def _eager_tables(counts, horizon):
+    """child_start, alive and max_rank as the tree once built them eagerly."""
+    child_start = []
+    parents = [[-1]]
+    for d in range(horizon):
+        row = counts[d]
+        starts = []
+        acc = 0
+        parent_row = []
+        for j, c in enumerate(row):
+            starts.append(acc)
+            acc += c
+            parent_row.extend([j] * c)
+        child_start.append(starts)
+        parents.append(parent_row)
+    k = len(parents[horizon])
+    alive = [None] * (horizon + 1)
+    max_rank = [None] * (horizon + 1)
+    alive[horizon] = [True] * k
+    max_rank[horizon] = list(range(1, k + 1))
+    for d in range(horizon - 1, -1, -1):
+        row = counts[d]
+        starts = child_start[d]
+        child_rank = max_rank[d + 1]
+        alive_row = []
+        rank_row = []
+        for j, c in enumerate(row):
+            best = 0
+            for pos in range(starts[j], starts[j] + c):
+                if child_rank[pos] > best:
+                    best = child_rank[pos]
+            alive_row.append(best > 0)
+            rank_row.append(best)
+        alive[d] = alive_row
+        max_rank[d] = rank_row
+    return parents, child_start, alive, max_rank
+
+
+class _EagerTree:
+    """Duck-typed stand-in carrying the eagerly built tables."""
+
+    def __init__(self, env, counts):
+        self.env = env
+        self.counts = counts
+        self.parents, self.child_start, self.alive, self.max_rank = _eager_tables(
+            counts, env.horizon
+        )
+        self.horizon = env.horizon
+        self.k = len(self.parents[env.horizon])
+
+
+def _reference_condition(env, stream):
+    """Rejection through full dead trees, as the sampler once did."""
+    attempt = 0
+    while True:
+        attempt += 1
+        tree = simulate_tree(env, stream)
+        if tree.k > 0:
+            return attempt, tree.counts
+
+
+PINNED_RUNS = [(seed, run) for seed in (0, 1, 7, 42, 2 ** 63) for run in range(10)]
+
+
+class TestRejectionOnCounts:
+    @pytest.mark.parametrize("name", ["binom_n6", "varying_n3"])
+    def test_one_tree_per_call_and_same_attempts(self, monkeypatch, name):
+        env = load_environment(env_path(name))
+        built = []
+        init = Tree.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        for seed, run in PINNED_RUNS:
+            attempts, counts = _reference_condition(env, stream_for_run(seed, run))
+            monkeypatch.setattr(Tree, "__init__", counting_init)
+            built.clear()
+            tree = condition_on_survival(env, stream_for_run(seed, run))
+            monkeypatch.setattr(Tree, "__init__", init)
+            assert len(built) == 1
+            assert tree.attempts == attempts
+            assert tree.counts == counts
+
+    def test_dead_draw_has_empty_rows_after_extinction(self):
+        env = load_environment(env_path("binom_n6"))
+        dead = 0
+        for run in range(200):
+            tree = simulate_tree(env, stream_for_run(3, run))
+            assert len(tree.counts) == env.horizon
+            if tree.k:
+                continue
+            dead += 1
+            last = next(d for d, row in enumerate(tree.counts) if sum(row) == 0)
+            assert all(tree.counts[d] for d in range(last + 1))
+            assert all(row == [] for row in tree.counts[last + 1:])
+            assert tree.alive[0] == [False]
+            assert dump_tree(tree).startswith("- ")
+        assert dead > 0
+
+    def test_lazy_tables_match_eager_reference(self):
+        cases = []
+        for name in ("binom_n6", "varying_n3", "binom_n3"):
+            env = load_environment(env_path(name))
+            for run in range(60):
+                cases.append((env, condition_on_survival(env, stream_for_run(11, run))))
+        env6 = load_environment(env_path("binom_n6"))
+        cases += [(env6, simulate_tree(env6, stream_for_run(12, run))) for run in range(20)]
+        assert len(cases) == 200
+        for env, tree in cases:
+            ref = _EagerTree(env, tree.counts)
+            assert tree.parents == ref.parents
+            assert tree.child_start == ref.child_start
+            assert tree.alive == ref.alive
+            assert tree.max_rank == ref.max_rank
+            assert dump_tree(tree) == dump_tree(ref)
+            assert cpp_and_marks(tree) == cpp_and_marks(ref)
+            for i in range(1, tree.k + 1):
+                for n in range(1, env.horizon + 1):
+                    assert extract_D(tree, i, n) == extract_D(ref, i, n)
+
+    def test_tables_not_built_for_coalescent_times(self, binom3):
+        tree = condition_on_survival(binom3, stream_for_run(4, 0))
+        coalescent_times(tree)
+        assert tree._ranks is None
+        assert tree.max_rank[tree.horizon] == list(range(1, tree.k + 1))
+        assert tree._ranks is not None
+
+    def test_shape_checks_kept(self, binom2):
+        with pytest.raises(DomainError):
+            Tree(binom2, [[2]])
+        with pytest.raises(DomainError):
+            Tree(binom2, [[1, 1], [1, 1]])
+        with pytest.raises(DomainError):
+            Tree(binom2, [[2], [1]])

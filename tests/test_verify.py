@@ -5,6 +5,9 @@ import pytest
 
 from gwcoal import (
     DistTable,
+    Environment,
+    LinearFractionalLaw,
+    a1_tail,
     a1_identity_check,
     btilde_witness_search,
     constant_environment,
@@ -192,8 +195,6 @@ class TestPopulationLaw:
 
     def test_tail_equals_singleton_share(self, binom2_exact):
         # P(first time beyond the horizon) is P(K = 1)
-        from gwcoal import a1_tail
-
         assert a1_tail(binom2_exact, 2) == HAND_TABLE_N2["K=1;A="]
 
 
@@ -240,6 +241,27 @@ class TestIndependence:
         for env in (lf_half_n6, lf_varying3):
             for res in lf_closed_form_checks(env):
                 assert res.passed, res.detail
+
+    def test_closed_form_checks_compose_each_level_once(self, monkeypatch):
+        # the generic route composes level n's range once (n - 1 evaluations)
+        # and evaluates the founder's pgf once more for survival; no shifted
+        # environment fills a level table of its own
+        N = 200
+        laws = [LinearFractionalLaw(r=0.5 + 0.01 * (i % 3), p=0.5 + 0.005 * (i % 5))
+                for i in range(N)]
+        env = Environment(laws)
+        a1_tail(env, N)  # fill the environment's own table first
+        evals = []
+        pgf = LinearFractionalLaw.pgf
+
+        def counting_pgf(self, s):
+            evals.append(1)
+            return pgf(self, s)
+
+        monkeypatch.setattr(LinearFractionalLaw, "pgf", counting_pgf)
+        results = lf_closed_form_checks(env)
+        assert all(res.passed for res in results)
+        assert len(evals) <= N * (N + 1) // 2
 
 
 class TestWitness:
