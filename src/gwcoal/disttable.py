@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import DomainError
 
 
-def outcome_key(k: int, a: Iterable[int]) -> str:
-    """Canonical key for a genealogy outcome, e.g. 'K=3;A=1,2'."""
-    return f"K={k};A=" + ",".join(str(x) for x in a)
+def outcome_key(k: int, a: Iterable[int] | str) -> str:
+    """Canonical key for a genealogy outcome, e.g. 'K=3;A=1,2'.
+
+    The times ``a`` may also be given as their comma-joined text.
+    """
+    return f"K={k};A=" + (a if isinstance(a, str) else ",".join(map(str, a)))
 
 
 def parse_outcome(key: str) -> tuple[int, tuple[int, ...]]:
@@ -57,9 +61,12 @@ def tv_distance(a: Mapping, b: Mapping):
     """Total variation distance, half the L1 gap over the union of keys.
 
     Returns a Fraction when both tables carry exact values, a float otherwise.
+    Keys whose two values are equal add nothing and are skipped.
     """
     keys = set(a) | set(b)
-    gap = sum(abs(a.get(k, 0) - b.get(k, 0)) for k in keys)
+    gap = sum(abs(x - y) for x, y in ((a.get(k, 0), b.get(k, 0)) for k in keys) if x != y)
     if isinstance(gap, Fraction):
         return gap / 2
+    if gap == 0 and isinstance(next(itertools.chain(a.values(), b.values()), None), Fraction):
+        return Fraction(0)
     return 0.5 * float(gap)

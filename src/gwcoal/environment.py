@@ -252,6 +252,19 @@ def environment_from_dict(doc: dict) -> Environment:
     return Environment(tuple(laws))
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; strings, nulls, booleans and lists are
+    format errors, not values."""
+    if type(value) is float:
+        return value
+    if type(value) is not int:  # a bool is an int subclass, not a number here
+        raise EnvFormatError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise EnvFormatError(f"{what} is out of range") from None
+
+
 def _law_from_entry(entry: dict) -> OffspringLaw:
     if not isinstance(entry, dict) or "type" not in entry:
         raise EnvFormatError("law entry must be an object with a 'type' field")
@@ -260,11 +273,12 @@ def _law_from_entry(entry: dict) -> OffspringLaw:
         probs = entry.get("p")
         if not isinstance(probs, list) or not probs:
             raise EnvFormatError("'pmf' law needs a non-empty probability list 'p'")
-        return FiniteSupportLaw(tuple(float(x) for x in probs))
+        return FiniteSupportLaw(tuple(_number(x, "'pmf' probability") for x in probs))
     if kind == "lf":
         if "r" not in entry or "p" not in entry:
             raise EnvFormatError("'lf' law needs fields 'r' and 'p'")
-        return LinearFractionalLaw(float(entry["r"]), float(entry["p"]))
+        return LinearFractionalLaw(_number(entry["r"], "'lf' field 'r'"),
+                                   _number(entry["p"], "'lf' field 'p'"))
     raise EnvFormatError(f"unknown law type {kind!r} (expected 'pmf' or 'lf')")
 
 
@@ -274,7 +288,7 @@ def load_environment(path: str) -> Environment:
             doc = json.load(fh)
     except OSError as exc:
         raise EnvFormatError(f"cannot read environment file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
         raise EnvFormatError(f"environment file is not valid JSON: {exc}") from None
     return environment_from_dict(doc)
 

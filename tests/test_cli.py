@@ -82,6 +82,30 @@ class TestExitCodes:
         assert "non-finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("law", [
+        {"type": "pmf", "p": [0.5, "a"]},
+        {"type": "pmf", "p": [0.5, None]},
+        {"type": "pmf", "p": [0.5, [1]]},
+        {"type": "pmf", "p": [0.5, True]},
+        {"type": "lf", "r": "x", "p": 0.5},
+        {"type": "lf", "r": None, "p": 0.5},
+    ])
+    def test_non_numeric_law_field_rejected(self, capsys, tmp_path, law):
+        bad = tmp_path / "non_numeric.json"
+        bad.write_text(json.dumps({"laws": [{"type": "pmf", "p": [0.5, 0.5]}, law]}))
+        code, out, err = run_cli(capsys, "tail", "--env", str(bad))
+        assert code == EXIT_CONFIG
+        assert "laws[1]" in err and "must be a number" in err
+        assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("digits, message", [(400, "out of range"), (5000, "not valid JSON")])
+    def test_huge_integer_rejected(self, capsys, tmp_path, digits, message):
+        bad = tmp_path / "huge.json"
+        bad.write_text('{"laws": [{"type": "pmf", "p": [0.5, 1' + "0" * digits + "]}]}")
+        code, out, err = run_cli(capsys, "tail", "--env", str(bad))
+        assert code == EXIT_CONFIG
+        assert message in err and "Traceback" not in err and out == ""
+
     def test_lf_sampler_needs_lf_env(self, capsys):
         code, _, _ = run_cli(
             capsys, "chain", "--env", env_path("binom_n3"), "--process", "lf"

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from gwcoal import (
     DistTable,
     Environment,
+    FiniteSupportLaw,
     LinearFractionalLaw,
     a1_tail,
     a1_identity_check,
@@ -34,8 +36,16 @@ from gwcoal.errors import (
     EnumerationGuardError,
     NotLinearFractionalError,
 )
+from gwcoal import verify
 from gwcoal.pgf import LevelTable
-from gwcoal.verify import a1_telescoping_check, chain_step_laws, encode_bt
+from gwcoal.tree import cpp_and_marks, simulate_tree
+from gwcoal.verify import (
+    TERM_KEY,
+    McWitnessReport,
+    a1_telescoping_check,
+    chain_step_laws,
+    encode_bt,
+)
 
 from conftest import ENVS, env_path
 
@@ -96,6 +106,10 @@ class TestExactTreeLaw:
         env = constant_environment(dirac(2), 2)
         table = exact_tree_law(env, rational=True)
         assert table == {"K=4;A=1,2,1": 1}
+        for process in ("b", "d"):
+            table = exact_chain_law(env, rational=True, process=process)
+            assert table == {"K=4;A=1,2,1": 1}
+            assert isinstance(table["K=4;A=1,2,1"], Fraction)
 
     def test_always_dies(self):
         env = constant_environment(dirac(0), 2)
@@ -316,3 +330,247 @@ class TestSuite:
         witness_res = results[names.index("reduced-sequence-witness")]
         assert witness_res.passed
         assert witness_res.metric > 0.01
+
+
+# every law a permutation of (5, 7, 9, 11)/32: full support at every level
+FULL_SUPPORT_N3 = Environment(tuple(
+    FiniteSupportLaw(tuple(Fraction(c, 32) for c in perm))
+    for perm in ((5, 7, 9, 11), (11, 9, 7, 5), (7, 11, 5, 9))
+))
+EXACT_ENVS = {
+    "binom_n3": lambda: load_environment(env_path("binom_n3")),
+    "varying_n3": lambda: load_environment(env_path("varying_n3")),
+    "full_support_n3": lambda: FULL_SUPPORT_N3,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(EXACT_ENVS))
+def exact_laws(request):
+    """The rational tree law and the rational b and d chain laws of one env,
+    as (K, A_1 or None, probability) rows."""
+    env = EXACT_ENVS[request.param]()
+    laws = {
+        "tree": exact_tree_law(env, rational=True),
+        "b": exact_chain_law(env, rational=True, process="b"),
+        "d": exact_chain_law(env, rational=True, process="d"),
+    }
+
+    def first_time(key):
+        k, _, a = key.removeprefix("K=").partition(";A=")
+        return int(k), int(a.split(",", 1)[0]) if a else None
+
+    return env, {route: [(*first_time(key), p) for key, p in table.items()]
+                 for route, table in laws.items()}
+
+
+def exact_sum(values):
+    """Sum of Fractions over the lcm of their denominators."""
+    values = list(values)
+    den = math.lcm(*(p.denominator for p in values))
+    return Fraction(sum(p.numerator * (den // p.denominator) for p in values), den)
+
+
+class TestExactArithmetic:
+    """The integer-numerator sweeps against routes that share no code with
+    them: the plain Fraction convolution of the population size and the
+    closed-form tail of the first coalescent time."""
+
+    def test_k_marginal_is_population_law(self, exact_laws):
+        env, laws = exact_laws
+        pop = exact_population_law(env.as_rational(), env.horizon)
+        alive = 1 - pop.get(0, 0)
+        expected = {k: p / alive for k, p in pop.items() if k > 0 and p}
+        for route, rows in laws.items():
+            assert all(isinstance(p, Fraction) for _, _, p in rows), route
+            by_k: dict[int, list[Fraction]] = {}
+            for k, _, p in rows:
+                by_k.setdefault(k, []).append(p)
+            assert {k: exact_sum(ps) for k, ps in by_k.items()} == expected, route
+
+    def test_first_time_tail_is_closed_form(self, exact_laws):
+        env, laws = exact_laws
+        exact = env.as_rational()
+        for n in range(1, env.horizon + 1):
+            closed = a1_tail(exact, n)
+            for route, rows in laws.items():
+                tail = exact_sum(p for k, a1, p in rows if k == 1 or a1 > n)
+                assert tail == closed, (route, n)
+
+    @pytest.mark.parametrize("rational", [False, True])
+    @pytest.mark.parametrize("route, smallest", [("b", 89), ("d", 96), ("tree", 73)])
+    def test_smallest_passing_guard(self, varying3, rational, route, smallest):
+        # work counts every transition or combination examined
+        def run(guard):
+            if route == "tree":
+                return exact_tree_law(varying3, guard=guard, rational=rational)
+            return exact_chain_law(varying3, guard=guard, rational=rational, process=route)
+
+        run(smallest)
+        with pytest.raises(EnumerationGuardError):
+            run(smallest - 1)
+
+    @pytest.mark.parametrize("process", ["b", "d"])
+    def test_transitions_generated_once_per_state(self, monkeypatch, varying3, process):
+        real = verify._transitions
+        calls: dict = {}
+
+        def counting(state, tables):
+            calls[state] = calls.get(state, 0) + 1
+            return real(state, tables)
+
+        monkeypatch.setattr(verify, "_transitions", counting)
+        for rational in (False, True):
+            calls.clear()
+            exact_chain_law(varying3, rational=rational, process=process)
+            assert calls and set(calls.values()) == {1}
+        calls.clear()
+        chain_step_laws(varying3, process=process, max_steps=5)
+        assert calls and set(calls.values()) == {1}
+        if process == "d":
+            calls.clear()
+            btilde_witness_search(load_environment(env_path("binom_n5")))
+            assert calls and set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("process", ["b", "d"])
+    @pytest.mark.parametrize("name", ["binom_n3", "varying_n3", "lf_half_n1"])
+    def test_float_sweep_matches_uncached_loop(self, name, process):
+        # the cached kernel multiplies and adds float masses in the order of
+        # a sweep that regenerates every transition, so the tables are equal
+        # bit for bit
+        env = load_environment(env_path(name))
+        tables = verify._eta_tables(env)
+        frontier = {((), () if process == "b" else None): 1.0}
+        done = DistTable()
+        while frontier:
+            new: dict = {}
+            for (a_seq, state), mass in frontier.items():
+                for nxt, p in verify._transitions(state, tables):
+                    mp = mass * p
+                    a = None if nxt is None else verify._first_nonzero(nxt)
+                    if mp == 0:
+                        continue
+                    if a is None:
+                        done.add(outcome_key(len(a_seq) + 1, a_seq), mp)
+                    else:
+                        key = (a_seq + (a,), nxt)
+                        new[key] = new.get(key, 0.0) + mp
+            frontier = new
+            if frontier and sum(frontier.values()) < 1e-14:
+                break
+        table = exact_chain_law(env, process=process)
+        assert list(table.items()) == list(done.items())
+
+    def test_tv_of_equal_tables_keeps_its_type(self):
+        exact = DistTable({"a": Fraction(1, 3), "b": Fraction(2, 3)})
+        zero = tv_distance(exact, DistTable(exact))
+        assert zero == 0 and isinstance(zero, Fraction)
+        floats = DistTable({"a": 0.25, "b": 0.75})
+        zero = tv_distance(floats, DistTable(floats))
+        assert zero == 0 and isinstance(zero, float)
+        assert tv_distance(DistTable(), DistTable()) == 0.0
+
+    @pytest.mark.parametrize("name", ["binom_n3", "varying_n3", "binom_n6", "lf_half_n1",
+                                      "lf_half_n6", "lf_varying_n3", "gapped"])
+    def test_numpy_population_law_matches_loop(self, name):
+        # the numpy powers against a float loop of the same products, in
+        # keys, in values to 1e-15 and in the work the guard counts
+        if name == "gapped":
+            env = Environment((FiniteSupportLaw((0.5, 0.0, 0.25, 0.0, 0.25)),
+                               FiniteSupportLaw((0.25, 0.0, 0.0, 0.75))))
+        else:
+            env = load_environment(env_path(name))
+        for n in range(1, min(2, env.horizon) + 1):
+            supports = [verify._offspring_support(law, 1e-13) for law in env.laws[-n:]]
+            ref, work = {1: 1.0}, 0
+            for items in supports:
+                powers = [{0: 1.0}]
+                for _ in range(max(ref)):
+                    nxt: dict = {}
+                    for s, ps in powers[-1].items():
+                        for k, pk in items:
+                            work += 1
+                            nxt[s + k] = nxt.get(s + k, 0.0) + ps * pk
+                    powers.append(nxt)
+                mixed: dict = {}
+                for z, pz in ref.items():
+                    for s, ps in powers[z].items():
+                        mixed[s] = mixed.get(s, 0.0) + pz * ps
+                ref = mixed
+            law = verify._population_law_float(supports, guard=work)
+            assert law.keys() == ref.keys()
+            assert all(isinstance(p, float) for p in law.values())
+            assert max(abs(law[k] - ref[k]) for k in law) <= 1e-15
+            with pytest.raises(EnumerationGuardError):
+                verify._population_law_float(supports, guard=work - 1)
+            if env.is_finite_support:
+                exact = exact_population_law(env.shift(env.horizon - n).as_rational(), n)
+                assert max(abs(law[k] - float(exact[k])) for k in law) <= 1e-15
+
+    def test_population_law_routes(self, monkeypatch, binom3, lf_varying3):
+        # wide (truncated geometric) supports take numpy, narrow ones the loop
+        calls = []
+        real = verify._population_law_float
+        monkeypatch.setattr(verify, "_population_law_float",
+                            lambda *args: calls.append(1) or real(*args))
+        exact_population_law(binom3, 3)
+        exact_population_law(binom3.as_rational(), 3)
+        assert calls == []
+        exact_population_law(lf_varying3.shift(2), 1)
+        assert calls == [1]
+
+    def test_population_guard_counts_products(self, lf_varying3):
+        # one product per (reachable sum, support item) pair, as in the loop
+        sub = lf_varying3.shift(lf_varying3.horizon - 2)
+        exact_population_law(sub, 2, guard=1_747_541)
+        with pytest.raises(EnumerationGuardError):
+            exact_population_law(sub, 2, guard=1_747_540)
+
+
+def _mc_witness_by_trees(env, witness, samples, seed):
+    """``mc_witness_check`` as a loop over fully built trees."""
+    keys = sorted(set(witness.law_a) | set(witness.law_b))
+    z_key = max(keys, key=lambda k: (abs(witness.law_a.get(k, 0.0) - witness.law_b.get(k, 0.0)), k))
+    i = witness.step_index
+    stream = verify.as_stream(seed)
+    hits, z_hits = [0, 0], [0, 0]
+    targets = {witness.history_a: 0, witness.history_b: 1}
+    for _ in range(samples):
+        tree = simulate_tree(env, stream)
+        if tree.k < i + 1:
+            continue
+        state, seq = (), []
+        for a_i, mult in zip(*cpp_and_marks(tree, upto=i + 1)):
+            state = verify.bt_update(state, a_i, mult)
+            seq.append(state)
+        x = seq[i - 2] if i >= 2 else ()
+        if seq[i - 1] != witness.shared_state or x not in targets:
+            continue
+        hits[targets[x]] += 1
+        if (encode_bt(seq[i]) if len(seq) > i else TERM_KEY) == z_key:
+            z_hits[targets[x]] += 1
+    return hits, z_hits
+
+
+class TestMcWitnessOnCounts:
+    def test_same_samples_as_built_trees(self):
+        env = load_environment(env_path("binom_n5"))
+        w = btilde_witness_search(env)
+        rep = mc_witness_check(env, w, samples=20_000, seed=7)
+        assert isinstance(rep, McWitnessReport)
+        hits, z_hits = _mc_witness_by_trees(env, w, 20_000, 7)
+        assert [rep.hits_a, rep.hits_b] == hits
+        assert rep.freq_a == z_hits[0] / hits[0] and rep.freq_b == z_hits[1] / hits[1]
+
+    def test_dead_draws_build_no_tree(self, monkeypatch):
+        env = load_environment(env_path("binom_n5"))
+        w = btilde_witness_search(env)
+        built = []
+        real = verify.Tree
+
+        def counting(env, counts):
+            built.append(sum(counts[-1]))
+            return real(env, counts)
+
+        monkeypatch.setattr(verify, "Tree", counting)
+        mc_witness_check(env, w, samples=2_000, seed=7)
+        assert built and min(built) >= w.step_index + 1
