@@ -61,6 +61,14 @@ class EtaSamplers:
         return draw_from_cumulative(self._cum[level - 1], stream)
 
 
+def first_nonzero(vec: tuple[int, ...]) -> int | None:
+    """1-based position of the first nonzero entry; None when there is none."""
+    for idx, v in enumerate(vec):
+        if v:
+            return idx + 1
+    return None
+
+
 @dataclass(frozen=True)
 class BState:
     """Truncated chain state; the vector length is the running maximum of
@@ -82,10 +90,7 @@ class BState:
     def first_nonzero(self) -> int | None:
         """1-based position of the first nonzero entry; None for the initial
         empty state."""
-        for idx, v in enumerate(self.b):
-            if v:
-                return idx + 1
-        return None
+        return first_nonzero(self.b)
 
     @classmethod
     def initial(cls) -> "BState":
@@ -93,6 +98,14 @@ class BState:
 
 
 DState = tuple[int, ...]
+
+
+def _redraw(vec: tuple[int, ...], a: int, samplers: EtaSamplers, stream: UniformStream) -> list[int]:
+    """Fresh draws below level a, the entry at a less one, the entries above copied."""
+    out = [samplers.draw(m, stream) for m in range(1, a)]
+    out.append(vec[a - 1] - 1)
+    out.extend(vec[a:])
+    return out
 
 
 def b_step(state: BState, samplers: EtaSamplers, stream: UniformStream):
@@ -111,9 +124,7 @@ def b_step(state: BState, samplers: EtaSamplers, stream: UniformStream):
     if a is None:
         prefix: list[int] = []
     else:
-        prefix = [samplers.draw(m, stream) for m in range(1, a)]
-        prefix.append(b[a - 1] - 1)
-        prefix.extend(b[a:])
+        prefix = _redraw(b, a, samplers, stream)
         if any(prefix):
             return BState(tuple(prefix))
     for level in range(len(b) + 1, N + 1):
@@ -135,17 +146,10 @@ def d_step(state: DState | None, samplers: EtaSamplers, stream: UniformStream) -
         return tuple(samplers.draw(m, stream) for m in range(1, N + 1))
     if len(state) != N:
         raise ChainStateError(f"state length {len(state)} != horizon {N}")
-    a = 0
-    for idx, v in enumerate(state):
-        if v:
-            a = idx + 1
-            break
-    if a == 0:
+    a = first_nonzero(state)
+    if a is None:
         raise ChainStateError("stepping an all-zero state; the run has terminated")
-    out = [samplers.draw(m, stream) for m in range(1, a)]
-    out.append(state[a - 1] - 1)
-    out.extend(state[a:])
-    return tuple(out)
+    return tuple(_redraw(state, a, samplers, stream))
 
 
 @dataclass
@@ -194,7 +198,7 @@ def d_run(env: Environment, rng, max_individuals: int = 1_000_000,
     state: DState | None = None
     while len(run.a_values) < max_individuals:
         state = d_step(state, samplers, stream)
-        first = next((i + 1 for i, v in enumerate(state) if v), None)
+        first = first_nonzero(state)
         if first is None:
             run.terminated = True
             return run
@@ -245,6 +249,14 @@ def lf_run(env: Environment, rng, max_individuals: int = 1_000_000) -> ChainRun:
 # ---------------------------------------------------------------------------
 
 
+def _check_step(prev: tuple[int, ...], state: tuple[int, ...], pa: int) -> None:
+    """Same-length step: the entry at pa dropped by one, those above it were copied."""
+    if state[pa - 1] != prev[pa - 1] - 1:
+        raise ChainStateError("entry at the previous time did not decrement")
+    if state[pa:] != prev[pa:]:
+        raise ChainStateError("entries above the previous time changed")
+
+
 def validate_b_run(run: ChainRun, horizon: int) -> None:
     """Check the copy/decrement/extend structure along a realized run.
 
@@ -265,12 +277,8 @@ def validate_b_run(run: ChainRun, horizon: int) -> None:
         if state.l > horizon:
             raise ChainStateError(f"length {state.l} exceeds horizon {horizon}")
         if prev is not None:
-            pa = prev.first_nonzero
             if state.l == prev.l:
-                if state.b[pa - 1] != prev.b[pa - 1] - 1:
-                    raise ChainStateError("entry at the previous time did not decrement")
-                if state.b[pa:] != prev.b[pa:]:
-                    raise ChainStateError("entries above the previous time changed")
+                _check_step(prev.b, state.b, prev.first_nonzero)
             else:
                 # extension happened, so the replaced prefix died out entirely
                 if state.l <= prev.l or any(state.b[: prev.l]):
@@ -285,13 +293,9 @@ def validate_d_run(run: ChainRun, horizon: int) -> None:
     for state, a in zip(run.states, run.a_values):
         if len(state) != horizon:
             raise ChainStateError(f"state length {len(state)} != horizon {horizon}")
-        first = next((i + 1 for i, v in enumerate(state) if v), None)
+        first = first_nonzero(state)
         if first != a:
             raise ChainStateError(f"emitted {a} but first nonzero is {first}")
         if prev is not None:
-            pa = next(i + 1 for i, v in enumerate(prev) if v)
-            if state[pa - 1] != prev[pa - 1] - 1:
-                raise ChainStateError("entry at the previous time did not decrement")
-            if state[pa:] != prev[pa:]:
-                raise ChainStateError("entries above the previous time changed")
+            _check_step(prev, state, first_nonzero(prev))
         prev = state

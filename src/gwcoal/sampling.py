@@ -10,14 +10,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .laws import FiniteSupportLaw, LinearFractionalLaw, OffspringLaw
-
-T = TypeVar("T")
 
 
 def _check_seed(seed: int) -> int:
@@ -115,12 +113,3 @@ def draw_count(law: OffspringLaw, stream: UniformStream) -> int:
     if stream.next() < 1.0 - law.r:
         return 0
     return 1 + geometric_failures(law.p, stream)
-
-
-def indexed_map(fn: Callable[[int], T], n_runs: int) -> list[T]:
-    """Apply fn to run ids 0..n_runs-1 in run order.
-
-    The per-run work derives all of its randomness from the run id, so the
-    first n rows of a campaign do not depend on its length.
-    """
-    return [fn(i) for i in range(n_runs)]

@@ -220,20 +220,30 @@ class Cpp:
             raise DomainError(f"need exactly {max(self.k - 1, 0)} times for k={self.k}")
 
 
+def _meet(parents: list[list[int]], N: int, i: int) -> tuple[int, int]:
+    """Depth and position of the node where individuals i and i + 1 first meet."""
+    left, right = i - 1, i
+    d = N
+    while left != right:
+        left = parents[d][left]
+        right = parents[d][right]
+        d -= 1
+    return d, left
+
+
+def _mark(tree: Tree, depth: int, pos: int, i: int) -> int:
+    """Daughters of node ``pos`` at ``depth`` with a present descendant of
+    rank >= i, minus the one on individual i's own line."""
+    start = tree.child_start[depth][pos]
+    ranks = tree.max_rank[depth + 1][start:start + tree.counts[depth][pos]]
+    return sum(rank >= i for rank in ranks) - 1
+
+
 def coalescent_times(tree: Tree) -> Cpp:
     """Levels at which consecutive present individuals first share an ancestor."""
     N = tree.horizon
-    k = tree.k
-    a = []
-    for i in range(k - 1):
-        left, right = i, i + 1
-        d = N
-        while left != right:
-            left = tree.parents[d][left]
-            right = tree.parents[d][right]
-            d -= 1
-        a.append(N - d)
-    return Cpp(k=k, a=tuple(a))
+    parents = tree.parents
+    return Cpp(k=tree.k, a=tuple([N - _meet(parents, N, i)[0] for i in range(1, tree.k)]))
 
 
 def extract_D(tree: Tree, i: int, n: int) -> int:
@@ -242,23 +252,7 @@ def extract_D(tree: Tree, i: int, n: int) -> int:
     The daughter leading to individual i always qualifies, so the result is
     the qualifying-daughter count minus one and is never negative.
     """
-    N = tree.horizon
-    if not 1 <= i <= tree.k:
-        raise DomainError(f"individual {i} outside 1..{tree.k}")
-    if not 1 <= n <= N:
-        raise HorizonError(f"level {n} outside [1, {N}]")
-    pos = i - 1
-    for d in range(N, N - n, -1):
-        pos = tree.parents[d][pos]
-    depth = N - n
-    start = tree.child_start[depth][pos]
-    count = tree.counts[depth][pos]
-    ranks = tree.max_rank[depth + 1]
-    hits = 0
-    for c in range(start, start + count):
-        if ranks[c] >= i:
-            hits += 1
-    return hits - 1
+    return _mark(tree, tree.horizon - n, ancestor_index(tree, i, n) - 1, i)
 
 
 def extract_B(tree: Tree, i: int, cpp: Cpp | None = None) -> tuple[int, ...]:
@@ -306,24 +300,23 @@ def bt_update(b: BtState, a: int, mult: int) -> BtState:
     return star
 
 
-def extract_Btilde(tree: Tree, cpp: Cpp | None = None) -> tuple[BtState, ...]:
+def bt_fold(a_vals: list[int], marks: list[int]) -> tuple[BtState, ...]:
+    """Reduced-sequence states after each pair (A_i, D_i(A_i)), from the null measure."""
+    state: BtState = ()
+    out = []
+    for a_i, mult in zip(a_vals, marks):
+        state = bt_update(state, a_i, mult)
+        out.append(state)
+    return tuple(out)
+
+
+def extract_Btilde(tree: Tree) -> tuple[BtState, ...]:
     """Reduced point-measure sequence along the present individuals.
 
     Entry i-1 is the state after folding in individual i's pair
     (A_i, D_i(A_i)); there are K-1 entries.
     """
-    if cpp is None:
-        cpp = coalescent_times(tree)
-    if cpp.k < 2:
-        return ()
-    state: BtState = ()
-    out = []
-    for i in range(1, cpp.k):
-        a_i = cpp.a[i - 1]
-        mult = extract_D(tree, i, a_i)
-        state = bt_update(state, a_i, mult)
-        out.append(state)
-    return tuple(out)
+    return bt_fold(*cpp_and_marks(tree))
 
 
 def cpp_and_marks(tree: Tree, upto: int | None = None) -> tuple[list[int], list[int]]:
@@ -333,30 +326,12 @@ def cpp_and_marks(tree: Tree, upto: int | None = None) -> tuple[list[int], list[
     daughter counts at the meeting node.  ``upto`` limits the number of pairs.
     """
     N = tree.horizon
-    k = tree.k
-    pairs = k - 1 if upto is None else min(upto, k - 1)
-    a_vals: list[int] = []
-    marks: list[int] = []
-    parents = tree.parents
-    child_start = tree.child_start
-    max_rank = tree.max_rank
-    counts = tree.counts
-    for i in range(pairs):
-        left, right = i, i + 1
-        d = N
-        while left != right:
-            left = parents[d][left]
-            right = parents[d][right]
-            d -= 1
+    pairs = tree.k - 1 if upto is None else min(upto, tree.k - 1)
+    a_vals, marks = [], []
+    for i in range(1, pairs + 1):
+        d, node = _meet(tree.parents, N, i)
         a_vals.append(N - d)
-        start = child_start[d][left]
-        span = counts[d][left]
-        ranks = max_rank[d + 1]
-        hits = 0
-        for c in range(start, start + span):
-            if ranks[c] >= i + 1:
-                hits += 1
-        marks.append(hits - 1)
+        marks.append(_mark(tree, d, node, i))
     return a_vals, marks
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chains import BState, ChainRun, validate_b_run
+from .chains import BState, ChainRun, first_nonzero, validate_b_run
 from .disttable import DistTable, outcome_key, tv_distance
 from .environment import Environment, lf_a1_tail
 from .errors import (
@@ -35,7 +35,7 @@ from .errors import (
 from .laws import FiniteSupportLaw, Number
 from .pgf import a1_tail, eta_law_at_depth, eta_probs_generic
 from .sampling import as_stream
-from .tree import BtState, Tree, _draw_counts, bt_update, cpp_and_marks
+from .tree import BtState, Tree, _draw_counts, bt_fold, bt_update, cpp_and_marks
 
 TERM_KEY = "TERMINATED"
 
@@ -173,13 +173,6 @@ def exact_tree_law(
 # ---------------------------------------------------------------------------
 
 
-def _first_nonzero(vec: tuple[int, ...]) -> int | None:
-    for idx, v in enumerate(vec):
-        if v:
-            return idx + 1
-    return None
-
-
 def _transitions(state: tuple[int, ...] | None, tables: list[_LevelTable]):
     """All transitions out of a chain state, with their probabilities.
 
@@ -194,7 +187,7 @@ def _transitions(state: tuple[int, ...] | None, tables: list[_LevelTable]):
     if state is None:
         below, fixed = tables, ()
     elif state:
-        a = _first_nonzero(state)
+        a = first_nonzero(state)
         below, fixed = tables[: a - 1], (state[a - 1] - 1,) + state[a:]
     else:
         below, fixed = [], ()
@@ -258,7 +251,7 @@ class _Sweep:
         if out is None:
             out = []
             for nxt, p in _transitions(state, self.tables):
-                a = None if nxt is None else _first_nonzero(nxt)
+                a = None if nxt is None else first_nonzero(nxt)
                 if self.rational:
                     p = p.numerator * (self.scale // p.denominator)
                 out.append((None if a is None else nxt, a, p))
@@ -415,7 +408,7 @@ def figure1_consistency() -> ReferenceTableReport:
     and the reduced point-measure recursion must reproduce the listed states.
     """
     mismatches: list[str] = []
-    derived_a = tuple(_first_nonzero(row) for row in REFERENCE_B_ROWS)
+    derived_a = tuple(first_nonzero(row) for row in REFERENCE_B_ROWS)
     if derived_a != REFERENCE_A:
         mismatches.append(f"coalescent times: derived {derived_a}")
     derived_l = tuple(len(row) for row in REFERENCE_B_ROWS)
@@ -431,12 +424,8 @@ def figure1_consistency() -> ReferenceTableReport:
         validate_b_run(run, horizon=max(REFERENCE_L))
     except Exception as exc:
         mismatches.append(f"structural transition rules: {exc}")
-    state: BtState = ()
-    derived_bt = []
-    for a_i, row in zip(REFERENCE_A, REFERENCE_B_ROWS):
-        state = bt_update(state, a_i, row[a_i - 1])
-        derived_bt.append(state)
-    derived_btilde = tuple(derived_bt)
+    marks = [row[a_i - 1] for a_i, row in zip(REFERENCE_A, REFERENCE_B_ROWS)]
+    derived_btilde = bt_fold(REFERENCE_A, marks)
     if derived_btilde != REFERENCE_BTILDE:
         mismatches.append(f"reduced sequence: derived {derived_btilde}")
     return ReferenceTableReport(
@@ -579,11 +568,7 @@ def mc_witness_check(
         counts, width = _draw_counts(env, stream)
         if width < i + 1:
             continue
-        state: BtState = ()
-        seq = []
-        for a_i, mult in zip(*cpp_and_marks(Tree(env, counts), upto=i + 1)):
-            state = bt_update(state, a_i, mult)
-            seq.append(state)
+        seq = bt_fold(*cpp_and_marks(Tree(env, counts), upto=i + 1))
         x = seq[i - 2] if i >= 2 else ()
         if seq[i - 1] != witness.shared_state or x not in targets:
             continue
@@ -885,6 +870,19 @@ def tree_vs_chain_check(
     )
 
 
+def reference_table_check() -> CheckResult:
+    """The embedded reference genealogy re-derived, as one check line."""
+    ref = figure1_consistency()
+    return CheckResult(
+        name="reference-table",
+        env_digest="-",
+        metric=0.0 if ref.passed else 1.0,
+        threshold=0.0,
+        passed=ref.passed,
+        detail="; ".join(ref.mismatches) or "all rows re-derived",
+    )
+
+
 def run_verify_suite(
     env: Environment,
     rational: bool = False,
@@ -894,18 +892,7 @@ def run_verify_suite(
     guard: int = 2_000_000,
 ) -> list[CheckResult]:
     """The default verification battery for one environment."""
-    results: list[CheckResult] = []
-    ref = figure1_consistency()
-    results.append(
-        CheckResult(
-            name="reference-table",
-            env_digest="-",
-            metric=0.0 if ref.passed else 1.0,
-            threshold=0.0,
-            passed=ref.passed,
-            detail="; ".join(ref.mismatches) or "all rows re-derived",
-        )
-    )
+    results = [reference_table_check()]
     # distinct genealogies grow as g(n) = g(n-1) + g(n-1)^2 per generation,
     # so the exhaustive comparison is a short-horizon instrument; geometric
     # tails further cap the LF case at horizon one

@@ -51,6 +51,20 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "simulate", "--env", "/no/such/file.json")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["tail", "--env", env_path("binom_n3")],
+        ["simulate", "--env", env_path("binom_n3"), "--samples", "3"],
+        ["verify", "--env", env_path("lf_half_n1")],
+    ])
+    def test_out_below_a_regular_file(self, capsys, tmp_path, argv):
+        # opening the output raises NotADirectoryError, an OSError
+        blocker = tmp_path / "plain"
+        blocker.write_text("")
+        code, _, err = run_cli(capsys, *argv, "--out", str(blocker / "x"))
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_invalid_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -445,7 +459,18 @@ class TestVerify:
     def test_figure1_standalone(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--figure1")
         assert code == EXIT_OK
-        assert "PASS reference-table" in out
+        assert out == ("PASS reference-table metric=0.000e+00 threshold=0.000e+00 "
+                       "all rows re-derived\n")
+
+    def test_figure1_json_out(self, capsys, tmp_path):
+        target = tmp_path / "figure1.json"
+        code, _, _ = run_cli(capsys, "verify", "--figure1", "--out", str(target),
+                             "--format", "json")
+        assert code == EXIT_OK
+        doc = json.loads(target.read_text())
+        assert [(row["name"], row["passed"], row["detail"]) for row in doc] == [
+            ("reference-table", True, "all rows re-derived")
+        ]
 
     def test_verify_env_passes(self, capsys):
         code, out, _ = run_cli(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwcoal import FiniteSupportLaw, LinearFractionalLaw, indexed_map, rng_for_run, stream_for_run
+from gwcoal import FiniteSupportLaw, LinearFractionalLaw, rng_for_run, stream_for_run
 from gwcoal.errors import DomainError
 from gwcoal.sampling import (
     UniformStream,
@@ -152,8 +152,3 @@ class TestDiscreteDraws:
             total += v
         assert zero / n == pytest.approx(0.4, abs=0.01)
         assert total / n == pytest.approx(law.mean(), abs=0.03)
-
-
-class TestIndexedMap:
-    def test_preserves_order(self):
-        assert indexed_map(lambda i: i * i, 6) == [0, 1, 4, 9, 16, 25]

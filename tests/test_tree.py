@@ -23,7 +23,7 @@ from gwcoal import (
     stream_for_run,
 )
 from gwcoal.errors import AttemptCapError, DegenerateEnvironmentError, DomainError
-from gwcoal.tree import bt_min, bt_star
+from gwcoal.tree import bt_fold, bt_min, bt_star
 
 from conftest import env_path
 
@@ -164,11 +164,33 @@ class TestReducedSequence:
         for seed in range(40):
             tree = condition_on_survival(binom3, stream_for_run(seed, 2))
             cpp = coalescent_times(tree)
-            seq = extract_Btilde(tree, cpp)
+            seq = extract_Btilde(tree)
             state = ()
             for i in range(1, tree.k):
                 state = bt_update(state, cpp.a[i - 1], extract_D(tree, i, cpp.a[i - 1]))
                 assert seq[i - 1] == state
+
+
+class TestSharedWalk:
+    """The one pair walk against definitions that do not use it."""
+
+    @pytest.mark.parametrize("name", ["binom_n3", "varying_n3", "binom_n6"])
+    def test_walk_matches_ancestor_definitions(self, name):
+        env = load_environment(env_path(name))
+        N = env.horizon
+        for run in range(200):
+            tree = condition_on_survival(env, stream_for_run(21, run))
+            cpp = coalescent_times(tree)
+            for i in range(1, tree.k):
+                # the least level at which i and i + 1 have the same ancestor
+                meet = next(n for n in range(1, N + 1)
+                            if ancestor_index(tree, i, n) == ancestor_index(tree, i + 1, n))
+                assert cpp.a[i - 1] == meet
+            state, folded = (), []
+            for i in range(1, tree.k):
+                state = bt_update(state, cpp.a[i - 1], extract_D(tree, i, cpp.a[i - 1]))
+                folded.append(state)
+            assert bt_fold(*cpp_and_marks(tree)) == tuple(folded)
 
 
 class TestSimulation:

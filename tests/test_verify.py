@@ -37,6 +37,7 @@ from gwcoal.errors import (
     NotLinearFractionalError,
 )
 from gwcoal import verify
+from gwcoal.chains import first_nonzero
 from gwcoal.pgf import LevelTable
 from gwcoal.tree import cpp_and_marks, simulate_tree
 from gwcoal.verify import (
@@ -446,7 +447,7 @@ class TestExactArithmetic:
             for (a_seq, state), mass in frontier.items():
                 for nxt, p in verify._transitions(state, tables):
                     mp = mass * p
-                    a = None if nxt is None else verify._first_nonzero(nxt)
+                    a = None if nxt is None else first_nonzero(nxt)
                     if mp == 0:
                         continue
                     if a is None:
