@@ -9,21 +9,16 @@ directly, plus closed forms for linear-fractional offspring laws.  The
 """
 
 from .chains import (
-    BEYOND_HORIZON,
     BState,
     ChainRun,
     EtaSamplers,
-    TERMINATED,
     b_run,
-    b_step,
     d_run,
-    d_step,
-    lf_cpp_sample,
     lf_run,
     validate_b_run,
     validate_d_run,
 )
-from .disttable import DistTable, outcome_key, parse_outcome, tv_distance
+from .disttable import DistTable, tv_distance
 from .environment import (
     Environment,
     constant_environment,
@@ -47,18 +42,14 @@ from .laws import FiniteSupportLaw, LinearFractionalLaw, dirac
 from .pgf import (
     EtaLaw,
     a1_tail,
-    compose_deriv,
-    compose_range,
     eta_law_at_depth,
-    eta_prob_generic,
     survival_prob,
 )
-from .sampling import rng_for_run, stream_for_run
+from .sampling import stream_for_run
 from .tree import (
     Cpp,
     Tree,
     ancestor_index,
-    bt_update,
     coalescent_times,
     condition_on_survival,
     cpp_and_marks,
@@ -91,7 +82,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttemptCapError",
-    "BEYOND_HORIZON",
     "BState",
     "ChainRun",
     "ChainStateError",
@@ -110,29 +100,22 @@ __all__ = [
     "HorizonError",
     "LinearFractionalLaw",
     "NotLinearFractionalError",
-    "TERMINATED",
     "Tree",
     "Witness",
     "a1_identity_check",
     "a1_tail",
     "ancestor_index",
     "b_run",
-    "b_step",
-    "bt_update",
     "btilde_witness_search",
     "coalescent_times",
-    "compose_deriv",
-    "compose_range",
     "condition_on_survival",
     "constant_environment",
     "cpp_and_marks",
     "d_run",
-    "d_step",
     "dirac",
     "dump_tree",
     "environment_from_dict",
     "eta_law_at_depth",
-    "eta_prob_generic",
     "exact_chain_law",
     "exact_population_law",
     "exact_tree_law",
@@ -145,14 +128,10 @@ __all__ = [
     "joint_first_two_times",
     "lf_a1_tail",
     "lf_closed_form_checks",
-    "lf_cpp_sample",
     "lf_iid_check",
     "lf_run",
     "load_environment",
     "mc_witness_check",
-    "outcome_key",
-    "parse_outcome",
-    "rng_for_run",
     "run_verify_suite",
     "save_environment",
     "simulate_tree",

@@ -11,11 +11,10 @@ individual exists within the horizon.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .environment import Environment
-from .errors import ChainStateError, DomainError
+from .errors import ChainStateError
 from .pgf import EtaLaw
 from .sampling import (
     UniformStream,
@@ -24,23 +23,6 @@ from .sampling import (
     draw_from_cumulative,
     geometric_failures,
 )
-
-
-class _Terminated:
-    """Sentinel: the next individual does not exist within the horizon."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "TERMINATED"
-
-
-TERMINATED = _Terminated()
 
 
 class EtaSamplers:
@@ -108,9 +90,9 @@ def _redraw(vec: tuple[int, ...], a: int, samplers: EtaSamplers, stream: Uniform
     return out
 
 
-def b_step(state: BState, samplers: EtaSamplers, stream: UniformStream):
-    """One transition of the truncated chain; returns the next state or
-    TERMINATED.
+def b_step(state: BState, samplers: EtaSamplers, stream: UniformStream) -> BState | None:
+    """One transition of the truncated chain; returns the next state, or
+    None when the next individual does not exist within the horizon.
 
     Entries above the current coalescent time are copied, the entry at it is
     decremented, entries below are replaced by fresh level draws.  If that
@@ -132,7 +114,7 @@ def b_step(state: BState, samplers: EtaSamplers, stream: UniformStream):
         prefix.append(v)
         if v:
             return BState(tuple(prefix))
-    return TERMINATED
+    return None
 
 
 def d_step(state: DState | None, samplers: EtaSamplers, stream: UniformStream) -> DState:
@@ -179,7 +161,7 @@ def b_run(env: Environment, rng, max_individuals: int = 1_000_000,
     state = BState.initial()
     while len(run.a_values) < max_individuals:
         nxt = b_step(state, samplers, stream)
-        if nxt is TERMINATED:
+        if nxt is None:
             run.terminated = True
             return run
         state = nxt
@@ -205,27 +187,6 @@ def d_run(env: Environment, rng, max_individuals: int = 1_000_000,
         run.states.append(state)
         run.a_values.append(first)
     return run
-
-
-BEYOND_HORIZON = math.inf
-
-
-def lf_cpp_sample(env: Environment, rng, count: int) -> list[float]:
-    """Independent coalescent-time draws from the LF closed-form law.
-
-    Values are levels 1..N; draws falling past the horizon are returned as
-    ``BEYOND_HORIZON`` (math.inf) and carry the mass P(time > N).
-    """
-    if count < 0:
-        raise DomainError("count must be >= 0")
-    N = env.horizon
-    cum = env.levels.lf_cumulative
-    stream = as_stream(rng)
-    out: list[float] = []
-    for _ in range(count):
-        idx = draw_from_cumulative(cum, stream)
-        out.append(float(idx + 1) if idx < N else BEYOND_HORIZON)
-    return out
 
 
 def lf_run(env: Environment, rng, max_individuals: int = 1_000_000) -> ChainRun:

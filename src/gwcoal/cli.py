@@ -27,7 +27,7 @@ import json
 import sys
 
 from .chains import EtaSamplers, b_run, d_run, lf_run, validate_b_run, validate_d_run
-from .environment import Environment, load_environment
+from .environment import TAIL_CUT, Environment, load_environment
 from .errors import (
     AttemptCapError,
     ChainStateError,
@@ -56,8 +56,6 @@ EXIT_GUARD = 4
 
 def _add_common(p: argparse.ArgumentParser, needs_env: bool = True) -> None:
     p.add_argument("--env", required=needs_env, help="environment JSON file")
-    p.add_argument("--seed", type=int, default=0, help="master seed in [0, 2**64)")
-    p.add_argument("--samples", type=int, default=1, help="number of runs")
     p.add_argument(
         "--horizon",
         type=int,
@@ -66,6 +64,16 @@ def _add_common(p: argparse.ArgumentParser, needs_env: bool = True) -> None:
     )
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="master seed in [0, 2**64)")
+
+
+def _add_campaign(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    _add_seed(p)
+    p.add_argument("--samples", type=int, default=1, help="number of runs")
 
 
 @functools.cache
@@ -82,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulates trees conditioned on at least one survivor and "
         "writes one row per run: run_id,K,A (A semicolon-joined).",
     )
-    _add_common(p_sim)
+    _add_campaign(p_sim)
     p_sim.add_argument(
         "--max-attempts",
         type=int,
@@ -97,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Runs a backward chain per sample and writes run_id,K,A "
         "rows, or a step,A,state trace with --trace (single run only).",
     )
-    _add_common(p_chain)
+    _add_campaign(p_chain)
     p_chain.add_argument(
         "--process",
         choices=("b", "d", "lf"),
@@ -129,6 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         "line per check.",
     )
     _add_common(p_ver, needs_env=False)
+    _add_seed(p_ver)
     p_ver.add_argument("--figure1", action="store_true",
                        help="only re-derive the embedded reference genealogy")
     p_ver.add_argument("--witness", action="store_true",
@@ -148,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         "level,k,p rows.",
     )
     _add_common(p_eta)
-    p_eta.add_argument("--tol", type=float, default=1e-13,
+    p_eta.add_argument("--tol", type=float, default=TAIL_CUT,
                        help="tail mass cutoff for geometric laws")
     p_eta.set_defaults(func=cmd_eta)
 
@@ -182,9 +191,13 @@ def _require(ok: bool, message: str) -> None:
         raise EnvFormatError(message)
 
 
+def _check_seed(args) -> None:
+    _require(0 <= args.seed < 1 << 64, f"--seed must be in [0, 2**64), got {args.seed}")
+
+
 def _check_campaign(args) -> None:
     _require(args.samples >= 1, "--samples must be >= 1")
-    _require(0 <= args.seed < 1 << 64, f"--seed must be in [0, 2**64), got {args.seed}")
+    _check_seed(args)
 
 
 def _emit(args, text: str) -> None:
@@ -252,6 +265,8 @@ def cmd_simulate(args) -> int:
 def cmd_chain(args) -> int:
     _require(args.max_individuals >= 1,
              f"--max-individuals must be >= 1, got {args.max_individuals}")
+    _require(not (args.validate and args.process == "lf"),
+             "--validate checks chain states, which --process lf does not have")
     env = _load_env(args)
     _check_campaign(args)
     if args.trace and args.samples != 1:
@@ -269,11 +284,9 @@ def cmd_chain(args) -> int:
     runs = [chain_run(env, stream_for_run(args.seed, i), args.max_individuals)
             for i in range(args.samples)]
     if args.validate:
+        validate = validate_b_run if args.process == "b" else validate_d_run
         for run in runs:
-            if args.process == "b":
-                validate_b_run(run, env.horizon)
-            elif args.process == "d":
-                validate_d_run(run, env.horizon)
+            validate(run, env.horizon)
     if args.trace:
         run = runs[0]
         rows = []
@@ -298,12 +311,14 @@ def cmd_chain(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require(args.witness_mc_samples >= 0,
+             f"--witness-mc-samples must be >= 0, got {args.witness_mc_samples}")
+    _require(args.guard >= 1, f"--guard must be >= 1, got {args.guard}")
+    _check_seed(args)
     if args.figure1:
+        _require(args.env is None, "--figure1 checks the embedded reference table and takes no --env")
         results = [reference_table_check()]
     else:
-        _require(args.witness_mc_samples >= 0,
-                 f"--witness-mc-samples must be >= 0, got {args.witness_mc_samples}")
-        _require(args.guard >= 1, f"--guard must be >= 1, got {args.guard}")
         results = run_verify_suite(
             _load_env(args),
             rational=args.rational,

@@ -53,9 +53,6 @@ class DistTable(dict):
         out.truncated_mass = float(self.truncated_mass) / float(z)
         return out
 
-    def tv(self, other: Mapping) -> float:
-        return tv_distance(self, other)
-
 
 def tv_distance(a: Mapping, b: Mapping):
     """Total variation distance, half the L1 gap over the union of keys.

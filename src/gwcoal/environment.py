@@ -94,6 +94,10 @@ def _range_laws(env: Environment, m: int, n: int):
     return env.laws[m + N : n + N]
 
 
+# Mass below which the geometric tails of linear-fractional laws are cut.
+TAIL_CUT = 1e-13
+
+
 @dataclass(frozen=True)
 class EtaLaw:
     """Distribution of the extra surviving daughters along the spine.
@@ -121,7 +125,7 @@ class EtaLaw:
             return 1.0
         return sum(self.probs) + self.tail
 
-    def materialized(self, tol: float = 1e-13, kmax: int = 100_000) -> "EtaLaw":
+    def materialized(self, tol: float = TAIL_CUT) -> "EtaLaw":
         """Finite table covering all but at most ``tol`` of the mass."""
         if self.geom is None:
             return self
@@ -129,7 +133,7 @@ class EtaLaw:
         if lam >= 1.0:
             return EtaLaw(probs=(1.0,), geom=lam, tail=0.0)
         # P(value > K) = (1-lam)^(K+1)
-        need = min(kmax, max(0, math.ceil(math.log(tol) / math.log(1.0 - lam))))
+        need = min(100_000, max(0, math.ceil(math.log(tol) / math.log(1.0 - lam))))
         probs = tuple(lam * (1.0 - lam) ** k for k in range(need + 1))
         return EtaLaw(probs=probs, geom=lam, tail=(1.0 - lam) ** (need + 1))
 
@@ -202,31 +206,31 @@ class LevelTable:
                 for law in self.laws]
 
     @cached_property
-    def _lf(self) -> tuple[list[float], list[float]]:
-        coeffs: list[float] = []
+    def _lf_sums(self) -> list[float]:
         sums = [0.0]
         ratio = 1.0  # product of r/p over the levels already folded in
         for law in reversed(self.laws):
             if not isinstance(law, LinearFractionalLaw):
                 break
-            coeffs.append((1.0 - law.p) / law.p * ratio)
+            sums.append(sums[-1] + (1.0 - law.p) / law.p * ratio)
             ratio *= law.r / law.p
-            sums.append(sums[-1] + coeffs[-1])
-        return coeffs, sums
+        return sums
 
-    def lf_column(self, k: int) -> tuple[list[float], list[float]]:
-        """LF s-coefficients s_1, s_2, ... (see ``lf_s_coefficients``) and
-        their running sums S_0 = 0, S_1, ..., covering at least levels 1..k."""
+    def lf_column(self, k: int) -> list[float]:
+        """Running sums S_0 = 0, S_1, ... of the LF s-coefficients, covering
+        at least levels 1..k.  Level j adds s_j = (1 - p_j)/p_j times the
+        product of r_i/p_i over the levels i < j, and the first coalescent
+        time exceeds k with probability 1 / (1 + S_k)."""
         self._check(k)
-        if k > len(self._lf[0]):
-            raise NotLinearFractionalError(f"level {len(self._lf[0]) + 1} is not linear fractional")
-        return self._lf
+        if k >= len(self._lf_sums):
+            raise NotLinearFractionalError(f"level {len(self._lf_sums)} is not linear fractional")
+        return self._lf_sums
 
     @cached_property
     def lf_cumulative(self) -> tuple[float, ...]:
         """Cumulative law of the first coalescent time over levels 1..N of an
         LF environment; the rest of the mass lies past the horizon."""
-        tails = [1.0 / (1.0 + s) for s in self.lf_column(self.horizon)[1]]
+        tails = [1.0 / (1.0 + s) for s in self.lf_column(self.horizon)]
         return cumulative([tails[k - 1] - tails[k] for k in range(1, self.horizon + 1)])
 
 
@@ -305,102 +309,6 @@ def constant_environment(law: OffspringLaw, horizon: int) -> Environment:
     return Environment((law,) * horizon)
 
 
-# ---------------------------------------------------------------------------
-# Linear-fractional closed forms.  The LF family is closed under composition;
-# a member is pinned down by its mean and its normalized second factorial
-# moment, which compose by explicit products and sums.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LfParams:
-    """Parameters (r, p) of a linear-fractional law, boundary p=1 allowed.
-
-    The boundary covers degenerate composites: the identity composition has
-    r = p = 1 (one child with certainty) and an extinct range has r = 0.
-    """
-
-    r: float
-    p: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.r <= 1 or not 0 < self.p <= 1:
-            raise EnvFormatError(f"invalid composite parameters r={self.r}, p={self.p}")
-
-    @property
-    def q(self) -> float:
-        return 1.0 - self.p
-
-    def mean(self) -> float:
-        return self.r / self.p
-
-    def nsfm(self) -> float:
-        if self.r == 0:
-            return 0.0
-        return 2.0 * self.q / self.r
-
-    def pgf(self, s: Number) -> float:
-        s = float(s)
-        return 1.0 - self.r * (1.0 - s) / (1.0 - self.q * s)
-
-
-def lf_compose(env: Environment, m: int, n: int) -> LfParams:
-    """Composite law of the population n-m generations below one founder.
-
-    Composes the per-generation laws between generations m and n.  The
-    composite mean is the product of the per-generation means and the
-    composite normalized second factorial moment accumulates one weighted
-    term per generation.
-    """
-    laws = _range_laws(env, m, n)
-    if not all(isinstance(law, LinearFractionalLaw) for law in laws):
-        raise NotLinearFractionalError(
-            "composition closed form needs every law in the range to be "
-            "linear fractional"
-        )
-    if any(law.r == 0 for law in laws):
-        return LfParams(r=0.0, p=1.0)
-    mean = 1.0
-    for law in laws:
-        mean *= law.r / law.p
-    nsfm = 0.0
-    prefix = 1.0  # product of p_l / r_l over the laws already folded in
-    for idx, law in enumerate(laws):
-        if idx == 0:
-            nsfm += 2.0 * law.q / law.r
-        else:
-            nsfm += 2.0 * prefix * law.q / law.r
-        prefix *= law.p / law.r
-    if not laws:
-        return LfParams(r=1.0, p=1.0)
-    r = 2.0 * mean / (2.0 + mean * nsfm)
-    p = 2.0 / (2.0 + mean * nsfm)
-    return LfParams(r=r, p=p)
-
-
-def lf_s_coefficients(env: Environment, n: int) -> tuple[float, ...]:
-    """Weights s_i for generations i = -n+1 .. 0, returned oldest-first.
-
-    With (r_i, p_i) the parameters of the law acting into generation i,
-    s_0 = (1-p_0)/p_0 and deeper coefficients scale by the growth ratio of
-    the generations in between.  The tail probability that the two leftmost
-    surviving lineages have not met within n generations is
-    1 / (1 + sum of these weights).
-    """
-    return tuple(reversed(env.levels.lf_column(n)[0][:n]))
-
-
 def lf_a1_tail(env: Environment, n: int) -> float:
     """Closed-form tail P(first coalescent time > n) for an LF environment."""
-    return 1.0 / (1.0 + env.levels.lf_column(n)[1][n])
-
-
-def lf_eta_success(env: Environment, depth: int) -> float:
-    """Geometric success probability of the spine-sibling count at ``depth``.
-
-    The number of extra surviving daughters seen at each ancestor level of
-    the leftmost lineage is geometric for LF environments; this returns the
-    success parameter at the given level (1 = closest to the present).
-    """
-    sums = env.levels.lf_column(depth)[1]
-    return (1.0 + sums[depth - 1]) / (1.0 + sums[depth])
+    return 1.0 / (1.0 + env.levels.lf_column(n)[n])

@@ -134,12 +134,6 @@ class LinearFractionalLaw:
     def mean(self) -> float:
         return self.r / self.p
 
-    def nsfm(self) -> float:
-        """Second factorial moment normalized by the squared mean, f''(1)/f'(1)^2."""
-        if self.r == 0:
-            raise DomainError("normalized second factorial moment undefined when r=0")
-        return 2.0 * self.q / self.r
-
     def pmf(self, k: int) -> float:
         if k < 0:
             raise DomainError("child count must be >= 0")

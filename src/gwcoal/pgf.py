@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .environment import _NO_SURVIVAL, Environment, EtaLaw, LevelTable, _range_laws
+from .environment import _NO_SURVIVAL, Environment, EtaLaw, _range_laws
 from .errors import DegenerateEnvironmentError, DomainError, HorizonError
 from .laws import Number
 
@@ -52,18 +52,14 @@ def survival_prob(env: Environment, n: int) -> Number:
     return 1 - compose_range(env, -N, -N + n, env.levels.zero)
 
 
-def eta_prob_generic(env: Environment, n: int, k: int) -> Number:
-    """P(eta_n = k) from derivatives of the founder's offspring pgf.
+def eta_probs_generic(env: Environment, n: int, ks: Sequence[int]) -> list[Number]:
+    """P(eta_n = k) for each k in ``ks``, from derivatives of the founder's
+    offspring pgf, composing the range once.
 
     eta_n is defined for the founder of ``env`` observed at forward depth n:
     the number of its daughters with descendants at that depth, minus one,
     conditioned on there being at least one.
     """
-    return eta_probs_generic(env, n, (k,))[0]
-
-
-def eta_probs_generic(env: Environment, n: int, ks: Sequence[int]) -> list[Number]:
-    """``eta_prob_generic`` for each k in ``ks``, composing the range once."""
     N = env.horizon
     if not 1 <= n <= N:
         raise HorizonError(f"forward depth {n} outside [1, {N}]")
@@ -78,11 +74,6 @@ def eta_probs_generic(env: Environment, n: int, ks: Sequence[int]) -> list[Numbe
     alive = 1 - u
     return [alive ** (k + 1) * first.pgf_deriv(u, k + 1) / (math.factorial(k + 1) * surv)
             for k in ks]
-
-
-def eta_pmf(env: Environment, n: int) -> EtaLaw:
-    """Law of eta_n for the founder of ``env`` (see ``eta_prob_generic``)."""
-    return (env.levels if n == env.horizon else LevelTable(env.laws[:n])).eta(n)
 
 
 def eta_law_at_depth(env: Environment, depth: int) -> EtaLaw:

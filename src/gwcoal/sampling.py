@@ -74,8 +74,8 @@ class UniformStream:
             out += buf
 
 
-def stream_for_run(seed: int, run_id: int, block: int = 8192) -> UniformStream:
-    return UniformStream(rng_for_run(seed, run_id), block=block)
+def stream_for_run(seed: int, run_id: int) -> UniformStream:
+    return UniformStream(rng_for_run(seed, run_id))
 
 
 def as_stream(source: UniformStream | np.random.Generator | int) -> UniformStream:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .chains import BState, ChainRun, first_nonzero, validate_b_run
 from .disttable import DistTable, outcome_key, tv_distance
-from .environment import Environment, lf_a1_tail
+from .environment import TAIL_CUT, Environment, lf_a1_tail
 from .errors import (
     DegenerateEnvironmentError,
     EnumerationGuardError,
@@ -38,6 +38,8 @@ from .sampling import as_stream
 from .tree import BtState, Tree, _draw_counts, bt_fold, bt_update, cpp_and_marks
 
 TERM_KEY = "TERMINATED"
+# Total variation above which two conditional laws witness history dependence.
+WITNESS_TV = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +48,8 @@ TERM_KEY = "TERMINATED"
 # ---------------------------------------------------------------------------
 
 
-def _offspring_support(law, tol: float) -> list[tuple[int, Number]]:
-    """(count, prob) pairs covering all but at most ``tol`` of the mass."""
+def _offspring_support(law) -> list[tuple[int, Number]]:
+    """(count, prob) pairs covering all but at most ``TAIL_CUT`` of the mass."""
     if isinstance(law, FiniteSupportLaw):
         return [(k, p) for k, p in enumerate(law.probs) if p > 0]
     if law.r == 0:
@@ -55,7 +57,7 @@ def _offspring_support(law, tol: float) -> list[tuple[int, Number]]:
     items = [(0, 1.0 - law.r)] if law.r < 1 else []
     k = 1
     tail = law.r  # P(count >= k)
-    while tail > tol:
+    while tail > TAIL_CUT:
         items.append((k, law.r * law.p * law.q ** (k - 1)))
         tail = law.r * law.q ** k
         k += 1
@@ -70,11 +72,11 @@ class _LevelTable:
     zero: Number
 
 
-def _eta_tables(env: Environment, rational: bool = False, tol: float = 1e-13) -> list[_LevelTable]:
+def _eta_tables(env: Environment, rational: bool = False) -> list[_LevelTable]:
     base = env.as_rational() if rational else env
     out = []
     for level in range(1, base.horizon + 1):
-        law = eta_law_at_depth(base, level).materialized(tol)
+        law = eta_law_at_depth(base, level).materialized()
         items = tuple((k, p) for k, p in enumerate(law.probs) if p > 0)
         out.append(_LevelTable(items=items, zero=law.probs[0]))
     return out
@@ -90,7 +92,6 @@ def exact_tree_law(
     guard: int = 500_000,
     rational: bool = False,
     max_support: int | None = None,
-    truncation_tol: float = 1e-13,
 ) -> DistTable:
     """Law of (K, coalescent times) over all trees, conditioned on K >= 1.
 
@@ -112,7 +113,7 @@ def exact_tree_law(
                 raise EnumerationGuardError(
                     f"laws[{j}] support exceeds the cap of {max_support}"
                 )
-    supports = [_offspring_support(law, truncation_tol) for law in base.laws]
+    supports = [_offspring_support(law) for law in base.laws]
 
     # a pattern is K and the comma-joined coalescent times; its mass is
     # relative to ``total``, the mass of all subtrees rooted at the current
@@ -230,10 +231,10 @@ class _Sweep:
     """
 
     def __init__(self, env: Environment, process: str, guard: int, overflow: str,
-                 rational: bool = False, eta_tol: float = 1e-13):
+                 rational: bool = False):
         if process not in ("b", "d"):
             raise ValueError("process must be 'b' or 'd'")
-        self.tables = _eta_tables(env, rational=rational, tol=eta_tol)
+        self.tables = _eta_tables(env, rational)
         self.start = () if process == "b" else None
         self.rational = rational
         self.one: Number = 1 if rational else 1.0
@@ -294,28 +295,23 @@ def exact_chain_law(
     env: Environment,
     guard: int = 2_000_000,
     rational: bool = False,
-    eta_tol: float = 1e-13,
-    stop_mass: float = 1e-14,
-    max_steps: int | None = None,
     process: str = "b",
 ) -> DistTable:
     """Law of (K, emitted coalescent times) of a backward chain, by exact
-    forward sweep of its transition kernel from the initial state."""
-    sweep = _Sweep(env, process, guard, f"chain sweep exceeded {guard} transitions",
-                   rational, eta_tol)
+    forward sweep of its transition kernel from the initial state.  A float
+    sweep stops once less than 1e-14 of the mass is still running."""
+    sweep = _Sweep(env, process, guard, f"chain sweep exceeded {guard} transitions", rational)
     frontier = {("", sweep.start): sweep.one}
     done = DistTable()
     steps = 0
     while frontier:
         steps += 1
-        if max_steps is not None and steps > max_steps:
-            break
         frontier, ended = sweep.step(frontier)
         # a run that ends at step K emitted K - 1 times
         den = sweep.scale**steps
         for times, mass in ended.items():
             done[outcome_key(steps, times[:-1])] = Fraction(mass, den) if rational else mass
-        if not rational and frontier and float(sum(frontier.values())) < stop_mass:
+        if not rational and frontier and float(sum(frontier.values())) < 1e-14:
             break
     if rational and frontier:
         raise EnumerationGuardError("exact sweep stopped before exhausting all paths")
@@ -327,8 +323,6 @@ def chain_step_laws(
     env: Environment,
     process: str = "b",
     max_steps: int = 6,
-    eta_tol: float = 1e-13,
-    guard: int = 2_000_000,
 ) -> list[DistTable]:
     """Per-step joint law of (emitted times so far, visible state).
 
@@ -336,7 +330,7 @@ def chain_step_laws(
     running maximum of emitted times, which is exactly the truncated chain's
     state, so the two processes must produce identical tables step by step.
     """
-    sweep = _Sweep(env, process, guard, "step-law sweep exceeded its budget", eta_tol=eta_tol)
+    sweep = _Sweep(env, process, 2_000_000, "step-law sweep exceeded its budget")
 
     def keep(times, nxt):
         if process == "d":
@@ -466,23 +460,19 @@ class Witness:
     tv: float
 
 
-def btilde_witness_search(
-    env: Environment,
-    threshold: float = 0.01,
-    max_steps: int = 10,
-    guard: int = 5_000_000,
-) -> Witness | None:
+def btilde_witness_search(env: Environment) -> Witness | None:
     """Exact search for a two-step history dependence of the reduced sequence.
 
     Sweeps the fixed-length chain jointly with the last two reduced states.
     At each step, histories (previous, current) sharing the same current
     state are compared through their conditional laws of the next reduced
     state (termination is an explicit outcome).  Returns the first pair whose
-    laws differ by more than ``threshold`` in total variation.
+    laws differ by more than ``WITNESS_TV`` in total variation, within ten
+    steps.
     """
     if not env.is_finite_support:
         raise EnumerationGuardError("witness search requires finite-support laws")
-    sweep = _Sweep(env, "d", guard, "witness sweep exceeded its budget")
+    sweep = _Sweep(env, "d", 5_000_000, "witness sweep exceeded its budget")
     # the frontier's history is the last two reduced states
     wave: dict[tuple[tuple[BtState, BtState], tuple[int, ...]], float] = {}
     for d1, a1, p in sweep.transitions(None):
@@ -490,7 +480,7 @@ def btilde_witness_search(
             continue
         key = (((), bt_update((), a1, d1[a1 - 1])), d1)
         wave[key] = wave.get(key, 0.0) + p
-    for step in range(2, max_steps + 1):
+    for step in range(2, 11):
         cond: dict[tuple[BtState, BtState], dict[str, float]] = {}
         nxt_wave: dict[tuple[tuple[BtState, BtState], tuple[int, ...]], float] = {}
         for (x, y), mp, a2, d2 in sweep.moves(wave):
@@ -512,7 +502,7 @@ def btilde_witness_search(
                 law_a = DistTable(cond[(xs[i], y)]).normalized()
                 law_b = DistTable(cond[(xs[j], y)]).normalized()
                 gap = float(tv_distance(law_a, law_b))
-                if gap > threshold:
+                if gap > WITNESS_TV:
                     return Witness(
                         env_digest=env.digest(),
                         step_index=step - 1,
@@ -598,16 +588,14 @@ def mc_witness_check(
 # ---------------------------------------------------------------------------
 
 
-def joint_first_two_times(
-    env: Environment, eta_tol: float = 1e-13, guard: int = 5_000_000
-) -> tuple[DistTable, float]:
+def joint_first_two_times(env: Environment) -> tuple[DistTable, float]:
     """Exact-to-truncation law of (A_1, A_2) given at least three individuals.
 
     Returns the normalized joint table keyed 'a1,a2' and a bound on the
     normalized mass lost to truncating geometric spine-sibling laws (zero for
     finite-support environments).
     """
-    sweep = _Sweep(env, "b", guard, "joint sweep exceeded its budget", eta_tol=eta_tol)
+    sweep = _Sweep(env, "b", 5_000_000, "joint sweep exceeded its budget")
     frontier, ended = sweep.step({("", sweep.start): 1.0})
     accounted = ended.get("", 0.0)
     joint = DistTable()
@@ -647,14 +635,12 @@ class LfIidReport:
     passed: bool
 
 
-def lf_iid_check(
-    env: Environment, eta_tol: float = 1e-13, tol: float = 1e-8
-) -> LfIidReport:
+def lf_iid_check(env: Environment) -> LfIidReport:
     """For LF environments the coalescent times are independent draws from
     the closed-form law; check the factorization and the marginals."""
     if not env.is_linear_fractional:
         raise NotLinearFractionalError("independence structure is specific to LF laws")
-    joint, bound = joint_first_two_times(env, eta_tol=eta_tol)
+    joint, bound = joint_first_two_times(env)
     prod, m1, m2 = _product_of_marginals(joint)
     tv_joint = float(tv_distance(joint, prod))
     N = env.horizon
@@ -662,6 +648,7 @@ def lf_iid_check(
     norm = 1.0 - tails[N]
     closed = DistTable({str(n): (tails[n - 1] - tails[n]) / norm for n in range(1, N + 1)})
     tv_marg = max(float(tv_distance(m1, closed)), float(tv_distance(m2, closed)))
+    tol = 1e-8
     passed = tv_joint <= tol + bound and tv_marg <= tol + bound
     return LfIidReport(
         env_digest=env.digest(),
@@ -673,23 +660,21 @@ def lf_iid_check(
     )
 
 
-def factorization_gap(env: Environment, eta_tol: float = 1e-13) -> float:
+def factorization_gap(env: Environment) -> float:
     """TV distance between the joint law of the first two coalescent times
     and the product of its marginals (zero means independence)."""
-    joint, _ = joint_first_two_times(env, eta_tol=eta_tol)
+    joint, _ = joint_first_two_times(env)
     prod, _, _ = _product_of_marginals(joint)
     return float(tv_distance(joint, prod))
 
 
-def lf_closed_form_checks(
-    env: Environment, tail_tol: float = 1e-12, eta_tol: float = 1e-10, kmax: int = 50
-) -> list[CheckResult]:
+def lf_closed_form_checks(env: Environment) -> list[CheckResult]:
     """Closed forms specific to LF environments against the generic routes.
 
     The tail of the first coalescent time has two derivations: the summed
     ratio coefficients of the composed LF parameters, and the generic pgf
     composition product.  Each level's spine-sibling law must also coincide
-    pointwise with its geometric closed form.
+    pointwise with its geometric closed form, for k <= 50.
     """
     if not env.is_linear_fractional:
         raise NotLinearFractionalError("closed forms are specific to LF laws")
@@ -700,24 +685,24 @@ def lf_closed_form_checks(
     for depth in range(1, env.horizon + 1):
         geom = eta_law_at_depth(env, depth)
         sub = env.shift(env.horizon - depth)
-        for k, generic in enumerate(eta_probs_generic(sub, depth, range(kmax + 1))):
+        for k, generic in enumerate(eta_probs_generic(sub, depth, range(51))):
             eta_gap = max(eta_gap, abs(float(generic) - float(geom.prob(k))))
     return [
         CheckResult(
             name="lf-tail-two-routes",
             env_digest=env.digest(),
             metric=tail_gap,
-            threshold=tail_tol,
-            passed=tail_gap <= tail_tol,
+            threshold=1e-12,
+            passed=tail_gap <= 1e-12,
             detail=f"n=1..{env.horizon}",
         ),
         CheckResult(
             name="lf-eta-geometric",
             env_digest=env.digest(),
             metric=eta_gap,
-            threshold=eta_tol,
-            passed=eta_gap <= eta_tol,
-            detail=f"levels 1..{env.horizon}, k<={kmax}",
+            threshold=1e-10,
+            passed=eta_gap <= 1e-10,
+            detail=f"levels 1..{env.horizon}, k<=50",
         ),
     ]
 
@@ -728,12 +713,10 @@ def lf_closed_form_checks(
 # ---------------------------------------------------------------------------
 
 
-def exact_population_law(
-    env: Environment, n: int, guard: int = 200_000, truncation_tol: float = 1e-13
-) -> dict[int, Number]:
+def exact_population_law(env: Environment, n: int, guard: int = 200_000) -> dict[int, Number]:
     """Law of the population size n generations below the founder, by direct
     convolution (no generating functions involved)."""
-    supports = [_offspring_support(law, truncation_tol) for law in env.laws[:n]]
+    supports = [_offspring_support(law) for law in env.laws[:n]]
     exact = all(isinstance(law, FiniteSupportLaw) and law.is_exact for law in env.laws[:n])
     # numpy repays its per-call cost on wide supports, such as truncated
     # geometric tails; on a few items the loop's products are cheaper
@@ -803,9 +786,7 @@ class CheckResult:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def a1_identity_check(
-    env: Environment, n: int, tol: float = 1e-10, guard: int = 10_000_000
-) -> CheckResult:
+def a1_identity_check(env: Environment, n: int) -> CheckResult:
     """Tail of the first coalescent time computed two unrelated ways.
 
     The closed form must match the conditional probability that the
@@ -814,7 +795,7 @@ def a1_identity_check(
     """
     closed = float(a1_tail(env, n))
     sub = env.shift(env.horizon - n)
-    pop = exact_population_law(sub, n, guard=guard)
+    pop = exact_population_law(sub, n, guard=10_000_000)
     alive = 1 - pop.get(0, 0)
     singleton = pop.get(1, 0)
     by_enum = float(singleton) / float(alive)
@@ -823,8 +804,8 @@ def a1_identity_check(
         name=f"first-time-tail-identities-n{n}",
         env_digest=env.digest(),
         metric=gap,
-        threshold=tol,
-        passed=gap <= tol,
+        threshold=1e-10,
+        passed=gap <= 1e-10,
         detail=f"closed={closed!r} enumeration={by_enum!r}",
     )
 
@@ -850,7 +831,6 @@ def a1_telescoping_check(env: Environment) -> CheckResult:
 
 def tree_vs_chain_check(
     env: Environment,
-    tol: float = 1e-10,
     rational: bool = False,
     guard: int = 2_000_000,
 ) -> CheckResult:
@@ -858,13 +838,13 @@ def tree_vs_chain_check(
     chain_law = exact_chain_law(env, rational=rational, guard=guard)
     gap = tv_distance(tree_law, chain_law)
     extra = tree_law.truncated_mass + chain_law.truncated_mass
-    passed = float(gap) <= tol + extra
+    passed = float(gap) <= 1e-10 + extra
     mode = "rational" if rational else "float"
     return CheckResult(
         name=f"tree-vs-chain-tv-{mode}",
         env_digest=env.digest(),
         metric=float(gap),
-        threshold=tol,
+        threshold=1e-10,
         passed=passed,
         detail=f"outcomes={len(tree_law)} truncation={extra:.3e} exact_zero={gap == 0}",
     )
@@ -927,7 +907,7 @@ def run_verify_suite(
         found = btilde_witness_search(env)
         metric, passed, detail = 0.0, False, "no history dependence found (inconclusive)"
         if found is not None:
-            metric, passed = found.tv, found.tv > 0.01
+            metric, passed = found.tv, found.tv > WITNESS_TV
             detail = (
                 f"step={found.step_index} shared={encode_bt(found.shared_state)} "
                 f"histories={encode_bt(found.history_a)}|{encode_bt(found.history_b)}"
@@ -941,7 +921,7 @@ def run_verify_suite(
                 name="reduced-sequence-witness",
                 env_digest=env.digest(),
                 metric=metric,
-                threshold=0.01,
+                threshold=WITNESS_TV,
                 passed=passed,
                 detail=detail,
             )

@@ -17,12 +17,9 @@ from gwcoal import (
     a1_identity_check,
     a1_tail,
     btilde_witness_search,
-    compose_deriv,
-    compose_range,
     condition_on_survival,
     constant_environment,
     eta_law_at_depth,
-    eta_prob_generic,
     exact_chain_law,
     exact_tree_law,
     factorization_gap,
@@ -34,6 +31,7 @@ from gwcoal import (
     tv_distance,
 )
 from gwcoal.cli import main
+from gwcoal.pgf import compose_deriv, compose_range, eta_probs_generic
 
 from conftest import env_path
 
@@ -96,9 +94,9 @@ def test_first_time_tail_identities():
     for name in ("binom_n3", "varying_n3"):
         env = load_environment(env_path(name))
         for n in (1, 2, 3):
-            worst = max(worst, a1_identity_check(env, n, tol=1e-10).metric)
+            worst = max(worst, a1_identity_check(env, n).metric)
     lf = load_environment(env_path("lf_half_n1"))
-    worst = max(worst, a1_identity_check(lf, 1, tol=1e-10).metric)
+    worst = max(worst, a1_identity_check(lf, 1).metric)
 
     env6 = load_environment(env_path("binom_n6"))
     p = float(a1_tail(env6, 6))
@@ -135,11 +133,9 @@ def test_lf_tail_and_eta_closed_forms():
         for depth in range(1, N + 1):
             sub = envx.shift(N - depth)
             lam = eta_law_at_depth(envx, depth).geom
-            for k in range(51):
+            for k, generic in enumerate(eta_probs_generic(sub, depth, range(51))):
                 geom = lam * (1.0 - lam) ** k
-                worst_eta = max(
-                    worst_eta, abs(float(eta_prob_generic(sub, depth, k)) - geom)
-                )
+                worst_eta = max(worst_eta, abs(float(generic) - geom))
     ok = worst_tail <= 1e-12 and worst_eta <= 1e-10
     report(
         "lf-closed-forms",
@@ -181,7 +177,7 @@ def test_reduced_sequence_witness():
     # exact two-history witness, confirmed in direction by simulation
     t0 = time.perf_counter()
     env = load_environment(env_path("binom_n5"))
-    w = btilde_witness_search(env, threshold=0.01)
+    w = btilde_witness_search(env)
     if w is None:
         report("reduced-sequence-witness", False, "no witness found: inconclusive")
         return

@@ -3,29 +3,21 @@ import math
 import pytest
 
 from gwcoal import (
-    BEYOND_HORIZON,
     BState,
     ChainRun,
     EtaSamplers,
-    TERMINATED,
     b_run,
-    b_step,
     constant_environment,
     d_run,
-    d_step,
     dirac,
     lf_a1_tail,
-    lf_cpp_sample,
     lf_run,
     stream_for_run,
     validate_b_run,
     validate_d_run,
 )
-from gwcoal.errors import (
-    ChainStateError,
-    DomainError,
-    NotLinearFractionalError,
-)
+from gwcoal.chains import b_step, d_step
+from gwcoal.errors import ChainStateError, NotLinearFractionalError
 
 
 class FixedStream:
@@ -72,13 +64,13 @@ class TestSteps:
         assert s2.b == (0, 1)
         s3 = b_step(s2, samplers, stream)
         assert s3.b == (1, 0)
-        assert b_step(s3, samplers, stream) is TERMINATED
+        assert b_step(s3, samplers, stream) is None
 
     def test_immediate_termination(self):
         # single-child generations never branch
         env = constant_environment(dirac(1), 2)
         samplers = EtaSamplers(env)
-        assert b_step(BState.initial(), samplers, stream_for_run(0, 0)) is TERMINATED
+        assert b_step(BState.initial(), samplers, stream_for_run(0, 0)) is None
 
     def test_forced_decrement_and_copy(self, binom2):
         samplers = EtaSamplers(binom2)
@@ -95,7 +87,7 @@ class TestSteps:
         u1 = stream_hitting(samplers, 2, 1)
         nxt = b_step(BState((1,)), samplers, FixedStream([u1]))
         assert nxt.b == (0, 1)
-        assert b_step(BState((1,)), samplers, FixedStream([u0])) is TERMINATED
+        assert b_step(BState((1,)), samplers, FixedStream([u0])) is None
 
     def test_d_step_semantics(self, binom2):
         samplers = EtaSamplers(binom2)
@@ -164,24 +156,28 @@ class TestRuns:
 class TestClosedFormSampler:
     def test_requires_lf(self, binom3):
         with pytest.raises(NotLinearFractionalError):
-            lf_cpp_sample(binom3, stream_for_run(0, 0), 5)
-        with pytest.raises(NotLinearFractionalError):
             lf_run(binom3, stream_for_run(0, 0))
 
-    def test_count_validation(self, lf_half_n6):
-        with pytest.raises(DomainError):
-            lf_cpp_sample(lf_half_n6, stream_for_run(0, 0), -1)
-        assert lf_cpp_sample(lf_half_n6, stream_for_run(0, 0), 0) == []
+    @staticmethod
+    def draws(env, seed, runs):
+        """Every closed-form draw of ``runs`` runs, the one past the horizon
+        that ends each run as math.inf: one i.i.d. sequence."""
+        out = []
+        for run_id in range(runs):
+            run = lf_run(env, stream_for_run(seed, run_id))
+            assert run.terminated
+            out += run.a_values + [math.inf]
+        return out
 
     def test_values_in_range(self, lf_half_n6):
-        draws = lf_cpp_sample(lf_half_n6, stream_for_run(2, 0), 500)
-        for v in draws:
-            assert v == BEYOND_HORIZON or 1 <= v <= 6
+        for v in self.draws(lf_half_n6, 2, 70):
+            assert v == math.inf or 1 <= v <= 6
 
     def test_tail_frequencies(self, lf_half_n6):
-        # the closed-form tail is 1/(n+1) at every depth
-        n = 50_000
-        draws = lf_cpp_sample(lf_half_n6, stream_for_run(7, 0), n)
+        # the closed-form tail is 1/(n+1) at every depth; a run takes 7 draws
+        # on average, the last past the horizon
+        draws = self.draws(lf_half_n6, 7, 7_000)
+        n = len(draws)
         for depth in (1, 3, 6):
             p = 1 / (depth + 1)
             hits = sum(1 for v in draws if v > depth) / n

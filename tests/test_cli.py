@@ -222,6 +222,13 @@ class TestExitCodes:
             (["eta", "--env", "LF", "--tol", "nan"], "--tol must be in (0, 1)"),
             (["eta", "--env", "LF", "--tol", "inf"], "--tol must be in (0, 1)"),
             (["eta", "--env", "LF", "--tol", "2"], "--tol must be in (0, 1)"),
+            (["verify", "--figure1", "--guard", "0"], "--guard must be >= 1"),
+            (["verify", "--figure1", "--witness-mc-samples", "-5"],
+             "--witness-mc-samples must be >= 0"),
+            (["verify", "--figure1", "--seed", "-1"], "--seed must be in [0, 2**64)"),
+            (["verify", "--figure1", "--env", "ENV"], "takes no --env"),
+            (["chain", "--env", "LF", "--process", "lf", "--validate"],
+             "--validate checks chain states"),
         ],
     )
     def test_bad_option_values(self, capsys, argv, message):
@@ -245,6 +252,23 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, *[paths.get(a, a) for a in argv])
         assert code == EXIT_OK
         assert out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eta", "--samples", "3"],
+            ["eta", "--seed", "1"],
+            ["tail", "--samples", "3"],
+            ["tail", "--seed", "1"],
+            ["verify", "--samples", "3"],
+        ],
+    )
+    def test_unread_options_are_rejected(self, capsys, argv):
+        # eta and tail draw nothing and verify runs no campaign
+        code, out, err = run_cli(capsys, *argv, "--env", env_path("lf_half_n6"))
+        assert code == EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+        assert "Traceback" not in err and out == ""
 
 
 class TestParser:
@@ -436,6 +460,14 @@ class TestChain:
         assert len(out.strip().splitlines()) == 31
         assert "runs=30" in err
 
+    def test_lf_validate_is_rejected_before_any_run(self, capsys, monkeypatch):
+        # lf runs carry no chain states, so there is nothing to validate
+        monkeypatch.setattr("gwcoal.cli.lf_run", lambda *a: pytest.fail("an lf run started"))
+        code, out, err = run_cli(capsys, "chain", "--env", env_path("lf_half_n6"),
+                                 "--process", "lf", "--validate")
+        assert code == EXIT_CONFIG
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_unfinished_runs_have_empty_k(self, capsys, dirac2_env):
         # every run of the all-twins tree emits three times, so a cap of one
         # leaves each of them unfinished
@@ -495,6 +527,12 @@ class TestVerify:
         assert code == EXIT_OK
         doc = json.loads(target.read_text())
         assert all(row["passed"] for row in doc)
+
+    def test_figure1_checks_its_options(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--figure1", "--guard", "0",
+                                 "--witness-mc-samples", "-5", "--env", "/no/such.json")
+        assert code == EXIT_CONFIG
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_verify_needs_env_or_figure1(self, capsys):
         code, _, _ = run_cli(capsys, "verify")

@@ -13,9 +13,8 @@ from gwcoal import (
     load_environment,
     save_environment,
 )
-from gwcoal.environment import LfParams, lf_compose, lf_eta_success, lf_s_coefficients
 from gwcoal.errors import EnvFormatError, HorizonError, NotLinearFractionalError
-from gwcoal.pgf import compose_range
+from gwcoal.pgf import eta_law_at_depth
 
 
 class TestEnvironment:
@@ -106,50 +105,18 @@ class TestEnvironmentFormat:
 
 
 class TestLfClosedForms:
-    def test_params_invariants(self):
-        par = LfParams(0.5, 0.5)
-        assert par.q == 0.5
-        assert par.mean() == 1.0
-        assert par.nsfm() == 2.0
-        # boundary pairs arise from composition
-        assert LfParams(0.0, 1.0).mean() == 0.0
-        assert LfParams(1.0, 1.0).mean() == 1.0
-
-    def test_compose_matches_pgf_composition(self, lf_varying3):
-        # composed parameters must reproduce the composed generating function
-        par = lf_compose(lf_varying3, -3, 0)
-        for s in (0.0, 0.3, 0.7, 1.0):
-            direct = compose_range(lf_varying3, -3, 0, s)
-            assert par.pgf(s) == pytest.approx(direct, abs=1e-12)
-
-    def test_compose_subrange(self, lf_varying3):
-        par = lf_compose(lf_varying3, -2, 0)
-        for s in (0.1, 0.9):
-            assert par.pgf(s) == pytest.approx(
-                compose_range(lf_varying3, -2, 0, s), abs=1e-12
-            )
-
-    def test_compose_empty_range_is_identity(self, lf_varying3):
-        par = lf_compose(lf_varying3, -1, -1)
-        assert (par.r, par.p) == (1.0, 1.0)
-        assert par.pgf(0.42) == pytest.approx(0.42)
-
-    def test_compose_rejects_other_laws(self, binom3):
-        with pytest.raises(NotLinearFractionalError):
-            lf_compose(binom3, -3, 0)
+    def test_tail_rejects_other_laws(self, binom3):
         with pytest.raises(NotLinearFractionalError):
             lf_a1_tail(binom3, 1)
 
     def test_s_coefficients_constant_critical(self, lf_half_n6):
-        # r = p = 1/2 keeps every per-level ratio at one
-        coeffs = lf_s_coefficients(lf_half_n6, 4)
-        assert coeffs == pytest.approx((1.0, 1.0, 1.0, 1.0))
+        # r = p = 1/2 makes every s-coefficient one, so the tail is 1/(1 + n)
         assert lf_a1_tail(lf_half_n6, 4) == pytest.approx(1 / 5)
 
     def test_eta_success_first_level(self, lf_varying3):
         # at level one the success probability is the newest law's p
         newest = lf_varying3.laws[-1]
-        assert lf_eta_success(lf_varying3, 1) == pytest.approx(newest.p)
+        assert eta_law_at_depth(lf_varying3, 1).geom == pytest.approx(newest.p)
 
     def test_tail_decreases(self, lf_varying3):
         tails = [lf_a1_tail(lf_varying3, n) for n in (1, 2, 3)]

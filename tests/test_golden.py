@@ -2,15 +2,18 @@
 
 ``golden_outputs.json`` maps each command line below to the sha256 of the
 bytes it writes with ``--out``.  A refactor that keeps the random-stream
-contract must reproduce every digest.  To regenerate the file at a commit
-whose outputs are the reference:
+contract must reproduce every digest.  The ``checks`` labels pin the verify
+lines: their metrics, thresholds and details.  To regenerate the file at a
+commit whose outputs are the reference:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_outputs.json
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -25,11 +28,12 @@ ENVS = HERE.parent / "envs"
 GOLDEN = HERE / "golden_outputs.json"
 SEED = "7"
 SAMPLES = "200"
+WITNESS_ENVS = ("binom_n3", "binom_n5", "varying_n3")
 
 
 def commands() -> dict[str, list[str]]:
     """Label -> argv, for every bundled environment."""
-    out: dict[str, list[str]] = {}
+    out: dict[str, list[str]] = {"figure1:checks": ["verify", "--figure1"]}
     for path in sorted(ENVS.glob("*.json")):
         env = ["--env", str(path)]
         campaign = env + ["--seed", SEED, "--samples", SAMPLES]
@@ -39,13 +43,20 @@ def commands() -> dict[str, list[str]]:
         out[f"{path.stem}:simulate"] = ["simulate"] + campaign
         for process in processes:
             out[f"{path.stem}:chain-{process}"] = ["chain", "--process", process] + campaign
+        out[f"{path.stem}:checks"] = ["verify"] + env
+        out[f"{path.stem}:checks-rational-json"] = ["verify", "--rational", "--format", "json"] + env
+        if path.stem in WITNESS_ENVS:
+            out[f"{path.stem}:checks-witness"] = ["verify", "--witness", "--witness-mc-samples",
+                                                  "2000", "--seed", SEED] + env
     return out
 
 
 def digest(argv: list[str]) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         target = Path(tmp) / "out"
-        code = main(argv + ["--out", str(target)])
+        # verify also prints its lines to stdout; keep them out of the digest file
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--out", str(target)])
         assert code == EXIT_OK, f"{argv} exited {code}"
         return hashlib.sha256(target.read_bytes()).hexdigest()
 

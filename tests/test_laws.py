@@ -116,7 +116,6 @@ class TestLinearFractionalLaw:
         assert lf_law.pmf(1) == 0.25
         assert lf_law.pmf(3) == 0.5 * 0.5 * 0.5 ** 2
         assert lf_law.mean() == pytest.approx(1.0)
-        assert lf_law.nsfm() == pytest.approx(2.0)
         assert lf_law.max_children is None
 
     def test_pmf_sums_to_one(self):
@@ -147,8 +146,6 @@ class TestLinearFractionalLaw:
         assert law.pmf(0) == 1.0
         assert law.max_children == 0
         assert law.pgf(0.3) == pytest.approx(1.0)
-        with pytest.raises(DomainError):
-            law.nsfm()
 
     def test_no_rational_mode(self, lf_law):
         with pytest.raises(EnvFormatError):

@@ -10,18 +10,16 @@ from gwcoal import (
     Environment,
     FiniteSupportLaw,
     a1_tail,
-    compose_deriv,
-    compose_range,
     constant_environment,
     dirac,
     environment_from_dict,
     eta_law_at_depth,
-    eta_prob_generic,
     load_environment,
     survival_prob,
 )
 from gwcoal.errors import DegenerateEnvironmentError, DomainError, HorizonError
-from gwcoal.pgf import EtaLaw, LevelTable, eta_pmf
+from gwcoal.environment import LevelTable
+from gwcoal.pgf import EtaLaw, compose_deriv, compose_range, eta_probs_generic
 
 from conftest import ENVS
 
@@ -74,31 +72,31 @@ class TestEtaLaw:
         # founder has at least one surviving daughter; with the three-point
         # law the chance of a second one is 1/3
         env = exact_binom_env(1)
-        law = eta_pmf(env, 1)
+        law = eta_law_at_depth(env, 1)
         assert law.prob(0) == Fraction(2, 3)
         assert law.prob(1) == Fraction(1, 3)
         assert law.total() == 1
 
     def test_two_generation_values(self):
         env = exact_binom_env(2)
-        law = eta_pmf(env, 2)
+        law = eta_law_at_depth(env, 2)
         assert law.prob(0) == Fraction(10, 13)
         assert law.prob(1) == Fraction(3, 13)
         assert law.total() == 1
 
     def test_depth_shifts_environment(self, varying3):
         deep = eta_law_at_depth(varying3, 3)
-        direct = eta_pmf(varying3, 3)
+        direct = eta_law_at_depth(Environment(varying3.laws[:3]), 3)
         assert deep.probs == direct.probs
         shallow = eta_law_at_depth(varying3, 1)
-        assert shallow.probs == eta_pmf(varying3.shift(2), 1).probs
+        assert shallow.probs == eta_law_at_depth(varying3.shift(2), 1).probs
         with pytest.raises(HorizonError):
             eta_law_at_depth(varying3, 4)
 
     def test_degenerate_environment(self):
         env = constant_environment(dirac(0), 1)
         with pytest.raises(DegenerateEnvironmentError):
-            eta_pmf(env, 1)
+            eta_law_at_depth(env, 1)
 
     def test_lf_law_is_geometric(self, lf_half_n6):
         law = eta_law_at_depth(lf_half_n6, 3)
@@ -127,9 +125,8 @@ class TestEtaLaw:
     @given(st.integers(min_value=1, max_value=3))
     def test_generic_matches_pmf_table(self, depth):
         env = exact_binom_env(depth)
-        law = eta_pmf(env, depth)
-        for k in range(3):
-            assert eta_prob_generic(env, depth, k) == law.prob(k)
+        law = eta_law_at_depth(env, depth)
+        assert eta_probs_generic(env, depth, range(3)) == [law.prob(k) for k in range(3)]
 
 
 class TestFirstTimeTail:
@@ -182,9 +179,7 @@ class TestLevelTable:
             assert (u, deriv) == (compose_range(env, -k, 0, zero), compose_deriv(env, -k, 0, zero))
             sub = env.shift(N - k)
             law = levels.eta(k)
-            assert law.probs == tuple(
-                eta_prob_generic(sub, k, j) for j in range(len(law.probs))
-            )
+            assert law.probs == tuple(eta_probs_generic(sub, k, range(len(law.probs))))
             product *= law.probs[0]
             assert p0 == law.probs[0] and telescoped == product
         assert survival_prob(env, N) == 1 - compose_range(env, -N, 0, zero)

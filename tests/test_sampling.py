@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwcoal import FiniteSupportLaw, LinearFractionalLaw, rng_for_run, stream_for_run
+from gwcoal import FiniteSupportLaw, LinearFractionalLaw, stream_for_run
 from gwcoal.errors import DomainError
 from gwcoal.sampling import (
     UniformStream,
@@ -14,6 +14,7 @@ from gwcoal.sampling import (
     draw_count,
     draw_from_cumulative,
     geometric_failures,
+    rng_for_run,
 )
 
 

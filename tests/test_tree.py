@@ -7,7 +7,6 @@ from gwcoal import (
     FiniteSupportLaw,
     Tree,
     ancestor_index,
-    bt_update,
     coalescent_times,
     condition_on_survival,
     constant_environment,
@@ -23,7 +22,7 @@ from gwcoal import (
     stream_for_run,
 )
 from gwcoal.errors import AttemptCapError, DegenerateEnvironmentError, DomainError
-from gwcoal.tree import bt_fold, bt_min, bt_star
+from gwcoal.tree import bt_fold, bt_min, bt_star, bt_update
 
 from conftest import env_path
 

@@ -24,8 +24,6 @@ from gwcoal import (
     lf_iid_check,
     load_environment,
     mc_witness_check,
-    outcome_key,
-    parse_outcome,
     run_verify_suite,
     tree_vs_chain_check,
     tv_distance,
@@ -38,7 +36,8 @@ from gwcoal.errors import (
 )
 from gwcoal import verify
 from gwcoal.chains import first_nonzero
-from gwcoal.pgf import LevelTable
+from gwcoal.disttable import outcome_key, parse_outcome
+from gwcoal.environment import LevelTable
 from gwcoal.tree import cpp_and_marks, simulate_tree
 from gwcoal.verify import (
     TERM_KEY,
@@ -481,7 +480,7 @@ class TestExactArithmetic:
         else:
             env = load_environment(env_path(name))
         for n in range(1, min(2, env.horizon) + 1):
-            supports = [verify._offspring_support(law, 1e-13) for law in env.laws[-n:]]
+            supports = [verify._offspring_support(law) for law in env.laws[-n:]]
             ref, work = {1: 1.0}, 0
             for items in supports:
                 powers = [{0: 1.0}]
