@@ -38,7 +38,7 @@ from .errors import (
     NotLinearFractionalError,
 )
 from .pgf import a1_tail, eta_law_at_depth
-from .sampling import stream_for_run
+from .sampling import campaign_streams
 from .tree import condition_on_survival, coalescent_times
 from .verify import reference_table_check, run_verify_suite
 
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=100_000,
         help="rejection-sampling cap per run",
     )
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(parser=p_sim, func=cmd_simulate)
 
     p_chain = sub.add_parser(
         "chain",
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="check structural invariants along every run (exit 1 on violation)",
     )
-    p_chain.set_defaults(func=cmd_chain)
+    p_chain.set_defaults(parser=p_chain, func=cmd_chain)
 
     p_ver = sub.add_parser(
         "verify",
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="repeat the main comparison in exact rational arithmetic")
     p_ver.add_argument("--guard", type=int, default=2_000_000,
                        help="enumeration work budget")
-    p_ver.set_defaults(func=cmd_verify)
+    p_ver.set_defaults(parser=p_ver, func=cmd_verify)
 
     p_eta = sub.add_parser(
         "eta",
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_eta)
     p_eta.add_argument("--tol", type=float, default=TAIL_CUT,
                        help="tail mass cutoff for geometric laws")
-    p_eta.set_defaults(func=cmd_eta)
+    p_eta.set_defaults(parser=p_eta, func=cmd_eta)
 
     p_tail = sub.add_parser(
         "tail",
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         "probability that the first coalescent time exceeds n.",
     )
     _add_common(p_tail)
-    p_tail.set_defaults(func=cmd_tail)
+    p_tail.set_defaults(parser=p_tail, func=cmd_tail)
 
     return parser
 
@@ -238,13 +238,13 @@ def cmd_simulate(args) -> int:
     env = _load_env(args)
     _check_campaign(args)
 
-    def one(run_id: int):
-        stream = stream_for_run(args.seed, run_id)
+    def one(run_id: int, stream):
         tree = condition_on_survival(env, stream, max_attempts=args.max_attempts)
         cpp = coalescent_times(tree)
         return [run_id, cpp.k, ";".join(str(a) for a in cpp.a)]
 
-    rows = [one(run_id) for run_id in range(args.samples)]
+    rows = [one(run_id, stream)
+            for run_id, stream in enumerate(campaign_streams(args.seed, args.samples))]
     _write_rows(args, ["run_id", "K", "A"], rows)
     ks = [row[1] for row in rows]
     mean_k = sum(ks) / len(ks)
@@ -281,8 +281,8 @@ def cmd_chain(args) -> int:
         # the spine-sibling samplers depend on the environment only
         chain_run = functools.partial(b_run if args.process == "b" else d_run,
                                       samplers=EtaSamplers(env))
-    runs = [chain_run(env, stream_for_run(args.seed, i), args.max_individuals)
-            for i in range(args.samples)]
+    runs = [chain_run(env, stream, args.max_individuals)
+            for stream in campaign_streams(args.seed, args.samples)]
     if args.validate:
         validate = validate_b_run if args.process == "b" else validate_d_run
         for run in runs:
@@ -316,7 +316,12 @@ def cmd_verify(args) -> int:
     _require(args.guard >= 1, f"--guard must be >= 1, got {args.guard}")
     _check_seed(args)
     if args.figure1:
-        _require(args.env is None, "--figure1 checks the embedded reference table and takes no --env")
+        unread = [option for option, given in (("--env", args.env is not None),
+                                               ("--horizon", args.horizon is not None),
+                                               ("--rational", args.rational),
+                                               ("--witness", args.witness)) if given]
+        _require(not unread, "--figure1 checks the embedded reference table and takes no "
+                 + " ".join(unread))
         results = [reference_table_check()]
     else:
         results = run_verify_suite(
@@ -371,7 +376,10 @@ def cmd_tail(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extras = build_parser().parse_known_args(argv)
+        if extras:
+            # reported with the usage of the subcommand that does not take them
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_CONFIG
         return EXIT_OK if code == 0 else EXIT_CONFIG

@@ -3,6 +3,9 @@
 Every sampler in the package consumes uniforms from a ``UniformStream``.
 Run ``r`` of seed ``s`` reads the PCG64 stream of ``SeedSequence((s, r))``
 in order, so each run's output depends on its own pair only.
+``stream_for_run`` builds that stream for one run; ``campaign_streams``
+builds it for runs ``0..n-1`` on one generator, hashing every run's seed
+sequence at once.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +37,7 @@ class UniformStream:
     to ``block``: a float64 uniform takes one 64-bit output, so the values
     read are those of one ``rng.random(n)`` call whatever the block sizes."""
 
-    __slots__ = ("_rng", "_block", "_buf", "_pos")
+    __slots__ = ("_rng", "_block", "_buf", "_pos", "_lease")
 
     def __init__(self, rng: np.random.Generator | int, block: int = 8192):
         if isinstance(rng, (int, np.integer)):
@@ -43,8 +46,12 @@ class UniformStream:
         self._block = block
         self._buf: list[float] = []
         self._pos = 0
+        # a campaign stream shares its generator: [False] once the next run has it
+        self._lease: list[bool] | None = None
 
     def _refill(self) -> list[float]:
+        if self._lease is not None and not self._lease[0]:
+            raise RuntimeError("a campaign stream was read after the next run's stream was made")
         size = min(self._block, max(32, 2 * len(self._buf)))
         self._buf = self._rng.random(size).tolist()
         self._pos = 0
@@ -76,6 +83,98 @@ class UniformStream:
 
 def stream_for_run(seed: int, run_id: int) -> UniformStream:
     return UniformStream(rng_for_run(seed, run_id))
+
+
+# numpy's SeedSequence: O'Neill's seed_seq hash with a pool of four 32-bit words
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_CHUNK = 4096
+
+
+def _words(n: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence reads from an int."""
+    out = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        out.append(n & _MASK32)
+    return out
+
+
+def _seed_states(seed: int, run_ids: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence((seed, r)).generate_state(4, np.uint64)`` for every r of
+    ``run_ids`` (uint32), as four uint64 columns."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = x * _MIX_L - y * _MIX_R
+        return value ^ (value >> 16)
+
+    n = len(run_ids)
+    # at most two seed words and one run word, so the entropy fits the pool
+    entropy = [np.full(n, w, dtype=np.uint32) for w in _words(seed)] + [run_ids]
+    entropy += [np.zeros(n, dtype=np.uint32)] * (_POOL - len(entropy))
+    pool = [hashmix(word) for word in entropy]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    const = _INIT_B
+    words = []
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    return [words[i] | (words[i + 1] << 32) for i in range(0, 2 * _POOL, 2)]
+
+
+def _pcg64_states(seed: int, start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """PCG64 (state, inc) seeded by ``SeedSequence((seed, r))``, r in [start, stop)."""
+    columns = _seed_states(seed, np.arange(start, stop, dtype=np.uint32))
+    for hi_state, lo_state, hi_seq, lo_seq in zip(*(c.tolist() for c in columns)):
+        # PCG's set_seed: two LCG steps from state 0, adding initstate between
+        inc = (hi_seq << 65 | lo_seq << 1 | 1) & _MASK128
+        yield ((hi_state << 64 | lo_state) + inc) * _PCG_MULT + inc & _MASK128, inc
+
+
+def campaign_streams(seed: int, n: int) -> Iterator[UniformStream]:
+    """The streams of ``stream_for_run(seed, r)`` for r = 0..n-1, in order.
+
+    They share one generator, whose state is set when each stream is made, so
+    a stream must be read to its end before the next one is taken: a stream
+    that needs more uniforms after that raises ``RuntimeError``.
+    """
+    seed = _check_seed(seed)
+    if not 0 <= n <= _MASK32 + 1:
+        raise DomainError(f"run ids must fit 32 bits, got {n} runs")
+    return _campaign(seed, n)
+
+
+def _campaign(seed: int, n: int) -> Iterator[UniformStream]:
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    lease = [False]
+    for start in range(0, n, _CHUNK):
+        for state, inc in _pcg64_states(seed, start, min(n, start + _CHUNK)):
+            lease[0] = False
+            lease = [True]
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            stream = UniformStream(rng)
+            stream._lease = lease
+            yield stream
 
 
 def as_stream(source: UniformStream | np.random.Generator | int) -> UniformStream:

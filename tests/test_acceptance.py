@@ -229,25 +229,29 @@ def test_pgf_derivatives_and_mass():
 
 
 def test_cli_run_prefix_invariance(tmp_path):
-    # every run draws from its own (seed, run id) stream, so the first 100
-    # rows of a 200-run campaign are the whole of a 100-run campaign
+    # every run draws from its own (seed, run id) stream, so the first n rows
+    # of a 200-run campaign are the whole of an n-run campaign, for every
+    # sampler and for n = 1 as well
     campaigns = {
         "simulate": ["simulate", "--env", env_path("binom_n3")],
-        "chain": ["chain", "--env", env_path("varying_n3")],
+        "chain-b": ["chain", "--env", env_path("varying_n3")],
+        "chain-d": ["chain", "--process", "d", "--env", env_path("varying_n3")],
+        "chain-lf": ["chain", "--process", "lf", "--env", env_path("lf_varying_n3")],
     }
     codes = []
     prefixes = {}
     for name, argv in campaigns.items():
         outs = {}
-        for runs in (100, 200):
+        for runs in (1, 100, 200):
             path = tmp_path / f"{name}_{runs}.csv"
             codes.append(
                 main(argv + ["--samples", str(runs), "--seed", "5", "--out", str(path)])
             )
             outs[runs] = path.read_bytes().splitlines(keepends=True)
-        head = [row for row in outs[200][1:] if int(row.split(b",")[0]) < 100]
-        prefixes[name] = (
-            len(outs[200]) == 201 and b"".join(outs[200][:1] + head) == b"".join(outs[100])
-        )
-    ok = all(prefixes.values()) and codes == [0, 0, 0, 0]
+        for runs in (1, 100):
+            head = [row for row in outs[200][1:] if int(row.split(b",")[0]) < runs]
+            prefixes[f"{name}/{runs}"] = (
+                len(outs[200]) == 201 and b"".join(outs[200][:1] + head) == b"".join(outs[runs])
+            )
+    ok = all(prefixes.values()) and codes == [0] * 12
     report("cli-run-prefix-invariance", ok, f"exit_codes={codes} prefix_equal={prefixes}")

@@ -267,7 +267,9 @@ class TestExitCodes:
         # eta and tail draw nothing and verify runs no campaign
         code, out, err = run_cli(capsys, *argv, "--env", env_path("lf_half_n6"))
         assert code == EXIT_CONFIG
-        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+        # reported with the usage of the subcommand, which lists what it does take
+        assert err.startswith(f"usage: gwcoal {argv[0]} [-h] ")
+        assert f"gwcoal {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}" in err
         assert "Traceback" not in err and out == ""
 
 
@@ -529,10 +531,20 @@ class TestVerify:
         assert all(row["passed"] for row in doc)
 
     def test_figure1_checks_its_options(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--figure1", "--guard", "0",
-                                 "--witness-mc-samples", "-5", "--env", "/no/such.json")
-        assert code == EXIT_CONFIG
-        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        # the reference table is fixed: what only the full battery reads is refused
+        cases = [
+            (["--guard", "0", "--witness-mc-samples", "-5", "--env", "/no/such.json"],
+             "--witness-mc-samples must be >= 0"),
+            (["--rational"], "takes no --rational"),
+            (["--witness"], "takes no --witness"),
+            (["--horizon", "3"], "takes no --horizon"),
+            (["--rational", "--witness", "--horizon", "3"], "takes no --horizon --rational --witness"),
+        ]
+        for argv, message in cases:
+            code, out, err = run_cli(capsys, "verify", "--figure1", *argv)
+            assert code == EXIT_CONFIG
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+            assert message in err
 
     def test_verify_needs_env_or_figure1(self, capsys):
         code, _, _ = run_cli(capsys, "verify")

@@ -29,6 +29,12 @@ GOLDEN = HERE / "golden_outputs.json"
 SEED = "7"
 SAMPLES = "200"
 WITNESS_ENVS = ("binom_n3", "binom_n5", "varying_n3")
+# one- and two-word seeds: the run id is the last entropy word either way
+WORD_SEEDS = ("0", str(2 ** 32), str(2 ** 64 - 1))
+WORD_CAMPAIGNS = {
+    "binom_n3": ("simulate", "chain-b", "chain-d"),
+    "lf_half_n6": ("chain-lf",),
+}
 
 
 def commands() -> dict[str, list[str]]:
@@ -48,6 +54,13 @@ def commands() -> dict[str, list[str]]:
         if path.stem in WITNESS_ENVS:
             out[f"{path.stem}:checks-witness"] = ["verify", "--witness", "--witness-mc-samples",
                                                   "2000", "--seed", SEED] + env
+    for stem, kinds in WORD_CAMPAIGNS.items():
+        for kind in kinds:
+            command = (["simulate"] if kind == "simulate"
+                       else ["chain", "--process", kind.split("-", 1)[1]])
+            for seed in WORD_SEEDS:
+                out[f"{stem}:{kind}-seed{seed}"] = command + [
+                    "--env", str(ENVS / f"{stem}.json"), "--seed", seed, "--samples", SAMPLES]
     return out
 
 

@@ -9,7 +9,10 @@ from gwcoal import FiniteSupportLaw, LinearFractionalLaw, stream_for_run
 from gwcoal.errors import DomainError
 from gwcoal.sampling import (
     UniformStream,
+    _pcg64_states,
+    _seed_states,
     as_stream,
+    campaign_streams,
     cumulative,
     draw_count,
     draw_from_cumulative,
@@ -98,6 +101,60 @@ class TestStreams:
         rng = np.random.default_rng(5)
         UniformStream(rng).next()
         assert rng.random() == np.random.default_rng(5).random(33)[32]
+
+
+class TestCampaignStreams:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+        runs=st.lists(st.integers(min_value=0, max_value=2 ** 32 - 1), min_size=1, max_size=8),
+    )
+    def test_batched_hash_is_seed_sequence(self, seed, runs):
+        columns = [c.tolist() for c in _seed_states(seed, np.array(runs, dtype=np.uint32))]
+        for j, run in enumerate(runs):
+            ss = np.random.SeedSequence((seed, run))
+            assert [c[j] for c in columns] == ss.generate_state(4, np.uint64).tolist()
+        start = min(runs[0], 2 ** 32 - 3)
+        for run, (state, inc) in zip(range(start, start + 3), _pcg64_states(seed, start, start + 3)):
+            reference = np.random.PCG64(np.random.SeedSequence((seed, run))).state["state"]
+            assert reference == {"state": state, "inc": inc}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+    @pytest.mark.parametrize("size", [1, 33, 100, 9000])
+    def test_draws_are_those_of_stream_for_run(self, seed, size):
+        for run, stream in enumerate(campaign_streams(seed, 3)):
+            reference = stream_for_run(seed, run)
+            assert stream.take(size) == reference.take(size)
+            assert [stream.next() for _ in range(size)] == [reference.next() for _ in range(size)]
+
+    def test_stale_stream_refill_raises(self):
+        streams = campaign_streams(4, 3)
+        first = next(streams)
+        head = first.take(32)
+        second = next(streams)
+        with pytest.raises(RuntimeError, match="next run"):
+            first.next()
+        assert head == stream_for_run(4, 0).take(32)
+        assert second.take(40) == stream_for_run(4, 1).take(40)
+
+    def test_last_stream_outlives_its_campaign(self):
+        streams = list(campaign_streams(4, 2))
+        with pytest.raises(RuntimeError):
+            streams[0].next()
+        assert streams[1].take(100) == stream_for_run(4, 1).take(100)
+
+    def test_run_ids_past_32_bits_rejected(self):
+        # raised before any run id is hashed
+        with pytest.raises(DomainError, match="32 bits"):
+            campaign_streams(0, 2 ** 32 + 1)
+        # the largest campaign is accepted; it is hashed a chunk at a time
+        first = next(campaign_streams(0, 2 ** 32))
+        assert first.take(40) == stream_for_run(0, 0).take(40)
+        with pytest.raises(DomainError, match=r"2\*\*64"):
+            campaign_streams(2 ** 64, 1)
+
+    def test_empty_campaign(self):
+        assert list(campaign_streams(0, 0)) == []
 
 
 class TestDiscreteDraws:
