@@ -121,6 +121,9 @@ class LinearFractionalLaw:
             raise EnvFormatError(f"linear-fractional r must lie in [0,1], got {self.r}")
         if not 0 < self.p < 1:
             raise EnvFormatError(f"linear-fractional p must lie in (0,1), got {self.p}")
+        if 1.0 - self.p == 1.0:
+            # q = 1 - p must stay below 1, or the geometric tail never decays
+            raise EnvFormatError(f"linear-fractional p must exceed 2**-54, got {self.p}")
 
     @property
     def q(self) -> float:

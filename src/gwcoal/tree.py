@@ -320,19 +320,40 @@ def extract_Btilde(tree: Tree) -> tuple[BtState, ...]:
 
 
 def cpp_and_marks(tree: Tree, upto: int | None = None) -> tuple[list[int], list[int]]:
-    """Coalescent times A_i with the spine multiplicities D_i(A_i), fused.
+    """Coalescent times A_i with the spine multiplicities D_i(A_i).
 
-    One parent walk per consecutive pair gives both the meeting level and the
-    daughter counts at the meeting node.  ``upto`` limits the number of pairs.
+    The marks are read from the times alone: the daughters of the node where
+    i and i + 1 meet that lead to ranks >= i are separated by the pairs
+    j >= i with A_j = A_i, up to the first j with A_j > A_i, where the walk
+    leaves that node.  So D_i(A_i) counts those j.  ``upto`` limits the
+    number of pairs returned; the pairs after it are walked only until one
+    meets above every returned pair.
     """
     N = tree.horizon
+    parents = tree.parents
     pairs = tree.k - 1 if upto is None else min(upto, tree.k - 1)
-    a_vals, marks = [], []
-    for i in range(1, pairs + 1):
-        d, node = _meet(tree.parents, N, i)
-        a_vals.append(N - d)
-        marks.append(_mark(tree, d, node, i))
-    return a_vals, marks
+    if pairs <= 0:
+        return [], []
+    scan = [N - _meet(parents, N, i)[0] for i in range(1, pairs + 1)]
+    top = max(scan)
+    for i in range(pairs + 1, tree.k):
+        scan.append(N - _meet(parents, N, i)[0])
+        if scan[-1] > top:
+            break
+    # right to left, a stack of (level, pairs at that level so far) with
+    # levels rising from its top down
+    marks = [0] * len(scan)
+    stack: list[list[int]] = []
+    for j in range(len(scan) - 1, -1, -1):
+        a = scan[j]
+        while stack and stack[-1][0] < a:
+            stack.pop()
+        if stack and stack[-1][0] == a:
+            stack[-1][1] += 1
+        else:
+            stack.append([a, 1])
+        marks[j] = stack[-1][1]
+    return scan[:pairs], marks[:pairs]
 
 
 def genealogy_from_cpp(cpp: Cpp) -> np.ndarray:

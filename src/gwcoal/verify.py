@@ -48,13 +48,19 @@ WITNESS_TV = 0.01
 # ---------------------------------------------------------------------------
 
 
-def _offspring_support(law) -> list[tuple[int, Number]]:
-    """(count, prob) pairs covering all but at most ``TAIL_CUT`` of the mass."""
+def _offspring_support(law, guard: int) -> list[tuple[int, Number]]:
+    """(count, prob) pairs covering all but at most ``TAIL_CUT`` of the mass.
+
+    A geometric tail that needs more than ``guard`` items raises, before any
+    is built: item k >= 1 is kept while ``r * q ** (k - 1)`` exceeds the cut.
+    """
     if isinstance(law, FiniteSupportLaw):
         return [(k, p) for k, p in enumerate(law.probs) if p > 0]
     if law.r == 0:
         return [(0, 1.0)]
     items = [(0, 1.0 - law.r)] if law.r < 1 else []
+    if law.r * law.q ** (guard - len(items)) > TAIL_CUT:
+        raise EnumerationGuardError(f"geometric support needs more than {guard} items")
     k = 1
     tail = law.r  # P(count >= k)
     while tail > TAIL_CUT:
@@ -98,11 +104,31 @@ def exact_tree_law(
     Works bottom-up: the genealogy pattern of a subtree is assembled from the
     patterns of its child subtrees, joined at the subtree's root level.  This
     visits exactly the information content of every tree; ``guard`` bounds
-    the number of child-pattern combinations examined.
+    the number of child-pattern combinations examined.  In exact mode one
+    ``Fraction`` per outcome is formed from the integer numerators.
+    """
+    patterns, dead, alive = _tree_numerators(env, guard, rational, max_support)
+    table = DistTable({
+        outcome_key(k, a): Fraction(p, alive) if rational else p / alive
+        for (k, a), p in sorted(patterns.items())
+    })
+    if not rational:  # exact supports are complete
+        table.truncated_mass = max(0.0, float(1 - dead - alive)) / float(alive)
+    return table
+
+
+def _tree_numerators(
+    env: Environment,
+    guard: int,
+    rational: bool,
+    max_support: int | None = None,
+) -> tuple[dict[tuple[int, str], Number], Number, Number]:
+    """The surviving patterns of ``exact_tree_law`` with their masses, the
+    dead mass and the surviving mass ``alive``.
 
     Exact masses are integer numerators over one common denominator per
-    depth, so that merging two patterns is an integer addition; one
-    ``Fraction`` per outcome is formed at the end.
+    depth, so that merging two patterns is an integer addition; a pattern's
+    probability given survival is its numerator over ``alive``.
     """
     base = env.as_rational() if rational else env
     N = base.horizon
@@ -113,7 +139,7 @@ def exact_tree_law(
                 raise EnumerationGuardError(
                     f"laws[{j}] support exceeds the cap of {max_support}"
                 )
-    supports = [_offspring_support(law) for law in base.laws]
+    supports = [_offspring_support(law, guard) for law in base.laws]
 
     # a pattern is K and the comma-joined coalescent times; its mass is
     # relative to ``total``, the mass of all subtrees rooted at the current
@@ -160,13 +186,7 @@ def exact_tree_law(
     alive = sum(patterns.values())
     if alive == 0:
         raise DegenerateEnvironmentError("no surviving tree has positive probability")
-    table = DistTable({
-        outcome_key(k, a): Fraction(p, alive) if rational else p / alive
-        for (k, a), p in sorted(patterns.items())
-    })
-    if not rational:  # exact supports are complete
-        table.truncated_mass = max(0.0, float(1 - dead - alive)) / float(alive)
-    return table
+    return patterns, dead, alive
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +320,19 @@ def exact_chain_law(
     """Law of (K, emitted coalescent times) of a backward chain, by exact
     forward sweep of its transition kernel from the initial state.  A float
     sweep stops once less than 1e-14 of the mass is still running."""
+    done = DistTable()
+    for k, times, mass, den in _chain_outcomes(env, process, guard, rational):
+        done[outcome_key(k, times)] = Fraction(mass, den) if rational else mass
+    done.truncated_mass = max(0.0, 1.0 - float(done.total())) if not rational else 0.0
+    return done
+
+
+def _chain_outcomes(env: Environment, process: str, guard: int, rational: bool):
+    """(K, emitted times as text, mass, denominator) of every run of the
+    chain sweep, yielded at the end of the step that ends it.  Exact masses
+    are integers over ``scale ** K``; float masses are over 1."""
     sweep = _Sweep(env, process, guard, f"chain sweep exceeded {guard} transitions", rational)
     frontier = {("", sweep.start): sweep.one}
-    done = DistTable()
     steps = 0
     while frontier:
         steps += 1
@@ -310,13 +340,30 @@ def exact_chain_law(
         # a run that ends at step K emitted K - 1 times
         den = sweep.scale**steps
         for times, mass in ended.items():
-            done[outcome_key(steps, times[:-1])] = Fraction(mass, den) if rational else mass
+            yield steps, times[:-1], mass, den
         if not rational and frontier and float(sum(frontier.values())) < 1e-14:
             break
-    if rational and frontier:
-        raise EnumerationGuardError("exact sweep stopped before exhausting all paths")
-    done.truncated_mass = max(0.0, 1.0 - float(done.total())) if not rational else 0.0
-    return done
+
+
+def _exact_tree_chain_gap(env: Environment, guard: int) -> tuple[Fraction, int]:
+    """Exact TV distance between the rational tree and b chain laws, and the
+    number of tree outcomes, without a ``Fraction`` table on either side.
+
+    The b chain's outcomes are compared as they end against the tree's
+    numerators, which are popped as they are matched: an outcome agrees when
+    ``tree * den == chain * alive``.  Only outcomes that disagree, or that
+    one side lacks, add a ``Fraction`` to the gap, so that the gap equals
+    ``tv_distance`` on the two exact tables.
+    """
+    tree, _, alive = _tree_numerators(env, guard, rational=True)
+    outcomes = len(tree)
+    gap = Fraction(0)
+    for k, times, mass, den in _chain_outcomes(env, "b", guard, rational=True):
+        num = tree.pop((k, times), 0)
+        if num * den != mass * alive:
+            gap += abs(Fraction(num, alive) - Fraction(mass, den))
+    gap += sum(Fraction(num, alive) for num in tree.values())
+    return gap / 2, outcomes
 
 
 def chain_step_laws(
@@ -716,7 +763,7 @@ def lf_closed_form_checks(env: Environment) -> list[CheckResult]:
 def exact_population_law(env: Environment, n: int, guard: int = 200_000) -> dict[int, Number]:
     """Law of the population size n generations below the founder, by direct
     convolution (no generating functions involved)."""
-    supports = [_offspring_support(law) for law in env.laws[:n]]
+    supports = [_offspring_support(law, guard) for law in env.laws[:n]]
     exact = all(isinstance(law, FiniteSupportLaw) and law.is_exact for law in env.laws[:n])
     # numpy repays its per-call cost on wide supports, such as truncated
     # geometric tails; on a few items the loop's products are cheaper
@@ -834,10 +881,17 @@ def tree_vs_chain_check(
     rational: bool = False,
     guard: int = 2_000_000,
 ) -> CheckResult:
-    tree_law = exact_tree_law(env, rational=rational, guard=guard)
-    chain_law = exact_chain_law(env, rational=rational, guard=guard)
-    gap = tv_distance(tree_law, chain_law)
-    extra = tree_law.truncated_mass + chain_law.truncated_mass
+    """Total variation between the tree law and the b chain law.  In exact
+    mode the two laws are compared on their integer numerators."""
+    if rational:
+        gap, outcomes = _exact_tree_chain_gap(env, guard)
+        extra = 0.0
+    else:
+        tree_law = exact_tree_law(env, guard=guard)
+        chain_law = exact_chain_law(env, guard=guard)
+        gap = tv_distance(tree_law, chain_law)
+        extra = tree_law.truncated_mass + chain_law.truncated_mass
+        outcomes = len(tree_law)
     passed = float(gap) <= 1e-10 + extra
     mode = "rational" if rational else "float"
     return CheckResult(
@@ -846,7 +900,7 @@ def tree_vs_chain_check(
         metric=float(gap),
         threshold=1e-10,
         passed=passed,
-        detail=f"outcomes={len(tree_law)} truncation={extra:.3e} exact_zero={gap == 0}",
+        detail=f"outcomes={outcomes} truncation={extra:.3e} exact_zero={gap == 0}",
     )
 
 

@@ -154,6 +154,32 @@ class TestExitCodes:
         )
         assert code == EXIT_GUARD
 
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_lf_long_tail_hits_guard(self, capsys, tmp_path, horizon):
+        # p = 1e-8 needs about 3e9 support items before the tail cut; the
+        # tree check (horizon 1) and the population law (horizon 2) raise
+        # before building them
+        env = tmp_path / "lf_long_tail.json"
+        env.write_text(json.dumps({"horizon": horizon,
+                                   "laws": [{"type": "lf", "r": 1, "p": 1e-8}] * horizon}))
+        code, out, err = run_cli(capsys, "verify", "--env", str(env))
+        assert code == EXIT_GUARD
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "items" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eta"], ["tail"], ["simulate"], ["verify"],
+        ["chain", "--process", "b"], ["chain", "--process", "d"], ["chain", "--process", "lf"],
+    ])
+    def test_lf_p_lost_to_rounding_rejected(self, capsys, tmp_path, argv):
+        # 1 - 1e-17 rounds to 1.0, so the law's tail would never decay
+        env = tmp_path / "lf_tiny_p.json"
+        env.write_text(json.dumps({"horizon": 1, "laws": [{"type": "lf", "r": 1, "p": 1e-17}]}))
+        code, out, err = run_cli(capsys, *argv, "--env", str(env))
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: laws[0]: ") and err.count("\n") == 1
+        assert "2**-54" in err and out == ""
+
     def test_verify_failure_exit(self, capsys, dirac2_env):
         # a deterministic tree has a single reduced-sequence history, so the
         # witness search comes back empty and the run is marked inconclusive

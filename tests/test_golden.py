@@ -35,6 +35,15 @@ WORD_CAMPAIGNS = {
     "binom_n3": ("simulate", "chain-b", "chain-d"),
     "lf_half_n6": ("chain-lf",),
 }
+# environments written from a literal: every law a permutation of
+# (5, 7, 9, 11)/32, whose rational sweep has far more outcomes than any
+# bundled environment's
+LITERAL_ENVS = {
+    "full_support_n3": {"horizon": 3, "laws": [
+        {"type": "pmf", "p": [c / 32 for c in perm]}
+        for perm in ((5, 7, 9, 11), (11, 9, 7, 5), (7, 11, 5, 9))
+    ]},
+}
 
 
 def commands() -> dict[str, list[str]]:
@@ -61,12 +70,20 @@ def commands() -> dict[str, list[str]]:
             for seed in WORD_SEEDS:
                 out[f"{stem}:{kind}-seed{seed}"] = command + [
                     "--env", str(ENVS / f"{stem}.json"), "--seed", seed, "--samples", SAMPLES]
+    for stem in LITERAL_ENVS:
+        out[f"{stem}:checks-rational-json"] = ["verify", "--rational", "--format", "json",
+                                               "--env", f"{stem}.json"]
     return out
 
 
 def digest(argv: list[str]) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         target = Path(tmp) / "out"
+        for stem, doc in LITERAL_ENVS.items():
+            if f"{stem}.json" in argv:
+                path = Path(tmp) / f"{stem}.json"
+                path.write_text(json.dumps(doc))
+                argv = [str(path) if arg == f"{stem}.json" else arg for arg in argv]
         # verify also prints its lines to stdout; keep them out of the digest file
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(argv + ["--out", str(target)])

@@ -111,6 +111,13 @@ class TestLinearFractionalLaw:
         with pytest.raises(EnvFormatError):
             LinearFractionalLaw(0.5, 1.0)
 
+    def test_p_must_leave_q_below_one(self):
+        # 1 - p rounds to 1.0 for every p <= 2**-54
+        for p in (1e-17, 2.0 ** -54):
+            with pytest.raises(EnvFormatError, match="2\\*\\*-54"):
+                LinearFractionalLaw(1.0, p)
+        assert LinearFractionalLaw(1.0, 2.0 ** -53).q < 1.0
+
     def test_pmf_and_moments(self, lf_law):
         assert lf_law.pmf(0) == 0.5
         assert lf_law.pmf(1) == 0.25

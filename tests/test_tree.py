@@ -22,6 +22,7 @@ from gwcoal import (
     stream_for_run,
 )
 from gwcoal.errors import AttemptCapError, DegenerateEnvironmentError, DomainError
+from gwcoal import tree as tree_module
 from gwcoal.tree import bt_fold, bt_min, bt_star, bt_update
 
 from conftest import env_path
@@ -135,6 +136,41 @@ class TestMarks:
             assert tuple(a_vals) == cpp.a
             for i in range(1, tree.k):
                 assert marks[i - 1] == extract_D(tree, i, cpp.a[i - 1])
+
+    @pytest.mark.parametrize("name", ["binom_n3", "varying_n3", "binom_n5", "binom_n6"])
+    def test_marks_read_from_times(self, name):
+        # D_i(A_i) against the rank tables, and every ``upto`` a prefix of
+        # the whole, with no rank table built
+        env = load_environment(env_path(name))
+        for run in range(60):
+            tree = condition_on_survival(env, stream_for_run(31, run))
+            a_vals, marks = cpp_and_marks(tree)
+            assert tree._ranks is None
+            for upto in range(tree.k + 1):
+                assert cpp_and_marks(tree, upto=upto) == (a_vals[:upto], marks[:upto])
+            assert tree._ranks is None
+            assert marks == [extract_D(tree, i, a) for i, a in enumerate(a_vals, 1)]
+
+    def test_upto_walks_until_a_higher_meeting(self, monkeypatch):
+        # root -> 3 daughters with 2, 1 and 3 leaves: pairs meet at levels
+        # 1, 2, 2, 1, 1.  The mark of pair 1 reads up to pair 2, the first
+        # to meet higher; pairs that meet at level 2 read to the end
+        env = constant_environment(FiniteSupportLaw((0.25,) * 4), 2)
+        tree = Tree(env, [[3], [2, 1, 3]])
+        walked = []
+        real = tree_module._meet
+
+        def counting(parents, N, i):
+            walked.append(i)
+            return real(parents, N, i)
+
+        monkeypatch.setattr(tree_module, "_meet", counting)
+        assert cpp_and_marks(tree) == ([1, 2, 2, 1, 1], [1, 2, 1, 2, 1])
+        for upto, pairs in [(0, []), (1, [1, 2]), (2, [1, 2, 3, 4, 5])]:
+            walked.clear()
+            assert cpp_and_marks(tree, upto=upto) == ([1, 2, 2, 1, 1][:upto],
+                                                      [1, 2, 1, 2, 1][:upto])
+            assert walked == pairs, upto
 
 
 class TestReducedSequence:

@@ -480,7 +480,7 @@ class TestExactArithmetic:
         else:
             env = load_environment(env_path(name))
         for n in range(1, min(2, env.horizon) + 1):
-            supports = [verify._offspring_support(law) for law in env.laws[-n:]]
+            supports = [verify._offspring_support(law, guard=10**6) for law in env.laws[-n:]]
             ref, work = {1: 1.0}, 0
             for items in supports:
                 powers = [{0: 1.0}]
@@ -524,6 +524,86 @@ class TestExactArithmetic:
         exact_population_law(sub, 2, guard=1_747_541)
         with pytest.raises(EnumerationGuardError):
             exact_population_law(sub, 2, guard=1_747_540)
+
+
+def _reference_check(env):
+    """``tree_vs_chain_check(rational=True)`` from the public Fraction
+    tables and ``tv_distance``, with the exact gap."""
+    tree_law = exact_tree_law(env, rational=True, guard=2_000_000)
+    chain_law = exact_chain_law(env, rational=True, guard=2_000_000)
+    gap = tv_distance(tree_law, chain_law)
+    detail = f"outcomes={len(tree_law)} truncation={0.0:.3e} exact_zero={gap == 0}"
+    return gap, (float(gap), float(gap) <= 1e-10, detail)
+
+
+class TestIntegerCertificate:
+    """The rational tree-vs-chain check compares integer numerators; it must
+    report what ``tv_distance`` reports on the public Fraction tables."""
+
+    @pytest.mark.parametrize("name", sorted(EXACT_ENVS))
+    def test_matches_fraction_tables(self, name):
+        env = EXACT_ENVS[name]()
+        gap, expected = _reference_check(env)
+        res = tree_vs_chain_check(env, rational=True)
+        assert (res.metric, res.passed, res.detail) == expected
+        assert res.name == "tree-vs-chain-tv-rational" and gap == 0
+
+    @pytest.mark.parametrize("edit", ["perturb", "drop", "extra"])
+    def test_disagreement_is_exact(self, monkeypatch, varying3, edit):
+        # edit the chain's outcome stream; the public chain law reads the same
+        # stream, so the reference sees the same disagreement
+        real = verify._chain_outcomes
+
+        def edited(*args, **kwargs):
+            dens = {}
+            for n, (k, times, mass, den) in enumerate(real(*args, **kwargs)):
+                dens[k] = den
+                if n == 3 and edit == "drop":
+                    continue  # a key on the tree side only
+                yield k, times, mass + (n == 3 and edit == "perturb"), den
+            if edit == "extra":  # a key on the chain side only
+                yield 2, "7", 5, dens[2]
+
+        monkeypatch.setattr(verify, "_chain_outcomes", edited)
+        gap, expected = _reference_check(varying3)
+        assert isinstance(gap, Fraction) and gap > 0
+        res = tree_vs_chain_check(varying3, rational=True)
+        assert (res.metric, res.passed, res.detail) == expected
+        assert "exact_zero=False" in res.detail
+        assert verify._exact_tree_chain_gap(varying3, 2_000_000)[0] == gap
+
+    def test_no_fraction_per_outcome(self, monkeypatch):
+        # only the public tables form a Fraction for each outcome; what is
+        # left is the exact laws' and eta tables' own arithmetic
+        made = [0]
+        real = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made[0] += 1
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        res = tree_vs_chain_check(FULL_SUPPORT_N3, rational=True)
+        assert res.detail.startswith("outcomes=60879 ") and made[0] < 1000
+
+
+class TestLfSupportGuard:
+    @pytest.mark.parametrize("r, p", [(1.0, 0.5), (0.75, 0.5), (0.9, 0.2), (1.0, 1e-3)])
+    def test_smallest_passing_guard_is_item_count(self, r, p):
+        law = LinearFractionalLaw(r, p)
+        items = verify._offspring_support(law, guard=10**6)
+        assert verify._offspring_support(law, guard=len(items)) == items
+        with pytest.raises(EnumerationGuardError):
+            verify._offspring_support(law, guard=len(items) - 1)
+
+    def test_long_tail_raises_before_building(self):
+        # 1e-8 would need about 3e9 items
+        law = LinearFractionalLaw(1.0, 1e-8)
+        for guard in (5, 2_000_000, 10_000_000):
+            with pytest.raises(EnumerationGuardError):
+                verify._offspring_support(law, guard=guard)
+        with pytest.raises(EnumerationGuardError):
+            exact_population_law(Environment((law,)), 1, guard=10_000_000)
 
 
 def _mc_witness_by_trees(env, witness, samples, seed):
