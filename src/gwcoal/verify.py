@@ -97,7 +97,6 @@ def exact_tree_law(
     env: Environment,
     guard: int = 500_000,
     rational: bool = False,
-    max_support: int | None = None,
 ) -> DistTable:
     """Law of (K, coalescent times) over all trees, conditioned on K >= 1.
 
@@ -107,7 +106,7 @@ def exact_tree_law(
     the number of child-pattern combinations examined.  In exact mode one
     ``Fraction`` per outcome is formed from the integer numerators.
     """
-    patterns, dead, alive = _tree_numerators(env, guard, rational, max_support)
+    patterns, dead, alive = _tree_numerators(env, guard, rational)
     table = DistTable({
         outcome_key(k, a): Fraction(p, alive) if rational else p / alive
         for (k, a), p in sorted(patterns.items())
@@ -121,7 +120,6 @@ def _tree_numerators(
     env: Environment,
     guard: int,
     rational: bool,
-    max_support: int | None = None,
 ) -> tuple[dict[tuple[int, str], Number], Number, Number]:
     """The surviving patterns of ``exact_tree_law`` with their masses, the
     dead mass and the surviving mass ``alive``.
@@ -132,13 +130,6 @@ def _tree_numerators(
     """
     base = env.as_rational() if rational else env
     N = base.horizon
-    if max_support is not None:
-        for j, law in enumerate(base.laws):
-            bound = law.max_children
-            if bound is None or bound > max_support:
-                raise EnumerationGuardError(
-                    f"laws[{j}] support exceeds the cap of {max_support}"
-                )
     supports = [_offspring_support(law, guard) for law in base.laws]
 
     # a pattern is K and the comma-joined coalescent times; its mass is
@@ -237,13 +228,18 @@ def _transitions(state: tuple[int, ...] | None, tables: list[_LevelTable]):
 class _Sweep:
     """Exhaustive forward sweep of the b or d chain's transition kernel.
 
-    A frontier maps (history, state) to the mass of reaching it; the history
-    is the text of the emitted times, each followed by a comma, unless the
-    caller keys it otherwise.  Each distinct state's transitions are
-    generated once per sweep, with the first nonzero level of every next
-    state (``None`` ends the run, and so does an all-zero d state).  ``work``
-    counts every transition examined, once per frontier entry that reads it;
-    more than ``guard`` raises.
+    The frontier is grouped by state: ``{state: {history: mass}}`` holds the
+    mass of reaching each state along each history.  The chain is Markov,
+    so what leaves a state does not depend on how it was reached: a step
+    fetches each state's transitions once and runs every one of them over
+    all of that state's histories in one inner loop.  A history is the text
+    of the emitted times, each followed by a comma, unless the caller keys
+    it otherwise.  Each distinct state's transitions are generated once per
+    sweep, with the first nonzero level of every next state (``None`` ends
+    the run, and so does an all-zero d state).  ``work`` counts every
+    transition examined once per history that reads it, so a state charges
+    its number of transitions times its number of histories; more than
+    ``guard`` raises.
 
     Exact masses are integers: numerators over ``scale ** i`` after i steps,
     where ``scale`` is the product of the levels' common denominators, so
@@ -280,35 +276,38 @@ class _Sweep:
         return out
 
     def moves(self, frontier: dict):
-        """(history, mass, next first level or None, next state) of every
-        move out of the frontier with nonzero mass, in frontier order."""
-        for (hist, state), mass in frontier.items():
+        """(next state or None, its first level or None, probability, the
+        histories that take it) of every transition out of the frontier's
+        states, in frontier order; the histories map to the masses before
+        the move."""
+        for state, hists in frontier.items():
             out = self.transitions(state)
-            self.work += len(out)
+            self.work += len(out) * len(hists)
             if self.work > self.guard:
                 raise EnumerationGuardError(self.overflow)
             for nxt, a, p in out:
-                mp = mass * p
-                if mp != 0:
-                    yield hist, mp, a, nxt
+                yield nxt, a, p, hists
 
-    def step(self, frontier: dict, kept: dict | None = None, keep=None) -> tuple[dict, dict]:
+    def step(self, frontier: dict) -> tuple[dict, dict]:
         """The next frontier and the mass of the runs that ended, by history.
-        ``keep(history, state)`` keys each continuing move in ``kept``."""
+        Moves of zero mass are dropped."""
         zero = 0 * self.one
         new: dict = {}
         ended: dict = {}
-        for hist, mp, a, nxt in self.moves(frontier):
+        for nxt, a, p, hists in self.moves(frontier):
             if a is None:
-                ended[hist] = ended.get(hist, zero) + mp
-                continue
-            hist = f"{hist}{a},"
-            if keep is not None:
-                k = keep(hist, nxt)
-                kept[k] = kept.get(k, zero) + mp
-            key = (hist, nxt)
-            new[key] = new.get(key, zero) + mp
-        return new, ended
+                into, suffix = ended, ""
+            else:
+                into = new.get(nxt)
+                if into is None:
+                    into = new[nxt] = {}
+                suffix = f"{a},"
+            for hist, mass in hists.items():
+                mp = mass * p
+                if mp:
+                    key = hist + suffix
+                    into[key] = into.get(key, zero) + mp
+        return {state: hists for state, hists in new.items() if hists}, ended
 
 
 def exact_chain_law(
@@ -332,7 +331,7 @@ def _chain_outcomes(env: Environment, process: str, guard: int, rational: bool):
     chain sweep, yielded at the end of the step that ends it.  Exact masses
     are integers over ``scale ** K``; float masses are over 1."""
     sweep = _Sweep(env, process, guard, f"chain sweep exceeded {guard} transitions", rational)
-    frontier = {("", sweep.start): sweep.one}
+    frontier = {sweep.start: {"": sweep.one}}
     steps = 0
     while frontier:
         steps += 1
@@ -341,29 +340,45 @@ def _chain_outcomes(env: Environment, process: str, guard: int, rational: bool):
         den = sweep.scale**steps
         for times, mass in ended.items():
             yield steps, times[:-1], mass, den
-        if not rational and frontier and float(sum(frontier.values())) < 1e-14:
+        if not rational and frontier and sum(
+                mass for hists in frontier.values() for mass in hists.values()) < 1e-14:
             break
 
 
-def _exact_tree_chain_gap(env: Environment, guard: int) -> tuple[Fraction, int]:
-    """Exact TV distance between the rational tree and b chain laws, and the
-    number of tree outcomes, without a ``Fraction`` table on either side.
+def _tree_chain_gap(env: Environment, guard: int, rational: bool) -> tuple[Number, int, float]:
+    """TV distance between the tree law and the b chain law, the number of
+    tree outcomes and the truncation slack of the two laws, with no table of
+    outcome keys on either side.
 
     The b chain's outcomes are compared as they end against the tree's
-    numerators, which are popped as they are matched: an outcome agrees when
-    ``tree * den == chain * alive``.  Only outcomes that disagree, or that
-    one side lacks, add a ``Fraction`` to the gap, so that the gap equals
-    ``tv_distance`` on the two exact tables.
+    numerators, which are popped as they are matched.  In exact mode an
+    outcome agrees when ``tree * den == chain * alive``, and only outcomes
+    that disagree, or that one side lacks, add a ``Fraction`` to the gap, so
+    that the gap equals ``tv_distance`` on the two public tables.  In float
+    mode an outcome adds ``|tree / alive - chain|`` when the two differ: the
+    terms of ``tv_distance``, added in the order the chain ends them.  The
+    float slack is the tree's lost mass over ``alive`` plus the mass that
+    never ended in the chain sweep; exact supports are complete.
     """
-    tree, _, alive = _tree_numerators(env, guard, rational=True)
+    tree, dead, alive = _tree_numerators(env, guard, rational)
     outcomes = len(tree)
-    gap = Fraction(0)
-    for k, times, mass, den in _chain_outcomes(env, "b", guard, rational=True):
+    gap: Number = Fraction(0) if rational else 0.0
+    ended = 0.0
+    for k, times, mass, den in _chain_outcomes(env, "b", guard, rational):
         num = tree.pop((k, times), 0)
-        if num * den != mass * alive:
-            gap += abs(Fraction(num, alive) - Fraction(mass, den))
-    gap += sum(Fraction(num, alive) for num in tree.values())
-    return gap / 2, outcomes
+        if rational:
+            if num * den != mass * alive:
+                gap += abs(Fraction(num, alive) - Fraction(mass, den))
+        else:
+            ended += mass
+            if num / alive != mass:
+                gap += abs(num / alive - mass)
+    if rational:
+        return (gap + sum(Fraction(num, alive) for num in tree.values())) / 2, outcomes, 0.0
+    for num in tree.values():
+        gap += num / alive
+    slack = max(0.0, float(1 - dead - alive)) / float(alive) + max(0.0, 1.0 - ended)
+    return 0.5 * gap, outcomes, slack
 
 
 def chain_step_laws(
@@ -378,17 +393,22 @@ def chain_step_laws(
     state, so the two processes must produce identical tables step by step.
     """
     sweep = _Sweep(env, process, 2_000_000, "step-law sweep exceeded its budget")
-
-    def keep(times, nxt):
-        if process == "d":
-            nxt = nxt[: max(map(int, times[:-1].split(",")))]
-        return f"A={times[:-1]}|S=" + ",".join(map(str, nxt))
-
-    frontier: dict = {("", sweep.start): 1.0}
+    frontier: dict = {sweep.start: {"": 1.0}}
     out: list[DistTable] = []
     for _ in range(max_steps):
+        frontier, _ = sweep.step(frontier)
         step_law = DistTable()
-        frontier, _ = sweep.step(frontier, step_law, keep)
+        # the running maximum of each history's times, parsed once per step
+        peaks: dict[str, int] = {}
+        for state, hists in frontier.items():
+            for times, mass in hists.items():
+                visible = state
+                if process == "d":
+                    peak = peaks.get(times)
+                    if peak is None:
+                        peak = peaks[times] = max(map(int, times[:-1].split(",")))
+                    visible = state[:peak]
+                step_law.add(f"A={times[:-1]}|S=" + ",".join(map(str, visible)), mass)
         out.append(step_law)
         if not frontier:
             break
@@ -521,25 +541,25 @@ def btilde_witness_search(env: Environment) -> Witness | None:
         raise EnumerationGuardError("witness search requires finite-support laws")
     sweep = _Sweep(env, "d", 5_000_000, "witness sweep exceeded its budget")
     # the frontier's history is the last two reduced states
-    wave: dict[tuple[tuple[BtState, BtState], tuple[int, ...]], float] = {}
-    for d1, a1, p in sweep.transitions(None):
-        if a1 is None:
-            continue
-        key = (((), bt_update((), a1, d1[a1 - 1])), d1)
-        wave[key] = wave.get(key, 0.0) + p
-    for step in range(2, 11):
+    wave: dict[tuple[int, ...] | None, dict[tuple[BtState, BtState], float]] = {
+        sweep.start: {((), ()): 1.0}}
+    for step in range(1, 11):
         cond: dict[tuple[BtState, BtState], dict[str, float]] = {}
-        nxt_wave: dict[tuple[tuple[BtState, BtState], tuple[int, ...]], float] = {}
-        for (x, y), mp, a2, d2 in sweep.moves(wave):
-            if a2 is None:
-                z_key = TERM_KEY
-            else:
-                z_state = bt_update(y, a2, d2[a2 - 1])
-                z_key = encode_bt(z_state)
-                key = ((y, z_state), d2)
-                nxt_wave[key] = nxt_wave.get(key, 0.0) + mp
-            bucket = cond.setdefault((x, y), {})
-            bucket[z_key] = bucket.get(z_key, 0.0) + mp
+        nxt_wave: dict[tuple[int, ...], dict[tuple[BtState, BtState], float]] = {}
+        for d2, a2, p, hists in sweep.moves(wave):
+            for (x, y), mass in hists.items():
+                mp = mass * p
+                if not mp:
+                    continue
+                if a2 is None:
+                    z_key = TERM_KEY
+                else:
+                    z_state = bt_update(y, a2, d2[a2 - 1])
+                    z_key = encode_bt(z_state)
+                    into = nxt_wave.setdefault(d2, {})
+                    into[(y, z_state)] = into.get((y, z_state), 0.0) + mp
+                bucket = cond.setdefault((x, y), {})
+                bucket[z_key] = bucket.get(z_key, 0.0) + mp
         by_shared: dict[BtState, list[BtState]] = {}
         for x, y in cond:
             by_shared.setdefault(y, []).append(x)
@@ -643,13 +663,16 @@ def joint_first_two_times(env: Environment) -> tuple[DistTable, float]:
     finite-support environments).
     """
     sweep = _Sweep(env, "b", 5_000_000, "joint sweep exceeded its budget")
-    frontier, ended = sweep.step({("", sweep.start): 1.0})
+    frontier, ended = sweep.step({sweep.start: {"": 1.0}})
     accounted = ended.get("", 0.0)
     joint = DistTable()
-    for a1, mp, a2, _ in sweep.moves(frontier):
-        accounted += mp
-        if a2 is not None:
-            joint.add(f"{a1}{a2}", mp)
+    for _, a2, p, hists in sweep.moves(frontier):
+        for a1, mass in hists.items():
+            mp = mass * p
+            if mp:
+                accounted += mp
+                if a2 is not None:
+                    joint.add(f"{a1}{a2}", mp)
     total = float(joint.total())
     if total == 0:
         raise DegenerateEnvironmentError("three individuals have zero probability")
@@ -881,17 +904,9 @@ def tree_vs_chain_check(
     rational: bool = False,
     guard: int = 2_000_000,
 ) -> CheckResult:
-    """Total variation between the tree law and the b chain law.  In exact
-    mode the two laws are compared on their integer numerators."""
-    if rational:
-        gap, outcomes = _exact_tree_chain_gap(env, guard)
-        extra = 0.0
-    else:
-        tree_law = exact_tree_law(env, guard=guard)
-        chain_law = exact_chain_law(env, guard=guard)
-        gap = tv_distance(tree_law, chain_law)
-        extra = tree_law.truncated_mass + chain_law.truncated_mass
-        outcomes = len(tree_law)
+    """Total variation between the tree law and the b chain law, streamed:
+    each chain outcome is compared with the tree's numerator as it ends."""
+    gap, outcomes, extra = _tree_chain_gap(env, guard, rational)
     passed = float(gap) <= 1e-10 + extra
     mode = "rational" if rational else "float"
     return CheckResult(

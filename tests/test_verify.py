@@ -120,13 +120,6 @@ class TestExactTreeLaw:
         with pytest.raises(EnumerationGuardError):
             exact_tree_law(binom3, guard=10)
 
-    def test_support_cap(self, binom3, lf_half_n1):
-        with pytest.raises(EnumerationGuardError):
-            exact_tree_law(binom3, max_support=1)
-        with pytest.raises(EnumerationGuardError):
-            exact_tree_law(lf_half_n1, max_support=5)
-        exact_tree_law(binom3, max_support=2)
-
 
 class TestExactChainLaw:
     def test_matches_tree_law_exactly(self, binom3, varying3):
@@ -337,6 +330,10 @@ FULL_SUPPORT_N3 = Environment(tuple(
     FiniteSupportLaw(tuple(Fraction(c, 32) for c in perm))
     for perm in ((5, 7, 9, 11), (11, 9, 7, 5), (7, 11, 5, 9))
 ))
+# the same laws in floats, as a user's pmf file gives them
+FULL_SUPPORT_N3_FLOAT = Environment(tuple(
+    FiniteSupportLaw(tuple(float(p) for p in law.probs)) for law in FULL_SUPPORT_N3.laws
+))
 EXACT_ENVS = {
     "binom_n3": lambda: load_environment(env_path("binom_n3")),
     "varying_n3": lambda: load_environment(env_path("varying_n3")),
@@ -409,6 +406,15 @@ class TestExactArithmetic:
         with pytest.raises(EnumerationGuardError):
             run(smallest - 1)
 
+    @pytest.mark.parametrize("process, smallest", [("b", 172_872), ("d", 173_016)])
+    def test_smallest_passing_guard_on_full_support(self, process, smallest):
+        # the counts of a sweep that charged every (history, state) entry its
+        # transitions: grouping the frontier by state charges each state its
+        # transitions times its histories, which is the same sum
+        exact_chain_law(FULL_SUPPORT_N3_FLOAT, guard=smallest, process=process)
+        with pytest.raises(EnumerationGuardError):
+            exact_chain_law(FULL_SUPPORT_N3_FLOAT, guard=smallest - 1, process=process)
+
     @pytest.mark.parametrize("process", ["b", "d"])
     def test_transitions_generated_once_per_state(self, monkeypatch, varying3, process):
         real = verify._transitions
@@ -434,9 +440,10 @@ class TestExactArithmetic:
     @pytest.mark.parametrize("process", ["b", "d"])
     @pytest.mark.parametrize("name", ["binom_n3", "varying_n3", "lf_half_n1"])
     def test_float_sweep_matches_uncached_loop(self, name, process):
-        # the cached kernel multiplies and adds float masses in the order of
-        # a sweep that regenerates every transition, so the tables are equal
-        # bit for bit
+        # the grouped kernel forms each outcome's mass as the product along
+        # its one path of transitions, as a flat sweep that regenerates every
+        # transition does, so the tables are equal bit for bit; they may list
+        # the outcomes in another order
         env = load_environment(env_path(name))
         tables = verify._eta_tables(env)
         frontier = {((), () if process == "b" else None): 1.0}
@@ -458,7 +465,7 @@ class TestExactArithmetic:
             if frontier and sum(frontier.values()) < 1e-14:
                 break
         table = exact_chain_law(env, process=process)
-        assert list(table.items()) == list(done.items())
+        assert dict(table) == dict(done)
 
     def test_tv_of_equal_tables_keeps_its_type(self):
         exact = DistTable({"a": Fraction(1, 3), "b": Fraction(2, 3)})
@@ -526,6 +533,26 @@ class TestExactArithmetic:
             exact_population_law(sub, 2, guard=1_747_540)
 
 
+def _edit_outcomes(monkeypatch, edit):
+    """Edit the chain's outcome stream at its fourth outcome: add one to its
+    mass, drop it (a key on the tree side only), or append a key on the chain
+    side only.  The public chain law reads the same stream, so a reference
+    built from the public tables sees the same disagreement."""
+    real = verify._chain_outcomes
+
+    def edited(*args, **kwargs):
+        dens = {}
+        for n, (k, times, mass, den) in enumerate(real(*args, **kwargs)):
+            dens[k] = den
+            if n == 3 and edit == "drop":
+                continue
+            yield k, times, mass + (n == 3 and edit == "perturb"), den
+        if edit == "extra":
+            yield 2, "7", 5, dens[2]
+
+    monkeypatch.setattr(verify, "_chain_outcomes", edited)
+
+
 def _reference_check(env):
     """``tree_vs_chain_check(rational=True)`` from the public Fraction
     tables and ``tv_distance``, with the exact gap."""
@@ -550,27 +577,13 @@ class TestIntegerCertificate:
 
     @pytest.mark.parametrize("edit", ["perturb", "drop", "extra"])
     def test_disagreement_is_exact(self, monkeypatch, varying3, edit):
-        # edit the chain's outcome stream; the public chain law reads the same
-        # stream, so the reference sees the same disagreement
-        real = verify._chain_outcomes
-
-        def edited(*args, **kwargs):
-            dens = {}
-            for n, (k, times, mass, den) in enumerate(real(*args, **kwargs)):
-                dens[k] = den
-                if n == 3 and edit == "drop":
-                    continue  # a key on the tree side only
-                yield k, times, mass + (n == 3 and edit == "perturb"), den
-            if edit == "extra":  # a key on the chain side only
-                yield 2, "7", 5, dens[2]
-
-        monkeypatch.setattr(verify, "_chain_outcomes", edited)
+        _edit_outcomes(monkeypatch, edit)
         gap, expected = _reference_check(varying3)
         assert isinstance(gap, Fraction) and gap > 0
         res = tree_vs_chain_check(varying3, rational=True)
         assert (res.metric, res.passed, res.detail) == expected
         assert "exact_zero=False" in res.detail
-        assert verify._exact_tree_chain_gap(varying3, 2_000_000)[0] == gap
+        assert verify._tree_chain_gap(varying3, 2_000_000, True)[0] == gap
 
     def test_no_fraction_per_outcome(self, monkeypatch):
         # only the public tables form a Fraction for each outcome; what is
@@ -585,6 +598,65 @@ class TestIntegerCertificate:
         monkeypatch.setattr(Fraction, "__new__", counting)
         res = tree_vs_chain_check(FULL_SUPPORT_N3, rational=True)
         assert res.detail.startswith("outcomes=60879 ") and made[0] < 1000
+
+
+FLOAT_ENVS = {
+    "binom_n3": lambda: load_environment(env_path("binom_n3")),
+    "varying_n3": lambda: load_environment(env_path("varying_n3")),
+    "lf_half_n1": lambda: load_environment(env_path("lf_half_n1")),
+    "full_support_n3": lambda: FULL_SUPPORT_N3_FLOAT,
+}
+
+
+def _float_reference_check(env):
+    """``tree_vs_chain_check`` in floats from the public tables and
+    ``tv_distance``, with their summed truncated mass as slack."""
+    tree_law = exact_tree_law(env, guard=2_000_000)
+    chain_law = exact_chain_law(env, guard=2_000_000)
+    gap = tv_distance(tree_law, chain_law)
+    extra = tree_law.truncated_mass + chain_law.truncated_mass
+    detail = f"outcomes={len(tree_law)} truncation={extra:.3e} exact_zero={gap == 0}"
+    return gap, (float(gap), float(gap) <= 1e-10 + extra, detail)
+
+
+class TestFloatCertificate:
+    """The float tree-vs-chain check streams the chain's outcomes against the
+    tree's masses; it must report what ``tv_distance`` reports on the public
+    float tables, bit for bit where the terms' sum does not depend on their
+    order."""
+
+    @pytest.mark.parametrize("name", sorted(FLOAT_ENVS))
+    def test_matches_public_tables(self, name):
+        env = FLOAT_ENVS[name]()
+        _, expected = _float_reference_check(env)
+        res = tree_vs_chain_check(env)
+        assert (res.metric, res.passed, res.detail) == expected
+        assert res.name == "tree-vs-chain-tv-float" and res.passed
+
+    @pytest.mark.parametrize("edit", ["perturb", "drop", "extra"])
+    def test_disagreement_matches_public_tables(self, monkeypatch, varying3, edit):
+        # ``tv_distance`` adds its terms in the order of a set of string
+        # keys, which follows the process's hash seed; with one large term
+        # next to rounding-sized ones its last bits vary from process to
+        # process, so the metric is held to the rounding bound of two orders
+        # of the same n nonnegative terms, 2 n 2**-53 of their sum
+        _edit_outcomes(monkeypatch, edit)
+        gap, (metric, passed, detail) = _float_reference_check(varying3)
+        assert gap > 0
+        res = tree_vs_chain_check(varying3)
+        n = len(set(exact_tree_law(varying3)) | set(exact_chain_law(varying3)))
+        assert res.metric == pytest.approx(metric, rel=2 * n * 2**-53, abs=0)
+        assert (res.passed, res.detail) == (passed, detail)
+
+    def test_no_outcome_key_text(self, monkeypatch, varying3):
+        # neither mode forms the public tables' string keys
+        def refuse(*args):
+            raise AssertionError("outcome_key called")
+
+        monkeypatch.setattr(verify, "outcome_key", refuse)
+        for rational in (False, True):
+            res = tree_vs_chain_check(varying3, rational=rational)
+            assert res.passed, res.detail
 
 
 class TestLfSupportGuard:
