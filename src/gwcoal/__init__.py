@@ -9,7 +9,6 @@ directly, plus closed forms for linear-fractional offspring laws.  The
 """
 
 from .chains import (
-    BState,
     ChainRun,
     EtaSamplers,
     b_run,
@@ -82,7 +81,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttemptCapError",
-    "BState",
     "ChainRun",
     "ChainStateError",
     "CheckResult",

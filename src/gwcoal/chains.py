@@ -51,35 +51,7 @@ def first_nonzero(vec: tuple[int, ...]) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class BState:
-    """Truncated chain state; the vector length is the running maximum of
-    coalescent times, and the first nonzero entry is the next one."""
-
-    b: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(v < 0 for v in self.b):
-            raise ChainStateError(f"negative entry in state {self.b}")
-        if self.b and all(v == 0 for v in self.b):
-            raise ChainStateError("all-zero state is represented by termination")
-
-    @property
-    def l(self) -> int:
-        return len(self.b)
-
-    @property
-    def first_nonzero(self) -> int | None:
-        """1-based position of the first nonzero entry; None for the initial
-        empty state."""
-        return first_nonzero(self.b)
-
-    @classmethod
-    def initial(cls) -> "BState":
-        return cls(())
-
-
-DState = tuple[int, ...]
+State = tuple[int, ...]
 
 
 def _redraw(vec: tuple[int, ...], a: int, samplers: EtaSamplers, stream: UniformStream) -> list[int]:
@@ -90,34 +62,36 @@ def _redraw(vec: tuple[int, ...], a: int, samplers: EtaSamplers, stream: Uniform
     return out
 
 
-def b_step(state: BState, samplers: EtaSamplers, stream: UniformStream) -> BState | None:
+def b_step(state: State, samplers: EtaSamplers, stream: UniformStream) -> State | None:
     """One transition of the truncated chain; returns the next state, or
     None when the next individual does not exist within the horizon.
 
+    The state's length is the running maximum of coalescent times and its
+    first nonzero entry is the next one; the initial state is ``()``.
     Entries above the current coalescent time are copied, the entry at it is
     decremented, entries below are replaced by fresh level draws.  If that
     leaves the vector with no nonzero entry, further levels are drawn one by
     one (extending the vector) until a nonzero value appears or the horizon
     is exhausted.
     """
-    N = samplers.horizon
-    b = state.b
-    a = state.first_nonzero
+    a = first_nonzero(state)
     if a is None:
+        if state:
+            raise ChainStateError("all-zero state is represented by termination")
         prefix: list[int] = []
     else:
-        prefix = _redraw(b, a, samplers, stream)
+        prefix = _redraw(state, a, samplers, stream)
         if any(prefix):
-            return BState(tuple(prefix))
-    for level in range(len(b) + 1, N + 1):
+            return tuple(prefix)
+    for level in range(len(state) + 1, samplers.horizon + 1):
         v = samplers.draw(level, stream)
         prefix.append(v)
         if v:
-            return BState(tuple(prefix))
+            return tuple(prefix)
     return None
 
 
-def d_step(state: DState | None, samplers: EtaSamplers, stream: UniformStream) -> DState:
+def d_step(state: State | None, samplers: EtaSamplers, stream: UniformStream) -> State:
     """One transition of the fixed-length chain.
 
     ``None`` plays the initial role: every level gets a fresh draw.  The
@@ -151,42 +125,34 @@ class ChainRun:
         return len(self.a_values) + 1 if self.terminated else None
 
 
-def b_run(env: Environment, rng, max_individuals: int = 1_000_000,
-          samplers: EtaSamplers | None = None) -> ChainRun:
-    """Run the truncated chain from the empty state until termination."""
+def _run(step, state, env: Environment, rng, max_individuals: int,
+         samplers: EtaSamplers | None) -> ChainRun:
+    """Step from ``state`` until a step returns None or an all-zero state."""
     if samplers is None:
         samplers = EtaSamplers(env)
     stream = as_stream(rng)
     run = ChainRun()
-    state = BState.initial()
     while len(run.a_values) < max_individuals:
-        nxt = b_step(state, samplers, stream)
-        if nxt is None:
-            run.terminated = True
-            return run
-        state = nxt
-        run.states.append(state)
-        run.a_values.append(state.first_nonzero)
-    return run
-
-
-def d_run(env: Environment, rng, max_individuals: int = 1_000_000,
-          samplers: EtaSamplers | None = None) -> ChainRun:
-    """Run the fixed-length chain from the null state until termination."""
-    if samplers is None:
-        samplers = EtaSamplers(env)
-    stream = as_stream(rng)
-    run = ChainRun()
-    state: DState | None = None
-    while len(run.a_values) < max_individuals:
-        state = d_step(state, samplers, stream)
-        first = first_nonzero(state)
+        state = step(state, samplers, stream)
+        first = first_nonzero(state) if state else None
         if first is None:
             run.terminated = True
             return run
         run.states.append(state)
         run.a_values.append(first)
     return run
+
+
+def b_run(env: Environment, rng, max_individuals: int = 1_000_000,
+          samplers: EtaSamplers | None = None) -> ChainRun:
+    """Run the truncated chain from the empty state until termination."""
+    return _run(b_step, (), env, rng, max_individuals, samplers)
+
+
+def d_run(env: Environment, rng, max_individuals: int = 1_000_000,
+          samplers: EtaSamplers | None = None) -> ChainRun:
+    """Run the fixed-length chain from the null state until termination."""
+    return _run(d_step, None, env, rng, max_individuals, samplers)
 
 
 def lf_run(env: Environment, rng, max_individuals: int = 1_000_000) -> ChainRun:
@@ -222,35 +188,40 @@ def validate_b_run(run: ChainRun, horizon: int) -> None:
     """Check the copy/decrement/extend structure along a realized run.
 
     Fresh draws cannot be re-derived, but every structural constraint that
-    does not depend on them must hold: emitted times are first-nonzero
-    positions, lengths follow the running maximum, the entry at the previous
-    coalescent time dropped by one unless fresh levels were opened, and
-    entries above it are copied verbatim.
+    does not depend on them must hold: entries are nonnegative and not all
+    zero, emitted times are first-nonzero positions, lengths follow the
+    running maximum, the entry at the previous coalescent time dropped by one
+    unless fresh levels were opened, and entries above it are copied verbatim.
     """
-    prev: BState | None = None
+    prev: State | None = None
     running = 0
     for state, a in zip(run.states, run.a_values):
-        if state.first_nonzero != a:
-            raise ChainStateError(f"emitted {a} but first nonzero is {state.first_nonzero}")
+        first = first_nonzero(state)
+        if first is None:
+            raise ChainStateError(f"state {state} is all zero; termination ends a run")
+        if min(state) < 0:
+            raise ChainStateError(f"negative entry in state {state}")
+        if first != a:
+            raise ChainStateError(f"emitted {a} but first nonzero is {first}")
         running = max(running, a)
-        if state.l != running:
-            raise ChainStateError(f"length {state.l} != running maximum {running}")
-        if state.l > horizon:
-            raise ChainStateError(f"length {state.l} exceeds horizon {horizon}")
+        if len(state) != running:
+            raise ChainStateError(f"length {len(state)} != running maximum {running}")
+        if len(state) > horizon:
+            raise ChainStateError(f"length {len(state)} exceeds horizon {horizon}")
         if prev is not None:
-            if state.l == prev.l:
-                _check_step(prev.b, state.b, prev.first_nonzero)
+            if len(state) == len(prev):
+                _check_step(prev, state, first_nonzero(prev))
             else:
                 # extension happened, so the replaced prefix died out entirely
-                if state.l <= prev.l or any(state.b[: prev.l]):
+                if len(state) < len(prev) or any(state[: len(prev)]):
                     raise ChainStateError("extension with a surviving prefix")
-                if any(state.b[prev.l : state.l - 1]):
+                if any(state[len(prev) : -1]):
                     raise ChainStateError("extension passed a nonzero level")
         prev = state
 
 
 def validate_d_run(run: ChainRun, horizon: int) -> None:
-    prev: DState | None = None
+    prev: State | None = None
     for state, a in zip(run.states, run.a_values):
         if len(state) != horizon:
             raise ChainStateError(f"state length {len(state)} != horizon {horizon}")

@@ -291,12 +291,7 @@ def cmd_chain(args) -> int:
         run = runs[0]
         rows = []
         for step, a in enumerate(run.a_values, start=1):
-            if args.process == "lf":
-                state = ""
-            elif args.process == "b":
-                state = ";".join(str(v) for v in run.states[step - 1].b)
-            else:
-                state = ";".join(str(v) for v in run.states[step - 1])
+            state = "" if args.process == "lf" else ";".join(str(v) for v in run.states[step - 1])
             rows.append([step, a, state])
         _write_rows(args, ["step", "A", "state"], rows)
     else:

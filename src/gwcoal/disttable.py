@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -58,12 +59,14 @@ def tv_distance(a: Mapping, b: Mapping):
     """Total variation distance, half the L1 gap over the union of keys.
 
     Returns a Fraction when both tables carry exact values, a float otherwise.
-    Keys whose two values are equal add nothing and are skipped.
+    Keys whose two values are equal add nothing and are skipped.  Float gaps
+    are summed with ``math.fsum``, so the result does not depend on the
+    iteration order of the keys.
     """
     keys = set(a) | set(b)
-    gap = sum(abs(x - y) for x, y in ((a.get(k, 0), b.get(k, 0)) for k in keys) if x != y)
-    if isinstance(gap, Fraction):
-        return gap / 2
-    if gap == 0 and isinstance(next(itertools.chain(a.values(), b.values()), None), Fraction):
-        return Fraction(0)
-    return 0.5 * float(gap)
+    terms = [abs(x - y) for x, y in ((a.get(k, 0), b.get(k, 0)) for k in keys) if x != y]
+    if terms:
+        exact = all(isinstance(t, Fraction) for t in terms)
+    else:
+        exact = isinstance(next(itertools.chain(a.values(), b.values()), None), Fraction)
+    return sum(terms, Fraction(0)) / 2 if exact else 0.5 * math.fsum(terms)

@@ -24,6 +24,7 @@ from typing import Sequence
 from .errors import (
     DegenerateEnvironmentError,
     DomainError,
+    EnumerationGuardError,
     EnvFormatError,
     HorizonError,
     NotLinearFractionalError,
@@ -126,14 +127,17 @@ class EtaLaw:
         return sum(self.probs) + self.tail
 
     def materialized(self, tol: float = TAIL_CUT) -> "EtaLaw":
-        """Finite table covering all but at most ``tol`` of the mass."""
+        """Finite table covering all but at most ``tol`` of the mass; raises
+        EnumerationGuardError when that takes more than 100001 items."""
         if self.geom is None:
             return self
         lam = self.geom
         if lam >= 1.0:
             return EtaLaw(probs=(1.0,), geom=lam, tail=0.0)
         # P(value > K) = (1-lam)^(K+1)
-        need = min(100_000, max(0, math.ceil(math.log(tol) / math.log(1.0 - lam))))
+        need = max(0, math.ceil(math.log(tol) / math.log(1.0 - lam)))
+        if need > 100_000:
+            raise EnumerationGuardError(f"geometric table needs more than 100000 items at tol={tol!r}")
         probs = tuple(lam * (1.0 - lam) ** k for k in range(need + 1))
         return EtaLaw(probs=probs, geom=lam, tail=(1.0 - lam) ** (need + 1))
 
@@ -175,9 +179,7 @@ class LevelTable:
                 p0 = (1.0 - law.q) / (1.0 - law.q * float(u))
             else:
                 p0 = (1 - u) * fprime / (1 - nxt) if nxt != 1 else math.nan
-            # concurrent runs share the table: a racing fill of the same level
-            # overwrites an equal row instead of appending a second one
-            self._rows[j : j + 1] = [(nxt, deriv * fprime, p0, product * p0)]
+            self._rows.append((nxt, deriv * fprime, p0, product * p0))
         return self._rows[k]
 
     def eta(self, k: int) -> EtaLaw:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chains import BState, ChainRun, first_nonzero, validate_b_run
+from .chains import ChainRun, first_nonzero, validate_b_run
 from .disttable import DistTable, outcome_key, tv_distance
 from .environment import TAIL_CUT, Environment, lf_a1_tail
 from .errors import (
@@ -479,7 +479,7 @@ def figure1_consistency() -> ReferenceTableReport:
     try:
         run = ChainRun(
             a_values=list(REFERENCE_A),
-            states=[BState(row) for row in REFERENCE_B_ROWS],
+            states=list(REFERENCE_B_ROWS),
             terminated=False,
         )
         validate_b_run(run, horizon=max(REFERENCE_L))

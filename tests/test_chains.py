@@ -3,7 +3,6 @@ import math
 import pytest
 
 from gwcoal import (
-    BState,
     ChainRun,
     EtaSamplers,
     b_run,
@@ -16,6 +15,7 @@ from gwcoal import (
     validate_b_run,
     validate_d_run,
 )
+import gwcoal.chains
 from gwcoal.chains import b_step, d_step
 from gwcoal.errors import ChainStateError, NotLinearFractionalError
 
@@ -39,18 +39,6 @@ def stream_hitting(samplers, level, want):
     return acc + float(law.prob(want)) / 2
 
 
-class TestBState:
-    def test_invariants(self):
-        assert BState((0, 1)).l == 2
-        assert BState((0, 1)).first_nonzero == 2
-        assert BState.initial().l == 0
-        assert BState.initial().first_nonzero is None
-        with pytest.raises(ChainStateError):
-            BState((0, 0))
-        with pytest.raises(ChainStateError):
-            BState((1, -1))
-
-
 class TestSteps:
     def test_deterministic_full_binary(self):
         # two children always, every line survives: the three transitions
@@ -58,36 +46,41 @@ class TestSteps:
         env = constant_environment(dirac(2), 2)
         samplers = EtaSamplers(env)
         stream = stream_for_run(0, 0)
-        s1 = b_step(BState.initial(), samplers, stream)
-        assert s1.b == (1,)
+        s1 = b_step((), samplers, stream)
+        assert s1 == (1,)
         s2 = b_step(s1, samplers, stream)
-        assert s2.b == (0, 1)
+        assert s2 == (0, 1)
         s3 = b_step(s2, samplers, stream)
-        assert s3.b == (1, 0)
+        assert s3 == (1, 0)
         assert b_step(s3, samplers, stream) is None
 
     def test_immediate_termination(self):
         # single-child generations never branch
         env = constant_environment(dirac(1), 2)
         samplers = EtaSamplers(env)
-        assert b_step(BState.initial(), samplers, stream_for_run(0, 0)) is None
+        assert b_step((), samplers, stream_for_run(0, 0)) is None
 
     def test_forced_decrement_and_copy(self, binom2):
         samplers = EtaSamplers(binom2)
         # from (0,2): fresh draw at level 1, decrement at level 2
         u0 = stream_hitting(samplers, 1, 0)
         u1 = stream_hitting(samplers, 1, 1)
-        assert b_step(BState((0, 2)), samplers, FixedStream([u1])).b == (1, 1)
-        assert b_step(BState((0, 2)), samplers, FixedStream([u0])).b == (0, 1)
+        assert b_step((0, 2), samplers, FixedStream([u1])) == (1, 1)
+        assert b_step((0, 2), samplers, FixedStream([u0])) == (0, 1)
 
     def test_forced_extension(self, binom2):
         samplers = EtaSamplers(binom2)
         # from (1,): decrement kills the prefix, extension draws level 2
         u0 = stream_hitting(samplers, 2, 0)
         u1 = stream_hitting(samplers, 2, 1)
-        nxt = b_step(BState((1,)), samplers, FixedStream([u1]))
-        assert nxt.b == (0, 1)
-        assert b_step(BState((1,)), samplers, FixedStream([u0])) is None
+        nxt = b_step((1,), samplers, FixedStream([u1]))
+        assert nxt == (0, 1)
+        assert b_step((1,), samplers, FixedStream([u0])) is None
+
+    def test_b_step_rejects_all_zero_state(self, binom2):
+        # an all-zero vector is not a state: the run has terminated
+        with pytest.raises(ChainStateError):
+            b_step((0, 0), EtaSamplers(binom2), FixedStream([]))
 
     def test_d_step_semantics(self, binom2):
         samplers = EtaSamplers(binom2)
@@ -135,6 +128,33 @@ class TestRuns:
         bad.a_values[0] = 3 if bad.a_values[0] != 3 else 2
         with pytest.raises(ChainStateError):
             validate_b_run(bad, binom3.horizon)
+
+    @pytest.mark.parametrize("state", [(0, 0), (1, -1), (-1, 0)],
+                             ids=["all-zero", "negative", "negative-fresh"])
+    def test_validator_rejects_invalid_state(self, state):
+        # an all-zero vector ends the run; entries count daughters.  The
+        # last state has the structure of a step from (0, 1): only its
+        # sign gives it away
+        run = ChainRun(a_values=[2, 1], states=[(0, 1), state])
+        with pytest.raises(ChainStateError):
+            validate_b_run(run, 2)
+
+    def test_runs_look_up_steps_at_call_time(self, binom3, monkeypatch):
+        # a tracer counts steps by patching the module's step functions
+        calls = {"b": 0, "d": 0}
+
+        def counting(name, step):
+            def wrapped(*args):
+                calls[name] += 1
+                return step(*args)
+            return wrapped
+
+        monkeypatch.setattr(gwcoal.chains, "b_step", counting("b", b_step))
+        monkeypatch.setattr(gwcoal.chains, "d_step", counting("d", d_step))
+        rb = b_run(binom3, stream_for_run(0, 0))
+        rd = d_run(binom3, stream_for_run(0, 0))
+        # one step per emitted value, and one more that ends the run
+        assert calls == {"b": len(rb.a_values) + 1, "d": len(rd.a_values) + 1}
 
     def test_unfinished_run(self, binom3):
         run = b_run(binom3, stream_for_run(0, 0), max_individuals=0)

@@ -167,6 +167,17 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "items" in err and "Traceback" not in err
 
+    def test_eta_long_geometric_table_hits_guard(self, capsys, tmp_path):
+        # p = 1e-6 needs about 3e7 rows before the tail cut; a table cut at
+        # its cap would hold a tenth of the mass
+        env = tmp_path / "lf_long_tail.json"
+        env.write_text(json.dumps({"laws": [{"type": "lf", "r": 0.5, "p": 1e-6}]}))
+        out_file = tmp_path / "eta.csv"
+        code, out, err = run_cli(capsys, "eta", "--env", str(env), "--out", str(out_file))
+        assert code == EXIT_GUARD
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == "" and not out_file.exists()
+
     @pytest.mark.parametrize("argv", [
         ["eta"], ["tail"], ["simulate"], ["verify"],
         ["chain", "--process", "b"], ["chain", "--process", "d"], ["chain", "--process", "lf"],

@@ -8,7 +8,6 @@ README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encodi
 # as a one-line diff.
 EXPORTS = [
     "AttemptCapError",
-    "BState",
     "ChainRun",
     "ChainStateError",
     "CheckResult",

@@ -29,6 +29,8 @@ GOLDEN = HERE / "golden_outputs.json"
 SEED = "7"
 SAMPLES = "200"
 WITNESS_ENVS = ("binom_n3", "binom_n5", "varying_n3")
+# --trace is the only output that prints chain states
+TRACE_ENVS = ("binom_n3", "varying_n3")
 # one- and two-word seeds: the run id is the last entropy word either way
 WORD_SEEDS = ("0", str(2 ** 32), str(2 ** 64 - 1))
 WORD_CAMPAIGNS = {
@@ -58,6 +60,10 @@ def commands() -> dict[str, list[str]]:
         out[f"{path.stem}:simulate"] = ["simulate"] + campaign
         for process in processes:
             out[f"{path.stem}:chain-{process}"] = ["chain", "--process", process] + campaign
+        if path.stem in TRACE_ENVS:
+            for process in ("b", "d"):
+                out[f"{path.stem}:chain-{process}-trace"] = [
+                    "chain", "--process", process, "--trace", "--validate", "--seed", SEED] + env
         out[f"{path.stem}:checks"] = ["verify"] + env
         out[f"{path.stem}:checks-rational-json"] = ["verify", "--rational", "--format", "json"] + env
         if path.stem in WITNESS_ENVS:

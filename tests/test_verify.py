@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -89,6 +92,21 @@ class TestOutcomeKeys:
         a = DistTable({"x": Fraction(1, 3), "y": Fraction(2, 3)})
         b = DistTable({"x": Fraction(2, 3), "y": Fraction(1, 3)})
         assert tv_distance(a, b) == Fraction(1, 3)
+
+    def test_tv_float_independent_of_hash_seed(self):
+        # the union of string keys is a set, iterated in hash-seed order; on
+        # binom_n3 a plain sum of the float terms printed a different value
+        # under each of these three seeds
+        code = ("import sys; from gwcoal import factorization_gap, load_environment; "
+                "print(repr(factorization_gap(load_environment(sys.argv[1]))))")
+        path = os.pathsep.join([str(ENVS.parent / "src"), os.environ.get("PYTHONPATH", "")])
+        values = {
+            subprocess.run([sys.executable, "-c", code, env_path("binom_n3")],
+                           env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                           capture_output=True, text=True, check=True).stdout
+            for seed in ("1", "5", "7")
+        }
+        assert len(values) == 1
 
 
 class TestExactTreeLaw:
@@ -635,11 +653,12 @@ class TestFloatCertificate:
 
     @pytest.mark.parametrize("edit", ["perturb", "drop", "extra"])
     def test_disagreement_matches_public_tables(self, monkeypatch, varying3, edit):
-        # ``tv_distance`` adds its terms in the order of a set of string
-        # keys, which follows the process's hash seed; with one large term
-        # next to rounding-sized ones its last bits vary from process to
-        # process, so the metric is held to the rounding bound of two orders
-        # of the same n nonnegative terms, 2 n 2**-53 of their sum
+        # the streamed check adds its terms one by one in outcome order,
+        # while ``tv_distance`` rounds their exact sum once (``math.fsum``);
+        # with one large term next to rounding-sized ones the last bits can
+        # differ (perturb: 0.5 against 0.5000000000000001), so the metric is
+        # held to the rounding bound of n nonnegative terms, 2 n 2**-53 of
+        # their sum
         _edit_outcomes(monkeypatch, edit)
         gap, (metric, passed, detail) = _float_reference_check(varying3)
         assert gap > 0
