@@ -11,7 +11,10 @@ individual exists within the horizon.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 
 from .environment import Environment
 from .errors import ChainStateError
@@ -22,16 +25,35 @@ from .sampling import (
     cumulative,
     draw_from_cumulative,
     geometric_failures,
+    geometric_from_uniform,
 )
+
+try:
+    from operator import call as _call
+except ImportError:  # Python 3.10
+    def _call(f, u):
+        return f(u)
 
 
 class EtaSamplers:
-    """Per-level samplers of the spine-sibling law, levels 1..N."""
+    """Per-level samplers of the spine-sibling law, levels 1..N.
+
+    ``draw`` reads one level's value from the stream.  ``fresh`` and
+    ``extend`` read the same values, in the same order, through one table of
+    per-level maps from a uniform to a value.
+    """
 
     def __init__(self, env: Environment):
         self.horizon = env.horizon
         self._laws: list[EtaLaw] = [env.levels.eta(m) for m in range(1, env.horizon + 1)]
         self._cum = [None if law.geom is not None else cumulative(law.probs) for law in self._laws]
+        # None marks a geometric law with success probability 1: always 0,
+        # and it reads no uniform
+        self._maps = [partial(bisect_right, cum) if cum is not None
+                      else partial(geometric_from_uniform, math.log1p(-law.geom))
+                      if law.geom < 1.0 else None
+                      for law, cum in zip(self._laws, self._cum)]
+        self._one_each = None not in self._maps
 
     def law(self, level: int) -> EtaLaw:
         return self._laws[level - 1]
@@ -41,6 +63,23 @@ class EtaSamplers:
         if law.geom is not None:
             return geometric_failures(law.geom, stream)
         return draw_from_cumulative(self._cum[level - 1], stream)
+
+    def fresh(self, count: int, stream: UniformStream) -> list[int]:
+        """Values at levels 1..count, those of ``draw`` level by level."""
+        if self._one_each:
+            return list(map(_call, self._maps, stream.take(count)))
+        return [f(stream.next()) if f else 0 for f in self._maps[:count]]
+
+    def extend(self, prefix: list[int], stream: UniformStream) -> int | None:
+        """Append values at the levels after ``prefix``, up to the first
+        nonzero one, and return that level; None when the horizon comes
+        first."""
+        for level, f in enumerate(self._maps[len(prefix):], start=len(prefix) + 1):
+            v = f(stream.next()) if f else 0
+            prefix.append(v)
+            if v:
+                return level
+        return None
 
 
 def first_nonzero(vec: tuple[int, ...]) -> int | None:
@@ -56,15 +95,17 @@ State = tuple[int, ...]
 
 def _redraw(vec: tuple[int, ...], a: int, samplers: EtaSamplers, stream: UniformStream) -> list[int]:
     """Fresh draws below level a, the entry at a less one, the entries above copied."""
-    out = [samplers.draw(m, stream) for m in range(1, a)]
+    out = samplers.fresh(a - 1, stream) if a > 1 else []
     out.append(vec[a - 1] - 1)
     out.extend(vec[a:])
     return out
 
 
-def b_step(state: State, samplers: EtaSamplers, stream: UniformStream) -> State | None:
-    """One transition of the truncated chain; returns the next state, or
-    None when the next individual does not exist within the horizon.
+def b_step(state: State, samplers: EtaSamplers,
+           stream: UniformStream) -> tuple[State, int] | tuple[None, None]:
+    """One transition of the truncated chain; returns the next state and its
+    first nonzero level, the next coalescent time, or ``(None, None)`` when
+    the next individual does not exist within the horizon.
 
     The state's length is the running maximum of coalescent times and its
     first nonzero entry is the next one; the initial state is ``()``.
@@ -81,31 +122,35 @@ def b_step(state: State, samplers: EtaSamplers, stream: UniformStream) -> State 
         prefix: list[int] = []
     else:
         prefix = _redraw(state, a, samplers, stream)
-        if any(prefix):
-            return tuple(prefix)
-    for level in range(len(state) + 1, samplers.horizon + 1):
-        v = samplers.draw(level, stream)
-        prefix.append(v)
-        if v:
-            return tuple(prefix)
-    return None
+        first = first_nonzero(prefix)
+        if first is not None:
+            return tuple(prefix), first
+    first = samplers.extend(prefix, stream)
+    if first is None:
+        return None, None
+    return tuple(prefix), first
 
 
-def d_step(state: State | None, samplers: EtaSamplers, stream: UniformStream) -> State:
-    """One transition of the fixed-length chain.
+def d_step(state: State | None, samplers: EtaSamplers,
+           stream: UniformStream) -> tuple[State, int | None]:
+    """One transition of the fixed-length chain; returns the next state and
+    its first nonzero level.
 
     ``None`` plays the initial role: every level gets a fresh draw.  The
-    result may be all-zero, which means no further individual exists.
+    result may be all-zero, with level ``None``, which means no further
+    individual exists.
     """
     N = samplers.horizon
     if state is None:
-        return tuple(samplers.draw(m, stream) for m in range(1, N + 1))
-    if len(state) != N:
-        raise ChainStateError(f"state length {len(state)} != horizon {N}")
-    a = first_nonzero(state)
-    if a is None:
-        raise ChainStateError("stepping an all-zero state; the run has terminated")
-    return tuple(_redraw(state, a, samplers, stream))
+        nxt = samplers.fresh(N, stream)
+    else:
+        if len(state) != N:
+            raise ChainStateError(f"state length {len(state)} != horizon {N}")
+        a = first_nonzero(state)
+        if a is None:
+            raise ChainStateError("stepping an all-zero state; the run has terminated")
+        nxt = _redraw(state, a, samplers, stream)
+    return tuple(nxt), first_nonzero(nxt)
 
 
 @dataclass
@@ -127,14 +172,13 @@ class ChainRun:
 
 def _run(step, state, env: Environment, rng, max_individuals: int,
          samplers: EtaSamplers | None) -> ChainRun:
-    """Step from ``state`` until a step returns None or an all-zero state."""
+    """Step from ``state`` until a step finds no next coalescent time."""
     if samplers is None:
         samplers = EtaSamplers(env)
     stream = as_stream(rng)
     run = ChainRun()
     while len(run.a_values) < max_individuals:
-        state = step(state, samplers, stream)
-        first = first_nonzero(state) if state else None
+        state, first = step(state, samplers, stream)
         if first is None:
             run.terminated = True
             return run
@@ -160,10 +204,10 @@ def lf_run(env: Environment, rng, max_individuals: int = 1_000_000) -> ChainRun:
     times drawn until one falls past the horizon."""
     N = env.horizon
     cum = env.levels.lf_cumulative
-    stream = as_stream(rng)
+    uniform = as_stream(rng).next
     run = ChainRun()
     while len(run.a_values) < max_individuals:
-        idx = draw_from_cumulative(cum, stream)
+        idx = bisect_right(cum, uniform())
         if idx >= N:
             run.terminated = True
             return run

@@ -238,8 +238,12 @@ def cmd_simulate(args) -> int:
     env = _load_env(args)
     _check_campaign(args)
 
+    attempts = 0
+
     def one(run_id: int, stream):
+        nonlocal attempts
         tree = condition_on_survival(env, stream, max_attempts=args.max_attempts)
+        attempts += tree.attempts
         cpp = coalescent_times(tree)
         return [run_id, cpp.k, ";".join(str(a) for a in cpp.a)]
 
@@ -258,7 +262,8 @@ def cmd_simulate(args) -> int:
     for n in range(1, N + 1):
         hits -= first[n]
         tails.append(f"P(A1>{n})={hits / len(rows):.6f}")
-    print(f"runs={len(rows)} mean_K={mean_k:.6f} " + " ".join(tails), file=sys.stderr)
+    print(f"runs={len(rows)} attempts={attempts} mean_K={mean_k:.6f} " + " ".join(tails),
+          file=sys.stderr)
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -196,12 +197,69 @@ def draw_from_cumulative(cum: Sequence[float], stream: UniformStream) -> int:
     return bisect_right(cum, stream.next())
 
 
+def geometric_from_uniform(log_fail: float, u: float) -> int:
+    """Failures before the first success read off one uniform, where
+    ``log_fail`` is ``log1p(-success)`` for a success prob in (0, 1)."""
+    return int(math.log1p(-u) / log_fail)
+
+
 def geometric_failures(success: float, stream: UniformStream) -> int:
     """Number of failures before the first success, success prob in (0, 1]."""
     if success >= 1.0:
         return 0
-    u = stream.next()
-    return int(math.log1p(-u) / math.log1p(-success))
+    return geometric_from_uniform(math.log1p(-success), stream.next())
+
+
+# widest generation the dead-draw walk follows before handing a draw back
+_WALK_WIDTH = 32
+
+
+def skip_dead_draws(stream: UniformStream, cums: Sequence[Sequence[float]], limit: int) -> int:
+    """Read past the next dead draws of a finite-support environment, at most
+    ``limit`` of them, and return how many were read.
+
+    A draw reads one uniform per individual, generation by generation from
+    one founder, each a child count through that generation's cumulative law
+    in ``cums``; it is dead once a generation has no children.  The walk keeps
+    generation widths only and reads the current block, refilled only where
+    a draw begins at its end.  It stops before the first draw that survives,
+    grows wider than ``_WALK_WIDTH``, or needs a uniform past the block, so
+    that the next draw read from the stream starts there, at its first
+    uniform.  The uniforms read are those the draws would read one by one.
+    """
+    buf, pos = stream._buf, stream._pos
+    end = len(buf)
+    first, rest = cums[0], cums[1:]
+    empty = first[0]  # a founder's uniform below it gives no child
+    dead = 0
+    while dead < limit:
+        if pos == end:
+            buf = stream._refill()
+            pos, end = 0, len(buf)
+        start = pos
+        u = buf[pos]
+        pos += 1
+        if u < empty:
+            dead += 1
+            continue
+        width = bisect_right(first, u)
+        for cum in rest:
+            nxt = pos + width
+            if width > _WALK_WIDTH or nxt > end:
+                break
+            if width == 1:
+                width = bisect_right(cum, buf[pos])
+            else:
+                width = sum(map(bisect_right, repeat(cum), buf[pos:nxt]))
+            pos = nxt
+            if not width:
+                break
+        if width:
+            stream._pos = start
+            return dead
+        dead += 1
+    stream._pos = pos
+    return dead
 
 
 def draw_count(law: OffspringLaw, stream: UniformStream) -> int:

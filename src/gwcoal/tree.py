@@ -30,7 +30,7 @@ from .errors import (
     HorizonError,
 )
 from .pgf import survival_prob
-from .sampling import UniformStream, as_stream, draw_count
+from .sampling import UniformStream, as_stream, draw_count, skip_dead_draws
 
 
 class Tree:
@@ -175,14 +175,25 @@ def condition_on_survival(env: Environment, rng, max_attempts: int = 100_000) ->
     """Rejection-sample a tree with at least one present individual.
 
     Dead draws are rejected from their child counts; only the accepted draw
-    is built into a ``Tree``.
+    is built into a ``Tree``, whose ``attempts`` counts every draw read,
+    itself included.  When every law has finite support, the dead draws
+    that lie inside the stream's current block are rejected from their
+    generation widths alone; the uniforms read stay the same.
     """
     if survival_prob(env, env.horizon) == 0:
         raise DegenerateEnvironmentError(
             "environment cannot produce survivors; conditioning is undefined"
         )
     stream = as_stream(rng)
-    for attempt in range(1, max_attempts + 1):
+    cums = env.levels.offspring_cumulatives
+    walk = None not in cums
+    attempt = 0
+    while attempt < max_attempts:
+        if walk:
+            attempt += skip_dead_draws(stream, cums, max_attempts - attempt)
+            if attempt == max_attempts:
+                break
+        attempt += 1
         counts, width = _draw_counts(env, stream)
         if width:
             tree = Tree(env, counts)

@@ -357,8 +357,10 @@ def _tree_chain_gap(env: Environment, guard: int, rational: bool) -> tuple[Numbe
     that the gap equals ``tv_distance`` on the two public tables.  In float
     mode an outcome adds ``|tree / alive - chain|`` when the two differ: the
     terms of ``tv_distance``, added in the order the chain ends them.  The
-    float slack is the tree's lost mass over ``alive`` plus the mass that
-    never ended in the chain sweep; exact supports are complete.
+    slack is 0 when every law has finite support, so that an outcome one
+    side lacks shows in full.  Otherwise (an ``lf`` law, whose geometric
+    tails are cut) the float slack is the tree's lost mass over ``alive``
+    plus the mass that never ended in the chain sweep.
     """
     tree, dead, alive = _tree_numerators(env, guard, rational)
     outcomes = len(tree)
@@ -377,7 +379,9 @@ def _tree_chain_gap(env: Environment, guard: int, rational: bool) -> tuple[Numbe
         return (gap + sum(Fraction(num, alive) for num in tree.values())) / 2, outcomes, 0.0
     for num in tree.values():
         gap += num / alive
-    slack = max(0.0, float(1 - dead - alive)) / float(alive) + max(0.0, 1.0 - ended)
+    slack = 0.0
+    if not env.is_finite_support:
+        slack = max(0.0, float(1 - dead - alive)) / float(alive) + max(0.0, 1.0 - ended)
     return 0.5 * gap, outcomes, slack
 
 

@@ -4,13 +4,17 @@ import pytest
 
 from gwcoal import (
     ChainRun,
+    Environment,
     EtaSamplers,
+    FiniteSupportLaw,
+    LinearFractionalLaw,
     b_run,
     constant_environment,
     d_run,
     dirac,
     lf_a1_tail,
     lf_run,
+    load_environment,
     stream_for_run,
     validate_b_run,
     validate_d_run,
@@ -18,6 +22,9 @@ from gwcoal import (
 import gwcoal.chains
 from gwcoal.chains import b_step, d_step
 from gwcoal.errors import ChainStateError, NotLinearFractionalError
+from gwcoal.sampling import draw_from_cumulative
+
+from conftest import env_path, per_draw_chain
 
 
 class FixedStream:
@@ -28,6 +35,11 @@ class FixedStream:
 
     def next(self):
         return self.values.pop(0)
+
+    def take(self, n):
+        out, self.values = self.values[:n], self.values[n:]
+        assert len(out) == n, "script ran out"
+        return out
 
 
 def stream_hitting(samplers, level, want):
@@ -46,27 +58,27 @@ class TestSteps:
         env = constant_environment(dirac(2), 2)
         samplers = EtaSamplers(env)
         stream = stream_for_run(0, 0)
-        s1 = b_step((), samplers, stream)
-        assert s1 == (1,)
-        s2 = b_step(s1, samplers, stream)
-        assert s2 == (0, 1)
-        s3 = b_step(s2, samplers, stream)
-        assert s3 == (1, 0)
-        assert b_step(s3, samplers, stream) is None
+        s1, a1 = b_step((), samplers, stream)
+        assert (s1, a1) == ((1,), 1)
+        s2, a2 = b_step(s1, samplers, stream)
+        assert (s2, a2) == ((0, 1), 2)
+        s3, a3 = b_step(s2, samplers, stream)
+        assert (s3, a3) == ((1, 0), 1)
+        assert b_step(s3, samplers, stream) == (None, None)
 
     def test_immediate_termination(self):
         # single-child generations never branch
         env = constant_environment(dirac(1), 2)
         samplers = EtaSamplers(env)
-        assert b_step((), samplers, stream_for_run(0, 0)) is None
+        assert b_step((), samplers, stream_for_run(0, 0)) == (None, None)
 
     def test_forced_decrement_and_copy(self, binom2):
         samplers = EtaSamplers(binom2)
         # from (0,2): fresh draw at level 1, decrement at level 2
         u0 = stream_hitting(samplers, 1, 0)
         u1 = stream_hitting(samplers, 1, 1)
-        assert b_step((0, 2), samplers, FixedStream([u1])) == (1, 1)
-        assert b_step((0, 2), samplers, FixedStream([u0])) == (0, 1)
+        assert b_step((0, 2), samplers, FixedStream([u1])) == ((1, 1), 1)
+        assert b_step((0, 2), samplers, FixedStream([u0])) == ((0, 1), 2)
 
     def test_forced_extension(self, binom2):
         samplers = EtaSamplers(binom2)
@@ -74,8 +86,8 @@ class TestSteps:
         u0 = stream_hitting(samplers, 2, 0)
         u1 = stream_hitting(samplers, 2, 1)
         nxt = b_step((1,), samplers, FixedStream([u1]))
-        assert nxt == (0, 1)
-        assert b_step((1,), samplers, FixedStream([u0])) is None
+        assert nxt == ((0, 1), 2)
+        assert b_step((1,), samplers, FixedStream([u0])) == (None, None)
 
     def test_b_step_rejects_all_zero_state(self, binom2):
         # an all-zero vector is not a state: the run has terminated
@@ -86,7 +98,10 @@ class TestSteps:
         samplers = EtaSamplers(binom2)
         u0 = stream_hitting(samplers, 1, 0)
         state = d_step((0, 2), samplers, FixedStream([u0]))
-        assert state == (0, 1)
+        assert state == ((0, 1), 2)
+        u1 = stream_hitting(samplers, 1, 1)
+        assert d_step((0, 1), samplers, FixedStream([u0])) == ((0, 0), None)
+        assert d_step((0, 1), samplers, FixedStream([u1])) == ((1, 0), 1)
         with pytest.raises(ChainStateError):
             d_step((0, 0), samplers, FixedStream([]))
 
@@ -94,7 +109,7 @@ class TestSteps:
         samplers = EtaSamplers(binom2)
         u1 = stream_hitting(samplers, 1, 1)
         u2 = stream_hitting(samplers, 2, 1)
-        assert d_step(None, samplers, FixedStream([u1, u2])) == (1, 1)
+        assert d_step(None, samplers, FixedStream([u1, u2])) == ((1, 1), 1)
 
 
 class TestRuns:
@@ -239,3 +254,55 @@ class TestEtaSamplers:
         hits = sum(samplers.draw(2, stream) for _ in range(n)) / n
         # mean of the level-2 law is P(1) = 3/13
         assert hits == pytest.approx(3 / 13, abs=0.01)
+
+
+# a near-critical law over 40 generations: long states, many fresh levels
+DEEP_N40 = Environment((FiniteSupportLaw((0.25, 0.5, 0.25)),) * 40)
+
+
+class TestBatchedDraws:
+    """The chains read fresh levels in one slice and extensions straight off
+    the stream; states, times and the uniforms read must be those of one
+    ``EtaSamplers.draw`` per level."""
+
+    @pytest.mark.parametrize("name", ["binom_n6", "varying_n3", "lf_half_n6", "deep_n40"])
+    @pytest.mark.parametrize("process", ["b", "d"])
+    def test_runs_match_per_draw_reference(self, name, process):
+        env = DEEP_N40 if name == "deep_n40" else load_environment(env_path(name))
+        samplers = EtaSamplers(env)
+        run_chain = b_run if process == "b" else d_run
+        for seed in (0, 1, 7, 2 ** 63):
+            for run_id in range(12):
+                for cap in (2, 1_000_000):
+                    ref, new = stream_for_run(seed, run_id), stream_for_run(seed, run_id)
+                    expected = per_draw_chain(process, env, ref, cap)
+                    run = run_chain(env, new, cap, samplers=samplers)
+                    assert (run.a_values, run.states, run.terminated) == expected
+                    assert new.take(3) == ref.take(3)
+
+    def test_lf_run_matches_per_draw_reference(self, lf_half_n6):
+        cum = lf_half_n6.levels.lf_cumulative
+        for run_id in range(40):
+            ref, new = stream_for_run(3, run_id), stream_for_run(3, run_id)
+            times = []
+            while (idx := draw_from_cumulative(cum, ref)) < lf_half_n6.horizon:
+                times.append(idx + 1)
+            assert lf_run(lf_half_n6, new).a_values == times
+            assert new.take(3) == ref.take(3)
+
+    @pytest.mark.parametrize("process", ["b", "d"])
+    def test_level_without_uniform(self, process):
+        # p = 1 - 2**-53 at level 2 above u_1 = 0.6 rounds the geometric
+        # success probability to 1: that level is always 0 and reads no
+        # uniform, so the batched reads must skip it too
+        env = Environment((FiniteSupportLaw((0.25, 0.5, 0.25)),
+                           LinearFractionalLaw(0.5, 1 - 2 ** -53), LinearFractionalLaw(0.4, 0.5)))
+        samplers = EtaSamplers(env)
+        assert samplers.law(2).geom == 1.0
+        run_chain = b_run if process == "b" else d_run
+        for run_id in range(40):
+            ref, new = stream_for_run(4, run_id), stream_for_run(4, run_id)
+            expected = per_draw_chain(process, env, ref)
+            run = run_chain(env, new, samplers=samplers)
+            assert (run.a_values, run.states, run.terminated) == expected
+            assert new.take(3) == ref.take(3)

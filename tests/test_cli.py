@@ -16,7 +16,10 @@ from gwcoal.cli import (
     main,
 )
 
-from conftest import env_path
+from gwcoal.environment import load_environment
+from gwcoal.sampling import campaign_streams
+
+from conftest import env_path, per_draw_condition
 
 
 @pytest.fixture
@@ -430,9 +433,14 @@ class TestSimulate:
         for n in range(1, horizon + 1):
             hits = sum(1 for row in rows if row[1] == "1" or int(row[2].split(";")[0]) > n)
             tails.append(f"P(A1>{n})={hits / len(rows):.6f}")
-        expected = f"runs={len(rows)} mean_K={sum(ks) / len(ks):.6f} " + " ".join(tails) + "\n"
+        # every draw counts as an attempt, the accepted one included
+        attempts = sum(per_draw_condition(load_environment(env), stream)[1]
+                       for stream in campaign_streams(5, int(samples)))
+        expected = (f"runs={len(rows)} attempts={attempts} mean_K={sum(ks) / len(ks):.6f} "
+                    + " ".join(tails) + "\n")
         assert err == expected
         assert len(set(tails)) > 1
+        assert attempts > len(rows)
 
 
 class TestChain:

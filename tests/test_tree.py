@@ -5,6 +5,7 @@ from gwcoal import (
     Cpp,
     Environment,
     FiniteSupportLaw,
+    LinearFractionalLaw,
     Tree,
     ancestor_index,
     coalescent_times,
@@ -23,9 +24,10 @@ from gwcoal import (
 )
 from gwcoal.errors import AttemptCapError, DegenerateEnvironmentError, DomainError
 from gwcoal import tree as tree_module
+from gwcoal.sampling import UniformStream, campaign_streams, rng_for_run, skip_dead_draws
 from gwcoal.tree import bt_fold, bt_min, bt_star, bt_update
 
-from conftest import env_path
+from conftest import env_path, per_draw_condition, per_draw_counts
 
 
 @pytest.fixture
@@ -311,16 +313,6 @@ class _EagerTree:
         self.k = len(self.parents[env.horizon])
 
 
-def _reference_condition(env, stream):
-    """Rejection through full dead trees, as the sampler once did."""
-    attempt = 0
-    while True:
-        attempt += 1
-        tree = simulate_tree(env, stream)
-        if tree.k > 0:
-            return attempt, tree.counts
-
-
 PINNED_RUNS = [(seed, run) for seed in (0, 1, 7, 42, 2 ** 63) for run in range(10)]
 
 
@@ -336,7 +328,7 @@ class TestRejectionOnCounts:
             init(self, *args, **kwargs)
 
         for seed, run in PINNED_RUNS:
-            attempts, counts = _reference_condition(env, stream_for_run(seed, run))
+            counts, attempts = per_draw_condition(env, stream_for_run(seed, run))
             monkeypatch.setattr(Tree, "__init__", counting_init)
             built.clear()
             tree = condition_on_survival(env, stream_for_run(seed, run))
@@ -396,3 +388,129 @@ class TestRejectionOnCounts:
             Tree(binom2, [[1, 1], [1, 1]])
         with pytest.raises(DomainError):
             Tree(binom2, [[2], [1]])
+
+
+def _pmf_env(rows, denom):
+    return Environment(tuple(FiniteSupportLaw(tuple(c / denom for c in row)) for row in rows))
+
+
+# dyadic and subcritical: about one draw in 20 survives six generations
+HIGH_REJECTION_N6 = _pmf_env([(10, 3, 2, 1), (9, 4, 2, 1), (11, 2, 2, 1),
+                              (10, 3, 2, 1), (9, 5, 1, 1), (10, 4, 1, 1)], 16)
+# a founder with 40 children or none, whose line then thins out: dead draws
+# often grow wider than the walk follows
+WIDE_N4 = Environment((FiniteSupportLaw((0.5,) + (0.0,) * 39 + (0.5,)),)
+                      + _pmf_env([(15, 1), (13, 3), (12, 4)], 16).laws)
+LF_FIRST_N6 = Environment((LinearFractionalLaw(0.5, 0.5),) + HIGH_REJECTION_N6.laws[1:])
+LF_LAST_N6 = Environment(HIGH_REJECTION_N6.laws[:5] + (LinearFractionalLaw(0.25, 0.5),))
+WALK_ENVS = {"high_rejection_n6": HIGH_REJECTION_N6, "wide_n4": WIDE_N4,
+             "lf_first_n6": LF_FIRST_N6, "lf_last_n6": LF_LAST_N6,
+             "binom_n6": load_environment(env_path("binom_n6")),
+             "varying_n3": load_environment(env_path("varying_n3"))}
+
+
+def _streams(seed, run, block):
+    """Two streams over the same uniforms, in blocks of ``block``."""
+    return (UniformStream(rng_for_run(seed, run), block),
+            UniformStream(rng_for_run(seed, run), block))
+
+
+class _Counting:
+    """Stream stand-in that counts the uniforms read through it."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.read = 0
+
+    def next(self):
+        self.read += 1
+        return self.stream.next()
+
+
+class TestDeadDrawWalk:
+    """Dead draws rejected on the stream's block read the uniforms the
+    per-draw sampler reads, so every accepted tree and attempt count is
+    that of the per-draw reference."""
+
+    @pytest.mark.parametrize("name", sorted(WALK_ENVS))
+    @pytest.mark.parametrize("block", [1, 3, 8, 8192])
+    def test_matches_per_draw_reference(self, name, block):
+        env = WALK_ENVS[name]
+        for seed in (0, 7, 2 ** 63):
+            for run in range(15):
+                ref, new = _streams(seed, run, block)
+                counts, attempts = per_draw_condition(env, ref)
+                tree = condition_on_survival(env, new)
+                assert (tree.counts, tree.attempts) == (counts, attempts)
+                # the next uniforms of both streams agree: the same number was read
+                assert new.take(3) == ref.take(3)
+
+    @pytest.mark.parametrize("name", sorted(WALK_ENVS))
+    def test_campaign_streams_match_reference(self, name):
+        env = WALK_ENVS[name]
+        for run, new in enumerate(campaign_streams(11, 40)):
+            ref = UniformStream(rng_for_run(11, run))
+            counts, attempts = per_draw_condition(env, ref)
+            tree = condition_on_survival(env, new)
+            assert (tree.counts, tree.attempts) == (counts, attempts)
+
+    @pytest.mark.parametrize("block", [3, 8, 32])
+    def test_dead_draws_straddling_a_refill(self, block):
+        # fixed blocks: uniform i lies in block i // block
+        env = HIGH_REJECTION_N6
+        straddled = 0
+        for run in range(40):
+            ref, new = _streams(5, run, block)
+            counting = _Counting(ref)
+            attempts = 0
+            while True:
+                attempts += 1
+                start = counting.read
+                counts, width = per_draw_counts(env, counting)
+                if width:
+                    break
+                straddled += start // block != (counting.read - 1) // block
+            tree = condition_on_survival(env, new)
+            assert (tree.counts, tree.attempts) == (counts, attempts)
+            assert new.take(3) == ref.take(3)
+        assert straddled > 0
+
+    @pytest.mark.parametrize("name", ["high_rejection_n6", "wide_n4", "lf_first_n6"])
+    def test_attempt_cap_at_one_and_at_the_accepted_draw(self, name):
+        env = WALK_ENVS[name]
+        outcomes = set()
+        for run in range(120):
+            ref, _ = _streams(3, run, 8192)
+            counts, attempts = per_draw_condition(env, ref)
+            # capped exactly at the accepted draw: the same tree
+            _, new = _streams(3, run, 8192)
+            tree = condition_on_survival(env, new, max_attempts=attempts)
+            assert (tree.counts, tree.attempts) == (counts, attempts)
+            # one draw fewer, and a cap of one: the error after that many draws
+            for cap in {1, attempts - 1} - {0}:
+                ref, new = _streams(3, run, 8192)
+                if cap >= attempts:
+                    outcomes.add("accepted")
+                    assert condition_on_survival(env, new, max_attempts=cap).counts == counts
+                    continue
+                outcomes.add("capped")
+                assert per_draw_condition(env, ref, max_attempts=cap) == (None, cap)
+                with pytest.raises(AttemptCapError):
+                    condition_on_survival(env, new, max_attempts=cap)
+                assert new.take(3) == ref.take(3)
+        assert outcomes == {"accepted", "capped"}
+
+    def test_walk_stops_where_the_reference_goes_on(self):
+        env = HIGH_REJECTION_N6
+        cums = env.levels.offspring_cumulatives
+        for run in range(30):
+            ref, new = _streams(9, run, 8192)
+            counting = _Counting(ref)
+            assert skip_dead_draws(new, cums, 0) == 0
+            dead = skip_dead_draws(new, cums, 10 ** 6)
+            # the draws read are dead, and they are the first ones
+            for _ in range(dead):
+                assert per_draw_counts(env, counting)[1] == 0
+            assert new.take(3) == ref.take(3)
+            limited = _streams(9, run, 8192)[1]
+            assert skip_dead_draws(limited, cums, 2) == min(dead, 2)

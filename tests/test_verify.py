@@ -628,11 +628,14 @@ FLOAT_ENVS = {
 
 def _float_reference_check(env):
     """``tree_vs_chain_check`` in floats from the public tables and
-    ``tv_distance``, with their summed truncated mass as slack."""
+    ``tv_distance``.  Finite supports are complete, so there is no slack;
+    otherwise the slack is the tables' summed truncated mass."""
     tree_law = exact_tree_law(env, guard=2_000_000)
     chain_law = exact_chain_law(env, guard=2_000_000)
     gap = tv_distance(tree_law, chain_law)
-    extra = tree_law.truncated_mass + chain_law.truncated_mass
+    extra = 0.0
+    if not env.is_finite_support:
+        extra = tree_law.truncated_mass + chain_law.truncated_mass
     detail = f"outcomes={len(tree_law)} truncation={extra:.3e} exact_zero={gap == 0}"
     return gap, (float(gap), float(gap) <= 1e-10 + extra, detail)
 
@@ -666,6 +669,17 @@ class TestFloatCertificate:
         n = len(set(exact_tree_law(varying3)) | set(exact_chain_law(varying3)))
         assert res.metric == pytest.approx(metric, rel=2 * n * 2**-53, abs=0)
         assert (res.passed, res.detail) == (passed, detail)
+        # a finite-support env has no slack to absorb the edit: dropping an
+        # outcome of mass 0.028 fails too
+        assert not res.passed and "truncation=0.000e+00" in res.detail
+
+    def test_lf_slack_is_truncated_mass(self):
+        # geometric tails are cut, so an lf env keeps the tables' leak as slack
+        env = FLOAT_ENVS["lf_half_n1"]()
+        res = tree_vs_chain_check(env)
+        tree_law, chain_law = exact_tree_law(env), exact_chain_law(env)
+        extra = tree_law.truncated_mass + chain_law.truncated_mass
+        assert extra > 0 and f"truncation={extra:.3e}" in res.detail
 
     def test_no_outcome_key_text(self, monkeypatch, varying3):
         # neither mode forms the public tables' string keys
