@@ -319,11 +319,15 @@ def cmd_verify(args) -> int:
         unread = [option for option, given in (("--env", args.env is not None),
                                                ("--horizon", args.horizon is not None),
                                                ("--rational", args.rational),
-                                               ("--witness", args.witness)) if given]
+                                               ("--witness", args.witness),
+                                               ("--witness-mc-samples",
+                                                args.witness_mc_samples > 0)) if given]
         _require(not unread, "--figure1 checks the embedded reference table and takes no "
                  + " ".join(unread))
         results = [reference_table_check()]
     else:
+        _require(args.witness or not args.witness_mc_samples,
+                 "--witness-mc-samples needs --witness")
         results = run_verify_suite(
             _load_env(args),
             rational=args.rational,

@@ -14,12 +14,15 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .laws import FiniteSupportLaw, LinearFractionalLaw, OffspringLaw
+
+if TYPE_CHECKING:
+    from .environment import Environment
 
 
 def _check_seed(seed: int) -> int:
@@ -210,56 +213,72 @@ def geometric_failures(success: float, stream: UniformStream) -> int:
     return geometric_from_uniform(math.log1p(-success), stream.next())
 
 
-# widest generation the dead-draw walk follows before handing a draw back
-_WALK_WIDTH = 32
+def draw_forward(env: Environment, stream: UniformStream,
+                 limit: int) -> tuple[list[list[int]], int, int]:
+    """Read forward draws until one survives, at most ``limit`` of them.
 
-
-def skip_dead_draws(stream: UniformStream, cums: Sequence[Sequence[float]], limit: int) -> int:
-    """Read past the next dead draws of a finite-support environment, at most
-    ``limit`` of them, and return how many were read.
-
-    A draw reads one uniform per individual, generation by generation from
-    one founder, each a child count through that generation's cumulative law
-    in ``cums``; it is dead once a generation has no children.  The walk keeps
-    generation widths only and reads the current block, refilled only where
-    a draw begins at its end.  It stops before the first draw that survives,
-    grows wider than ``_WALK_WIDTH``, or needs a uniform past the block, so
-    that the next draw read from the stream starts there, at its first
-    uniform.  The uniforms read are those the draws would read one by one.
+    A draw grows from one founder, generation by generation, with one child
+    count per individual, and stops after its first generation without
+    children, so a dead draw has fewer rows than the horizon.  Returns the
+    child counts and final width of the first surviving draw, or of the last
+    draw read when none survives, and the number of draws read.  The
+    uniforms read are those of one ``draw_count`` per individual, in order:
+    ``pmf`` generations are read off the stream's block, a founder dead at
+    its uniform costing one comparison.
     """
+    cums = env.levels.offspring_cumulatives
+    levels = list(zip(env.laws, cums))
+    first = cums[0]
+    if first is not None:
+        empty = first[0]  # a founder's uniform below it gives no child
+        levels = levels[1:]
     buf, pos = stream._buf, stream._pos
     end = len(buf)
-    first, rest = cums[0], cums[1:]
-    empty = first[0]  # a founder's uniform below it gives no child
-    dead = 0
-    while dead < limit:
-        if pos == end:
-            buf = stream._refill()
-            pos, end = 0, len(buf)
-        start = pos
-        u = buf[pos]
-        pos += 1
-        if u < empty:
-            dead += 1
-            continue
-        width = bisect_right(first, u)
-        for cum in rest:
-            nxt = pos + width
-            if width > _WALK_WIDTH or nxt > end:
-                break
-            if width == 1:
+    counts: list[list[int]] | None = []
+    width = read = 0
+    while read < limit:
+        read += 1
+        if first is None:
+            counts, width = [], 1
+        else:
+            if pos == end:
+                buf = stream._refill()
+                pos, end = 0, len(buf)
+            u = buf[pos]
+            pos += 1
+            if u < empty:
+                counts = None
+                continue
+            width = bisect_right(first, u)
+            counts = [[width]]
+        for law, cum in levels:
+            if cum is None or pos + width > end:
+                # an lf generation, or a row that crosses the block's end
+                stream._pos = pos
+                if cum is None:
+                    row = [draw_count(law, stream) for _ in range(width)]
+                else:
+                    row = [bisect_right(cum, u) for u in stream.take(width)]
+                buf, pos = stream._buf, stream._pos
+                end = len(buf)
+                width = sum(row)
+            elif width == 1:
                 width = bisect_right(cum, buf[pos])
+                pos += 1
+                row = [width]
             else:
-                width = sum(map(bisect_right, repeat(cum), buf[pos:nxt]))
-            pos = nxt
+                row = list(map(bisect_right, repeat(cum), buf[pos:pos + width]))
+                pos += width
+                width = sum(row)
+            counts.append(row)
             if not width:
                 break
         if width:
-            stream._pos = start
-            return dead
-        dead += 1
+            break
     stream._pos = pos
-    return dead
+    if counts is None:
+        counts = [[0]]
+    return counts, width, read
 
 
 def draw_count(law: OffspringLaw, stream: UniformStream) -> int:

@@ -17,7 +17,6 @@ Extraction functions recover, for each present individual i:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from .errors import (
     HorizonError,
 )
 from .pgf import survival_prob
-from .sampling import UniformStream, as_stream, draw_count, skip_dead_draws
+from .sampling import as_stream, draw_forward
 
 
 class Tree:
@@ -141,32 +140,12 @@ class Tree:
         return f"Tree(horizon={self.horizon}, k={self.k})"
 
 
-def _draw_counts(env: Environment, stream: UniformStream) -> tuple[list[list[int]], int]:
-    """Child counts one generation at a time, and the final width.
-
-    Stops after the first generation with no children, so a dead draw has
-    fewer than N rows; generations without individuals read no uniforms.
-    """
-    counts: list[list[int]] = []
-    width = 1
-    for law, cum in zip(env.laws, env.levels.offspring_cumulatives):
-        if cum is None:
-            row = [draw_count(law, stream) for _ in range(width)]
-        else:
-            row = [bisect_right(cum, u) for u in stream.take(width)]
-        counts.append(row)
-        width = sum(row)
-        if not width:
-            break
-    return counts, width
-
-
 def simulate_tree(env: Environment, rng) -> Tree:
     """Draw one tree; ``rng`` may be a seed, numpy Generator, or UniformStream.
 
     Generations after an extinction have empty count rows.
     """
-    counts, _ = _draw_counts(env, as_stream(rng))
+    counts, _, _ = draw_forward(env, as_stream(rng), 1)
     counts.extend([] for _ in range(env.horizon - len(counts)))
     return Tree(env, counts)
 
@@ -176,30 +155,18 @@ def condition_on_survival(env: Environment, rng, max_attempts: int = 100_000) ->
 
     Dead draws are rejected from their child counts; only the accepted draw
     is built into a ``Tree``, whose ``attempts`` counts every draw read,
-    itself included.  When every law has finite support, the dead draws
-    that lie inside the stream's current block are rejected from their
-    generation widths alone; the uniforms read stay the same.
+    itself included.
     """
     if survival_prob(env, env.horizon) == 0:
         raise DegenerateEnvironmentError(
             "environment cannot produce survivors; conditioning is undefined"
         )
-    stream = as_stream(rng)
-    cums = env.levels.offspring_cumulatives
-    walk = None not in cums
-    attempt = 0
-    while attempt < max_attempts:
-        if walk:
-            attempt += skip_dead_draws(stream, cums, max_attempts - attempt)
-            if attempt == max_attempts:
-                break
-        attempt += 1
-        counts, width = _draw_counts(env, stream)
-        if width:
-            tree = Tree(env, counts)
-            tree.attempts = attempt
-            return tree
-    raise AttemptCapError(f"no surviving tree in {max_attempts} attempts")
+    counts, width, attempts = draw_forward(env, as_stream(rng), max_attempts)
+    if not width:
+        raise AttemptCapError(f"no surviving tree in {max_attempts} attempts")
+    tree = Tree(env, counts)
+    tree.attempts = attempts
+    return tree
 
 
 def ancestor_index(tree: Tree, i: int, n: int) -> int:

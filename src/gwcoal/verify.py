@@ -34,8 +34,8 @@ from .errors import (
 )
 from .laws import FiniteSupportLaw, Number
 from .pgf import a1_tail, eta_law_at_depth, eta_probs_generic
-from .sampling import as_stream
-from .tree import BtState, Tree, _draw_counts, bt_fold, bt_update, cpp_and_marks
+from .sampling import as_stream, draw_forward
+from .tree import BtState, Tree, bt_fold, bt_update, cpp_and_marks
 
 TERM_KEY = "TERMINATED"
 # Total variation above which two conditional laws witness history dependence.
@@ -626,7 +626,7 @@ def mc_witness_check(
     targets = {witness.history_a: 0, witness.history_b: 1}
     for _ in range(samples):
         # draws with fewer than i + 1 individuals are rejected on their counts
-        counts, width = _draw_counts(env, stream)
+        counts, width, _ = draw_forward(env, stream, 1)
         if width < i + 1:
             continue
         seq = bt_fold(*cpp_and_marks(Tree(env, counts), upto=i + 1))

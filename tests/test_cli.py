@@ -269,6 +269,8 @@ class TestExitCodes:
             (["verify", "--figure1", "--env", "ENV"], "takes no --env"),
             (["chain", "--env", "LF", "--process", "lf", "--validate"],
              "--validate checks chain states"),
+            (["verify", "--env", "ENV", "--witness-mc-samples", "10"],
+             "--witness-mc-samples needs --witness"),
         ],
     )
     def test_bad_option_values(self, capsys, argv, message):
@@ -584,6 +586,8 @@ class TestVerify:
             (["--witness"], "takes no --witness"),
             (["--horizon", "3"], "takes no --horizon"),
             (["--rational", "--witness", "--horizon", "3"], "takes no --horizon --rational --witness"),
+            (["--witness-mc-samples", "10"], "takes no --witness-mc-samples"),
+            (["--witness", "--witness-mc-samples", "1"], "takes no --witness --witness-mc-samples"),
         ]
         for argv, message in cases:
             code, out, err = run_cli(capsys, "verify", "--figure1", *argv)

@@ -1,10 +1,13 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gwcoal
 from gwcoal import FiniteSupportLaw, LinearFractionalLaw, stream_for_run
 from gwcoal.errors import DomainError
 from gwcoal.sampling import (
@@ -101,6 +104,14 @@ class TestStreams:
         rng = np.random.default_rng(5)
         UniformStream(rng).next()
         assert rng.random() == np.random.default_rng(5).random(33)[32]
+
+    @pytest.mark.parametrize("module", ["tree", "chains", "verify"])
+    def test_block_format_stays_in_sampling(self, module):
+        # only sampling.py reads or refills a stream's block
+        source = (Path(gwcoal.__file__).parent / f"{module}.py").read_text()
+        touched = {node.attr for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)}
+        assert not touched & {"_buf", "_pos", "_refill"}
 
 
 class TestCampaignStreams:

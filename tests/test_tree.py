@@ -24,7 +24,7 @@ from gwcoal import (
 )
 from gwcoal.errors import AttemptCapError, DegenerateEnvironmentError, DomainError
 from gwcoal import tree as tree_module
-from gwcoal.sampling import UniformStream, campaign_streams, rng_for_run, skip_dead_draws
+from gwcoal.sampling import UniformStream, campaign_streams, rng_for_run
 from gwcoal.tree import bt_fold, bt_min, bt_star, bt_update
 
 from conftest import env_path, per_draw_condition, per_draw_counts
@@ -397,8 +397,8 @@ def _pmf_env(rows, denom):
 # dyadic and subcritical: about one draw in 20 survives six generations
 HIGH_REJECTION_N6 = _pmf_env([(10, 3, 2, 1), (9, 4, 2, 1), (11, 2, 2, 1),
                               (10, 3, 2, 1), (9, 5, 1, 1), (10, 4, 1, 1)], 16)
-# a founder with 40 children or none, whose line then thins out: dead draws
-# often grow wider than the walk follows
+# a founder with 40 children or none, whose line then thins out: wide rows
+# often cross the end of a small block
 WIDE_N4 = Environment((FiniteSupportLaw((0.5,) + (0.0,) * 39 + (0.5,)),)
                       + _pmf_env([(15, 1), (13, 3), (12, 4)], 16).laws)
 LF_FIRST_N6 = Environment((LinearFractionalLaw(0.5, 0.5),) + HIGH_REJECTION_N6.laws[1:])
@@ -428,9 +428,32 @@ class _Counting:
 
 
 class TestDeadDrawWalk:
-    """Dead draws rejected on the stream's block read the uniforms the
-    per-draw sampler reads, so every accepted tree and attempt count is
-    that of the per-draw reference."""
+    """Forward draws, dead ones included, read off the stream's block read
+    the uniforms the per-draw sampler reads, so every tree, accepted tree
+    and attempt count is that of the per-draw reference."""
+
+    @pytest.mark.parametrize("name", sorted(WALK_ENVS))
+    @pytest.mark.parametrize("block", [3, 8, 32, 8192])
+    def test_unconditioned_draws_match_per_draw_reference(self, name, block):
+        env = WALK_ENVS[name]
+        dead = 0
+        for seed in (0, 7):
+            for run in range(15):
+                ref, new = _streams(seed, run, block)
+                for _ in range(4):
+                    counts, width = per_draw_counts(env, ref)
+                    dead += not width
+                    counts += [[] for _ in range(env.horizon - len(counts))]
+                    assert simulate_tree(env, new).counts == counts
+                assert new.take(3) == ref.take(3)
+        assert dead > 0
+
+    @pytest.mark.parametrize("name", sorted(WALK_ENVS))
+    def test_no_attempts_raise_cap_error(self, name):
+        ref, new = _streams(1, 0, 8192)
+        with pytest.raises(AttemptCapError):
+            condition_on_survival(WALK_ENVS[name], new, max_attempts=0)
+        assert new.take(3) == ref.take(3)
 
     @pytest.mark.parametrize("name", sorted(WALK_ENVS))
     @pytest.mark.parametrize("block", [1, 3, 8, 8192])
@@ -499,18 +522,3 @@ class TestDeadDrawWalk:
                     condition_on_survival(env, new, max_attempts=cap)
                 assert new.take(3) == ref.take(3)
         assert outcomes == {"accepted", "capped"}
-
-    def test_walk_stops_where_the_reference_goes_on(self):
-        env = HIGH_REJECTION_N6
-        cums = env.levels.offspring_cumulatives
-        for run in range(30):
-            ref, new = _streams(9, run, 8192)
-            counting = _Counting(ref)
-            assert skip_dead_draws(new, cums, 0) == 0
-            dead = skip_dead_draws(new, cums, 10 ** 6)
-            # the draws read are dead, and they are the first ones
-            for _ in range(dead):
-                assert per_draw_counts(env, counting)[1] == 0
-            assert new.take(3) == ref.take(3)
-            limited = _streams(9, run, 8192)[1]
-            assert skip_dead_draws(limited, cums, 2) == min(dead, 2)
