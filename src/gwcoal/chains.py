@@ -7,6 +7,10 @@ entry is the next coalescent time.  The fixed-length chain ("d") carries all
 levels up to the horizon.  Both consume fresh spine-sibling draws at the
 levels below the current coalescent time and terminate when no further
 individual exists within the horizon.
+
+A state is held as a point measure: ``(length, pairs)``, where ``pairs``
+lists the (level, count) of its nonzero entries with levels rising, so the
+next coalescent time is ``pairs[0][0]``.  ``dense`` rebuilds the vector.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import compress, count
+from operator import le
 
 from .environment import Environment
 from .errors import ChainStateError
@@ -28,19 +34,15 @@ from .sampling import (
     geometric_from_uniform,
 )
 
-try:
-    from operator import call as _call
-except ImportError:  # Python 3.10
-    def _call(f, u):
-        return f(u)
-
-
 class EtaSamplers:
     """Per-level samplers of the spine-sibling law, levels 1..N.
 
     ``draw`` reads one level's value from the stream.  ``fresh`` and
     ``extend`` read the same values, in the same order, through one table of
-    per-level maps from a uniform to a value.
+    per-level maps from a uniform to a value, and keep the nonzero ones.  A
+    uniform below its level's floor gives 0 without a call to the map: the
+    floor is ``cum[0]`` for a finite law, as ``bisect_right(cum, u) == 0``
+    exactly when ``u < cum[0]``, and 0.0 for a geometric law.
     """
 
     def __init__(self, env: Environment):
@@ -53,6 +55,7 @@ class EtaSamplers:
                       else partial(geometric_from_uniform, math.log1p(-law.geom))
                       if law.geom < 1.0 else None
                       for law, cum in zip(self._laws, self._cum)]
+        self._floors = [0.0 if cum is None else cum[0] for cum in self._cum]
         self._one_each = None not in self._maps
 
     def law(self, level: int) -> EtaLaw:
@@ -64,41 +67,63 @@ class EtaSamplers:
             return geometric_failures(law.geom, stream)
         return draw_from_cumulative(self._cum[level - 1], stream)
 
-    def fresh(self, count: int, stream: UniformStream) -> list[int]:
-        """Values at levels 1..count, those of ``draw`` level by level."""
+    def fresh(self, count: int, stream: UniformStream) -> list[tuple[int, int]]:
+        """(level, value) of the nonzero values at levels 1..count, those of
+        ``draw`` level by level."""
+        maps = self._maps
+        out = []
         if self._one_each:
-            return list(map(_call, self._maps, stream.take(count)))
-        return [f(stream.next()) if f else 0 for f in self._maps[:count]]
+            us = stream.take(count)
+            for i in compress(range(count), map(le, self._floors, us)):
+                if v := maps[i](us[i]):
+                    out.append((i + 1, v))
+            return out
+        for level, f, floor in zip(range(1, count + 1), maps, self._floors):
+            if f and (u := stream.next()) >= floor and (v := f(u)):
+                out.append((level, v))
+        return out
 
-    def extend(self, prefix: list[int], stream: UniformStream) -> int | None:
-        """Append values at the levels after ``prefix``, up to the first
-        nonzero one, and return that level; None when the horizon comes
-        first."""
-        for level, f in enumerate(self._maps[len(prefix):], start=len(prefix) + 1):
-            v = f(stream.next()) if f else 0
-            prefix.append(v)
-            if v:
-                return level
+    def extend(self, length: int, stream: UniformStream) -> tuple[int, int] | None:
+        """(level, value) of the first nonzero value at the levels after
+        ``length``, read in level order; None when the horizon comes first."""
+        if self._one_each:
+            while (hit := stream.first_reaching(self._floors[length:])) is not None:
+                length += hit[0] + 1
+                if v := self._maps[length - 1](hit[1]):
+                    return length, v
+            return None
+        for level, f, floor in zip(range(length + 1, self.horizon + 1),
+                                   self._maps[length:], self._floors[length:]):
+            if f and (u := stream.next()) >= floor and (v := f(u)):
+                return level, v
         return None
 
 
 def first_nonzero(vec: tuple[int, ...]) -> int | None:
     """1-based position of the first nonzero entry; None when there is none."""
-    for idx, v in enumerate(vec):
-        if v:
-            return idx + 1
-    return None
+    return next(compress(count(1), vec), None)
 
 
-State = tuple[int, ...]
+# (length, pairs): the (level, count) of the nonzero entries, levels rising
+State = tuple[int, tuple[tuple[int, int], ...]]
 
 
-def _redraw(vec: tuple[int, ...], a: int, samplers: EtaSamplers, stream: UniformStream) -> list[int]:
-    """Fresh draws below level a, the entry at a less one, the entries above copied."""
-    out = samplers.fresh(a - 1, stream) if a > 1 else []
-    out.append(vec[a - 1] - 1)
-    out.extend(vec[a:])
-    return out
+def dense(state: State) -> tuple[int, ...]:
+    """The state's entries at levels 1..length."""
+    length, pairs = state
+    vec = [0] * length
+    for level, v in pairs:
+        vec[level - 1] = v
+    return tuple(vec)
+
+
+def _redraw(pairs: tuple[tuple[int, int], ...], samplers: EtaSamplers,
+            stream: UniformStream) -> tuple[tuple[int, int], ...]:
+    """Fresh draws below the first level a, the entry at a less one, the
+    entries above copied."""
+    a, c = pairs[0]
+    rest = pairs[1:] if c == 1 else ((a, c - 1),) + pairs[1:]
+    return tuple(samplers.fresh(a - 1, stream)) + rest if a > 1 else rest
 
 
 def b_step(state: State, samplers: EtaSamplers,
@@ -108,27 +133,24 @@ def b_step(state: State, samplers: EtaSamplers,
     the next individual does not exist within the horizon.
 
     The state's length is the running maximum of coalescent times and its
-    first nonzero entry is the next one; the initial state is ``()``.
+    first nonzero entry is the next one; the initial state is ``(0, ())``.
     Entries above the current coalescent time are copied, the entry at it is
     decremented, entries below are replaced by fresh level draws.  If that
     leaves the vector with no nonzero entry, further levels are drawn one by
     one (extending the vector) until a nonzero value appears or the horizon
     is exhausted.
     """
-    a = first_nonzero(state)
-    if a is None:
-        if state:
-            raise ChainStateError("all-zero state is represented by termination")
-        prefix: list[int] = []
-    else:
-        prefix = _redraw(state, a, samplers, stream)
-        first = first_nonzero(prefix)
-        if first is not None:
-            return tuple(prefix), first
-    first = samplers.extend(prefix, stream)
-    if first is None:
+    length, pairs = state
+    if pairs:
+        pairs = _redraw(pairs, samplers, stream)
+        if pairs:
+            return (length, pairs), pairs[0][0]
+    elif length:
+        raise ChainStateError("all-zero state is represented by termination")
+    new = samplers.extend(length, stream)
+    if new is None:
         return None, None
-    return tuple(prefix), first
+    return (new[0], (new,)), new[0]
 
 
 def d_step(state: State | None, samplers: EtaSamplers,
@@ -137,20 +159,20 @@ def d_step(state: State | None, samplers: EtaSamplers,
     its first nonzero level.
 
     ``None`` plays the initial role: every level gets a fresh draw.  The
-    result may be all-zero, with level ``None``, which means no further
-    individual exists.
+    result may be all-zero, ``(N, ())`` with level ``None``, which means no
+    further individual exists.
     """
     N = samplers.horizon
     if state is None:
-        nxt = samplers.fresh(N, stream)
+        pairs = tuple(samplers.fresh(N, stream))
     else:
-        if len(state) != N:
-            raise ChainStateError(f"state length {len(state)} != horizon {N}")
-        a = first_nonzero(state)
-        if a is None:
+        length, pairs = state
+        if length != N:
+            raise ChainStateError(f"state length {length} != horizon {N}")
+        if not pairs:
             raise ChainStateError("stepping an all-zero state; the run has terminated")
-        nxt = _redraw(state, a, samplers, stream)
-    return tuple(nxt), first_nonzero(nxt)
+        pairs = _redraw(pairs, samplers, stream)
+    return (N, pairs), pairs[0][0] if pairs else None
 
 
 @dataclass
@@ -190,7 +212,7 @@ def _run(step, state, env: Environment, rng, max_individuals: int,
 def b_run(env: Environment, rng, max_individuals: int = 1_000_000,
           samplers: EtaSamplers | None = None) -> ChainRun:
     """Run the truncated chain from the empty state until termination."""
-    return _run(b_step, (), env, rng, max_individuals, samplers)
+    return _run(b_step, (0, ()), env, rng, max_individuals, samplers)
 
 
 def d_run(env: Environment, rng, max_individuals: int = 1_000_000,
@@ -220,6 +242,18 @@ def lf_run(env: Environment, rng, max_individuals: int = 1_000_000) -> ChainRun:
 # ---------------------------------------------------------------------------
 
 
+def _entries(state: State) -> tuple[int, ...]:
+    """``dense(state)``, once its pairs are checked to be exactly the
+    (level, count) of its nonzero entries, levels rising."""
+    try:
+        vec = dense(state)
+    except IndexError:  # a level past the length
+        vec = ()
+    if tuple(zip(compress(count(1), vec), filter(None, vec))) != state[1]:
+        raise ChainStateError(f"state {state} does not list its nonzero entries by rising level")
+    return vec
+
+
 def _check_step(prev: tuple[int, ...], state: tuple[int, ...], pa: int) -> None:
     """Same-length step: the entry at pa dropped by one, those above it were copied."""
     if state[pa - 1] != prev[pa - 1] - 1:
@@ -237,9 +271,10 @@ def validate_b_run(run: ChainRun, horizon: int) -> None:
     running maximum, the entry at the previous coalescent time dropped by one
     unless fresh levels were opened, and entries above it are copied verbatim.
     """
-    prev: State | None = None
+    prev: tuple[int, ...] | None = None
     running = 0
-    for state, a in zip(run.states, run.a_values):
+    for point, a in zip(run.states, run.a_values):
+        state = _entries(point)
         first = first_nonzero(state)
         if first is None:
             raise ChainStateError(f"state {state} is all zero; termination ends a run")
@@ -265,8 +300,9 @@ def validate_b_run(run: ChainRun, horizon: int) -> None:
 
 
 def validate_d_run(run: ChainRun, horizon: int) -> None:
-    prev: State | None = None
-    for state, a in zip(run.states, run.a_values):
+    prev: tuple[int, ...] | None = None
+    for point, a in zip(run.states, run.a_values):
+        state = _entries(point)
         if len(state) != horizon:
             raise ChainStateError(f"state length {len(state)} != horizon {horizon}")
         first = first_nonzero(state)

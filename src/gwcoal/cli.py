@@ -26,7 +26,7 @@ import io
 import json
 import sys
 
-from .chains import EtaSamplers, b_run, d_run, lf_run, validate_b_run, validate_d_run
+from .chains import EtaSamplers, b_run, d_run, dense, lf_run, validate_b_run, validate_d_run
 from .environment import TAIL_CUT, Environment, load_environment
 from .errors import (
     AttemptCapError,
@@ -296,7 +296,7 @@ def cmd_chain(args) -> int:
         run = runs[0]
         rows = []
         for step, a in enumerate(run.a_values, start=1):
-            state = "" if args.process == "lf" else ";".join(str(v) for v in run.states[step - 1])
+            state = "" if args.process == "lf" else ";".join(map(str, dense(run.states[step - 1])))
             rows.append([step, a, state])
         _write_rows(args, ["step", "A", "state"], rows)
     else:

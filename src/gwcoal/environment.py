@@ -26,6 +26,7 @@ from .errors import (
     DomainError,
     EnumerationGuardError,
     EnvFormatError,
+    GwcoalError,
     HorizonError,
     NotLinearFractionalError,
 )
@@ -194,10 +195,15 @@ class LevelTable:
                 self._eta[k] = EtaLaw(probs=(), geom=p0)
             else:
                 alive = 1 - u
-                self._eta[k] = EtaLaw(probs=(p0,) + tuple(
-                    alive ** (j + 1) * f.pgf_deriv(u, j + 1) / (math.factorial(j + 1) * surv)
-                    for j in range(1, max(f.max_children, 1))
-                ))
+                try:
+                    self._eta[k] = EtaLaw(probs=(p0,) + tuple(
+                        alive ** (j + 1) * f.pgf_deriv(u, j + 1) / (math.factorial(j + 1) * surv)
+                        for j in range(1, max(f.max_children, 1))
+                    ))
+                except OverflowError:
+                    # j!/(j-k)! past 170! does not fit a float
+                    raise GwcoalError(f"eta law at level {k}: a pmf law of width {len(f.probs)} "
+                                      "overflows the float derivative formula") from None
         return self._eta[k]
 
     @cached_property

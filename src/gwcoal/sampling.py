@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, count, repeat
+from operator import le
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -83,6 +84,27 @@ class UniformStream:
                 self._pos = need
                 return out + buf[:need]
             out += buf
+
+    def first_reaching(self, floors: Sequence[float]) -> tuple[int, float] | None:
+        """Read uniforms up to the first one at or above its floor, the i-th
+        read against ``floors[i]``, and return its (i, u); None once one
+        uniform per floor was read, all below.  The values read are those of
+        calls to ``next``."""
+        buf, pos = self._buf, self._pos
+        done = 0
+        while floors:
+            if pos == len(buf):
+                buf, pos = self._refill(), 0
+            us = buf[pos:pos + len(floors)]
+            hit = next(compress(count(), map(le, floors, us)), None)
+            if hit is not None:
+                self._pos = pos + hit + 1
+                return done + hit, us[hit]
+            pos += len(us)
+            done += len(us)
+            floors = floors[len(us):]
+        self._pos = pos
+        return None
 
 
 def stream_for_run(seed: int, run_id: int) -> UniformStream:

@@ -483,7 +483,9 @@ def figure1_consistency() -> ReferenceTableReport:
     try:
         run = ChainRun(
             a_values=list(REFERENCE_A),
-            states=list(REFERENCE_B_ROWS),
+            states=[(len(row), tuple(zip(itertools.compress(itertools.count(1), row),
+                                         filter(None, row))))
+                    for row in REFERENCE_B_ROWS],
             terminated=False,
         )
         validate_b_run(run, horizon=max(REFERENCE_L))

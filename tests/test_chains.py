@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gwcoal import (
     ChainRun,
@@ -20,8 +21,8 @@ from gwcoal import (
     validate_d_run,
 )
 import gwcoal.chains
-from gwcoal.chains import b_step, d_step
-from gwcoal.errors import ChainStateError, NotLinearFractionalError
+from gwcoal.chains import b_step, d_step, dense
+from gwcoal.errors import ChainStateError, DegenerateEnvironmentError, NotLinearFractionalError
 from gwcoal.sampling import draw_from_cumulative
 
 from conftest import env_path, per_draw_chain
@@ -41,6 +42,12 @@ class FixedStream:
         assert len(out) == n, "script ran out"
         return out
 
+    def first_reaching(self, floors):
+        for i, floor in enumerate(floors):
+            if (u := self.next()) >= floor:
+                return i, u
+        return None
+
 
 def stream_hitting(samplers, level, want):
     """A uniform that makes ``samplers.draw(level, ...)`` return ``want``."""
@@ -52,64 +59,74 @@ def stream_hitting(samplers, level, want):
 
 
 class TestSteps:
+    """States are (length, pairs): the (level, count) of the nonzero entries."""
+
     def test_deterministic_full_binary(self):
         # two children always, every line survives: the three transitions
         # and the final termination are forced
         env = constant_environment(dirac(2), 2)
         samplers = EtaSamplers(env)
         stream = stream_for_run(0, 0)
-        s1, a1 = b_step((), samplers, stream)
-        assert (s1, a1) == ((1,), 1)
+        s1, a1 = b_step((0, ()), samplers, stream)
+        assert (s1, a1) == ((1, ((1, 1),)), 1)
         s2, a2 = b_step(s1, samplers, stream)
-        assert (s2, a2) == ((0, 1), 2)
+        assert (s2, a2) == ((2, ((2, 1),)), 2)
         s3, a3 = b_step(s2, samplers, stream)
-        assert (s3, a3) == ((1, 0), 1)
+        assert (s3, a3) == ((2, ((1, 1),)), 1)
+        assert [dense(s) for s in (s1, s2, s3)] == [(1,), (0, 1), (1, 0)]
         assert b_step(s3, samplers, stream) == (None, None)
 
     def test_immediate_termination(self):
         # single-child generations never branch
         env = constant_environment(dirac(1), 2)
         samplers = EtaSamplers(env)
-        assert b_step((), samplers, stream_for_run(0, 0)) == (None, None)
+        assert b_step((0, ()), samplers, stream_for_run(0, 0)) == (None, None)
 
     def test_forced_decrement_and_copy(self, binom2):
         samplers = EtaSamplers(binom2)
         # from (0,2): fresh draw at level 1, decrement at level 2
         u0 = stream_hitting(samplers, 1, 0)
         u1 = stream_hitting(samplers, 1, 1)
-        assert b_step((0, 2), samplers, FixedStream([u1])) == ((1, 1), 1)
-        assert b_step((0, 2), samplers, FixedStream([u0])) == ((0, 1), 2)
+        assert b_step((2, ((2, 2),)), samplers, FixedStream([u1])) == ((2, ((1, 1), (2, 1))), 1)
+        assert b_step((2, ((2, 2),)), samplers, FixedStream([u0])) == ((2, ((2, 1),)), 2)
 
     def test_forced_extension(self, binom2):
         samplers = EtaSamplers(binom2)
         # from (1,): decrement kills the prefix, extension draws level 2
         u0 = stream_hitting(samplers, 2, 0)
         u1 = stream_hitting(samplers, 2, 1)
-        nxt = b_step((1,), samplers, FixedStream([u1]))
-        assert nxt == ((0, 1), 2)
-        assert b_step((1,), samplers, FixedStream([u0])) == (None, None)
+        nxt = b_step((1, ((1, 1),)), samplers, FixedStream([u1]))
+        assert nxt == ((2, ((2, 1),)), 2)
+        assert b_step((1, ((1, 1),)), samplers, FixedStream([u0])) == (None, None)
 
     def test_b_step_rejects_all_zero_state(self, binom2):
         # an all-zero vector is not a state: the run has terminated
         with pytest.raises(ChainStateError):
-            b_step((0, 0), EtaSamplers(binom2), FixedStream([]))
+            b_step((2, ()), EtaSamplers(binom2), FixedStream([]))
 
     def test_d_step_semantics(self, binom2):
         samplers = EtaSamplers(binom2)
         u0 = stream_hitting(samplers, 1, 0)
-        state = d_step((0, 2), samplers, FixedStream([u0]))
-        assert state == ((0, 1), 2)
+        state = d_step((2, ((2, 2),)), samplers, FixedStream([u0]))
+        assert state == ((2, ((2, 1),)), 2)
         u1 = stream_hitting(samplers, 1, 1)
-        assert d_step((0, 1), samplers, FixedStream([u0])) == ((0, 0), None)
-        assert d_step((0, 1), samplers, FixedStream([u1])) == ((1, 0), 1)
+        assert d_step((2, ((2, 1),)), samplers, FixedStream([u0])) == ((2, ()), None)
+        assert d_step((2, ((2, 1),)), samplers, FixedStream([u1])) == ((2, ((1, 1),)), 1)
         with pytest.raises(ChainStateError):
-            d_step((0, 0), samplers, FixedStream([]))
+            d_step((2, ()), samplers, FixedStream([]))
+        with pytest.raises(ChainStateError):
+            d_step((1, ((1, 1),)), samplers, FixedStream([]))
 
     def test_d_initial_draws_every_level(self, binom2):
         samplers = EtaSamplers(binom2)
         u1 = stream_hitting(samplers, 1, 1)
         u2 = stream_hitting(samplers, 2, 1)
-        assert d_step(None, samplers, FixedStream([u1, u2])) == ((1, 1), 1)
+        assert d_step(None, samplers, FixedStream([u1, u2])) == ((2, ((1, 1), (2, 1))), 1)
+
+    def test_dense_fills_the_gaps(self):
+        assert dense((0, ())) == ()
+        assert dense((3, ())) == (0, 0, 0)
+        assert dense((5, ((2, 1), (5, 3)))) == (0, 1, 0, 0, 3)
 
 
 class TestRuns:
@@ -144,13 +161,18 @@ class TestRuns:
         with pytest.raises(ChainStateError):
             validate_b_run(bad, binom3.horizon)
 
-    @pytest.mark.parametrize("state", [(0, 0), (1, -1), (-1, 0)],
-                             ids=["all-zero", "negative", "negative-fresh"])
+    @pytest.mark.parametrize("state", [
+        (2, ()), (2, ((1, 1), (2, -1))), (2, ((1, -1),)),
+        (2, ((1, 1), (1, 1))), (2, ((2, 1), (1, 1))), (2, ((1, 0), (2, 1))), (1, ((1, 1), (2, 1))),
+        (2, ((0, 1),)),
+    ], ids=["all-zero", "negative", "negative-fresh", "repeated-level", "falling-levels",
+            "zero-count", "past-length", "level-0"])
     def test_validator_rejects_invalid_state(self, state):
-        # an all-zero vector ends the run; entries count daughters.  The
-        # last state has the structure of a step from (0, 1): only its
-        # sign gives it away
-        run = ChainRun(a_values=[2, 1], states=[(0, 1), state])
+        # an all-zero vector ends the run; entries count daughters; the pairs
+        # list the nonzero entries, levels rising within the length.  The
+        # dense forms of the negative states have the structure of a step
+        # from (0, 1): only the sign gives them away
+        run = ChainRun(a_values=[2, 1], states=[(2, ((2, 1),)), state])
         with pytest.raises(ChainStateError):
             validate_b_run(run, 2)
 
@@ -260,6 +282,16 @@ class TestEtaSamplers:
 DEEP_N40 = Environment((FiniteSupportLaw((0.25, 0.5, 0.25)),) * 40)
 
 
+def dense_run(run):
+    """(a_values, dense states, terminated) of a run, the form of
+    ``per_draw_chain``, once each state's pairs are checked to be exactly
+    its nonzero entries."""
+    vecs = [dense(state) for state in run.states]
+    for (_, pairs), vec in zip(run.states, vecs):
+        assert pairs == tuple((m, v) for m, v in enumerate(vec, 1) if v)
+    return run.a_values, vecs, run.terminated
+
+
 class TestBatchedDraws:
     """The chains read fresh levels in one slice and extensions straight off
     the stream; states, times and the uniforms read must be those of one
@@ -277,7 +309,7 @@ class TestBatchedDraws:
                     ref, new = stream_for_run(seed, run_id), stream_for_run(seed, run_id)
                     expected = per_draw_chain(process, env, ref, cap)
                     run = run_chain(env, new, cap, samplers=samplers)
-                    assert (run.a_values, run.states, run.terminated) == expected
+                    assert dense_run(run) == expected
                     assert new.take(3) == ref.take(3)
 
     def test_lf_run_matches_per_draw_reference(self, lf_half_n6):
@@ -304,5 +336,37 @@ class TestBatchedDraws:
             ref, new = stream_for_run(4, run_id), stream_for_run(4, run_id)
             expected = per_draw_chain(process, env, ref)
             run = run_chain(env, new, samplers=samplers)
-            assert (run.a_values, run.states, run.terminated) == expected
+            assert dense_run(run) == expected
             assert new.take(3) == ref.take(3)
+
+
+# pmf laws on {0..w}, w = 1..5, zero entries allowed; lf laws, among them
+# p = 1 - 2**-53, whose eta level reads no uniform above most u
+PMF_LAWS = st.lists(st.integers(0, 3), min_size=2, max_size=6).filter(lambda c: any(c[1:])).map(
+    lambda c: FiniteSupportLaw(tuple(x / sum(c) for x in c)))
+LF_LAWS = st.builds(LinearFractionalLaw, st.sampled_from([0.25, 0.5, 1.0]),
+                    st.sampled_from([0.3, 0.5, 0.75, 1 - 2 ** -53]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(laws=st.integers(1, 40).flatmap(lambda horizon: st.lists(
+           st.one_of(PMF_LAWS, LF_LAWS), min_size=horizon, max_size=horizon)),
+       process=st.sampled_from("bd"), seed=st.integers(0, 2 ** 64 - 1), cap=st.integers(0, 60))
+@example(laws=[FiniteSupportLaw((0.25, 0.5, 0.25)), LinearFractionalLaw(0.5, 1 - 2 ** -53),
+               LinearFractionalLaw(0.4, 0.5)], process="b", seed=4, cap=60)
+@example(laws=[FiniteSupportLaw((0.25, 0.5, 0.25)), LinearFractionalLaw(0.5, 1 - 2 ** -53),
+               LinearFractionalLaw(0.4, 0.5)], process="d", seed=4, cap=60)
+def test_sparse_runs_match_dense_reference(laws, process, seed, cap):
+    """Sparse b and d runs equal the dense per-draw reference: times, dense
+    states, termination and the uniforms read after the run."""
+    env = Environment(tuple(laws))
+    try:
+        samplers = EtaSamplers(env)
+    except DegenerateEnvironmentError:
+        assume(False)
+    run_chain = b_run if process == "b" else d_run
+    for run_id in range(4):
+        ref, new = stream_for_run(seed, run_id), stream_for_run(seed, run_id)
+        expected = per_draw_chain(process, env, ref, cap)
+        assert dense_run(run_chain(env, new, cap, samplers=samplers)) == expected
+        assert new.take(3) == ref.take(3)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from gwcoal.chains import EtaSamplers
+import gwcoal.chains
+import gwcoal.cli
+from gwcoal.chains import EtaSamplers, dense
 from gwcoal.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -193,6 +196,41 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert err.startswith("error: laws[0]: ") and err.count("\n") == 1
         assert "2**-54" in err and out == ""
+
+    @staticmethod
+    def wide_env(tmp_path, width, horizon=2):
+        path = tmp_path / f"wide{width}.json"
+        law = {"type": "pmf", "p": [1 / width] * width}
+        path.write_text(json.dumps({"horizon": horizon, "laws": [law] * horizon}))
+        return str(path)
+
+    @pytest.mark.parametrize("argv, horizon", [
+        (["eta"], 2), (["chain", "--process", "b"], 2), (["chain", "--process", "d"], 2),
+        (["verify"], 1),
+    ], ids=["eta", "chain-b", "chain-d", "verify"])
+    def test_wide_pmf_eta_law_rejected(self, capsys, tmp_path, argv, horizon):
+        # the eta law's j-th derivative term j!/(j-k)! overflows a float past
+        # 170!; verify reaches the eta law first at horizon 1, where its
+        # enumerations stay under the guard
+        code, out, err = run_cli(capsys, *argv, "--env", self.wide_env(tmp_path, 173, horizon))
+        assert code == EXIT_CONFIG
+        assert err == ("error: eta law at level 1: a pmf law of width 173 overflows the float "
+                       "derivative formula\n")
+        assert out == "" and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["eta"], "3134bd87f06c23b5426f3350c73ca83f1d146a166574ecc6df642a1da2e68217"),
+        (["chain", "--process", "b"],
+         "280b8a115cb17496f1a701072afd148422c5796d8c96b5670e782df6c77f6491"),
+        (["chain", "--process", "d"],
+         "280b8a115cb17496f1a701072afd148422c5796d8c96b5670e782df6c77f6491"),
+    ], ids=["eta", "chain-b", "chain-d"])
+    def test_widest_float_pmf_still_runs(self, capsys, tmp_path, argv, digest):
+        # stdout and stderr of a 171-entry law, as before the overflow check
+        extra = ["--samples", "5", "--seed", "3"] if argv[0] == "chain" else []
+        code, out, err = run_cli(capsys, *argv, *extra, "--env", self.wide_env(tmp_path, 171))
+        assert code == EXIT_OK
+        assert hashlib.sha256((out + "\0" + err).encode()).hexdigest() == digest
 
     def test_verify_failure_exit(self, capsys, dirac2_env):
         # a deterministic tree has a single reduced-sequence history, so the
@@ -478,6 +516,25 @@ class TestChain:
         )
         assert code == EXIT_OK
         assert calls == [6] * builds
+
+    def test_campaign_builds_no_dense_state(self, capsys, monkeypatch):
+        # states stay sparse unless --trace or --validate reads them
+        calls = []
+
+        def counting(state):
+            calls.append(state)
+            return dense(state)
+
+        monkeypatch.setattr(gwcoal.chains, "dense", counting)
+        monkeypatch.setattr(gwcoal.cli, "dense", counting)
+        for process in ("b", "d"):
+            code, _, _ = run_cli(capsys, "chain", "--env", env_path("binom_n6"),
+                                 "--process", process, "--samples", "50")
+            assert code == EXIT_OK
+        assert calls == []
+        code, out, _ = run_cli(capsys, "chain", "--env", env_path("binom_n6"), "--trace")
+        assert code == EXIT_OK
+        assert len(calls) == len(out.splitlines()) - 1 > 0
 
     def test_d_process_runs(self, capsys):
         code, out, _ = run_cli(

@@ -37,15 +37,19 @@ WORD_CAMPAIGNS = {
     "binom_n3": ("simulate", "chain-b", "chain-d"),
     "lf_half_n6": ("chain-lf",),
 }
-# environments written from a literal: every law a permutation of
-# (5, 7, 9, 11)/32, whose rational sweep has far more outcomes than any
-# bundled environment's
+# environments written from a literal.  full_support_n3: every law a
+# permutation of (5, 7, 9, 11)/32, whose rational sweep has far more outcomes
+# than any bundled environment's.  deep_n40: the critical (1/4, 1/2, 1/4) law
+# over 40 generations, whose chain states are long and mostly zero
 LITERAL_ENVS = {
     "full_support_n3": {"horizon": 3, "laws": [
         {"type": "pmf", "p": [c / 32 for c in perm]}
         for perm in ((5, 7, 9, 11), (11, 9, 7, 5), (7, 11, 5, 9))
     ]},
+    "deep_n40": {"horizon": 40, "laws": [{"type": "pmf", "p": [0.25, 0.5, 0.25]}] * 40},
 }
+# literal environments whose chains are pinned, plain and traced
+LITERAL_CHAIN_ENVS = ("deep_n40",)
 
 
 def commands() -> dict[str, list[str]]:
@@ -77,8 +81,16 @@ def commands() -> dict[str, list[str]]:
                 out[f"{stem}:{kind}-seed{seed}"] = command + [
                     "--env", str(ENVS / f"{stem}.json"), "--seed", seed, "--samples", SAMPLES]
     for stem in LITERAL_ENVS:
-        out[f"{stem}:checks-rational-json"] = ["verify", "--rational", "--format", "json",
-                                               "--env", f"{stem}.json"]
+        env = ["--env", f"{stem}.json"]
+        if stem in LITERAL_CHAIN_ENVS:
+            for process in ("b", "d"):
+                out[f"{stem}:chain-{process}"] = ["chain", "--process", process, "--seed", SEED,
+                                                  "--samples", SAMPLES] + env
+                out[f"{stem}:chain-{process}-trace"] = [
+                    "chain", "--process", process, "--trace", "--validate", "--seed", SEED] + env
+        else:
+            out[f"{stem}:checks-rational-json"] = ["verify", "--rational", "--format",
+                                                   "json"] + env
     return out
 
 

@@ -90,6 +90,26 @@ class TestStreams:
                 got.extend(block)
         assert got == np.random.default_rng(seed).random(len(got)).tolist()
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cap=st.integers(min_value=1, max_value=512),
+        scans=st.lists(st.lists(st.sampled_from([0.0, 0.9, 0.99, 0.999, 1.0]), max_size=300),
+                       max_size=12),
+        seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+    )
+    def test_first_reaching_reads_like_next(self, cap, scans, seed):
+        # a floor of 1.0 is never reached; a scan may cross block ends
+        stream = UniformStream(np.random.default_rng(seed), block=cap)
+        ref = UniformStream(np.random.default_rng(seed), block=cap)
+        for floors in scans:
+            expected = None
+            for i, floor in enumerate(floors):
+                if (u := ref.next()) >= floor:
+                    expected = i, u
+                    break
+            assert stream.first_reaching(floors) == expected
+            assert stream.next() == ref.next()
+
     def test_take_refills_like_next(self):
         # the block schedule, and so the generator's state, is that of next()
         a, b = np.random.default_rng(3), np.random.default_rng(3)
