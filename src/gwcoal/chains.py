@@ -10,7 +10,8 @@ individual exists within the horizon.
 
 A state is held as a point measure: ``(length, pairs)``, where ``pairs``
 lists the (level, count) of its nonzero entries with levels rising, so the
-next coalescent time is ``pairs[0][0]``.  ``dense`` rebuilds the vector.
+next coalescent time is ``pairs[0][0]``.  ``dense`` rebuilds the vector, for
+printing only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress, count
+from itertools import compress
 from operator import le
 
 from .environment import Environment
@@ -33,16 +34,19 @@ from .sampling import (
     geometric_failures,
     geometric_from_uniform,
 )
+from .tree import BtState, bt_star
 
 class EtaSamplers:
     """Per-level samplers of the spine-sibling law, levels 1..N.
 
-    ``draw`` reads one level's value from the stream.  ``fresh`` and
-    ``extend`` read the same values, in the same order, through one table of
-    per-level maps from a uniform to a value, and keep the nonzero ones.  A
-    uniform below its level's floor gives 0 without a call to the map: the
-    floor is ``cum[0]`` for a finite law, as ``bisect_right(cum, u) == 0``
-    exactly when ``u < cum[0]``, and 0.0 for a geometric law.
+    ``draw`` reads one level's value from the stream: the per-level
+    reference, kept for the tests and the benchmark tracer.  The chains call
+    ``fresh`` and ``extend``, which read the same values, in the same order,
+    through one table of per-level maps from a uniform to a value, and keep
+    the nonzero ones.  A uniform below its level's floor gives 0 without a
+    call to the map: the floor is ``cum[0]`` for a finite law, as
+    ``bisect_right(cum, u) == 0`` exactly when ``u < cum[0]``, and 0.0 for a
+    geometric law.
     """
 
     def __init__(self, env: Environment):
@@ -99,13 +103,8 @@ class EtaSamplers:
         return None
 
 
-def first_nonzero(vec: tuple[int, ...]) -> int | None:
-    """1-based position of the first nonzero entry; None when there is none."""
-    return next(compress(count(1), vec), None)
-
-
 # (length, pairs): the (level, count) of the nonzero entries, levels rising
-State = tuple[int, tuple[tuple[int, int], ...]]
+State = tuple[int, BtState]
 
 
 def dense(state: State) -> tuple[int, ...]:
@@ -117,12 +116,11 @@ def dense(state: State) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def _redraw(pairs: tuple[tuple[int, int], ...], samplers: EtaSamplers,
-            stream: UniformStream) -> tuple[tuple[int, int], ...]:
+def _redraw(pairs: BtState, samplers: EtaSamplers, stream: UniformStream) -> BtState:
     """Fresh draws below the first level a, the entry at a less one, the
     entries above copied."""
-    a, c = pairs[0]
-    rest = pairs[1:] if c == 1 else ((a, c - 1),) + pairs[1:]
+    a = pairs[0][0]
+    rest = bt_star(pairs)
     return tuple(samplers.fresh(a - 1, stream)) + rest if a > 1 else rest
 
 
@@ -242,72 +240,63 @@ def lf_run(env: Environment, rng, max_individuals: int = 1_000_000) -> ChainRun:
 # ---------------------------------------------------------------------------
 
 
-def _entries(state: State) -> tuple[int, ...]:
-    """``dense(state)``, once its pairs are checked to be exactly the
-    (level, count) of its nonzero entries, levels rising."""
-    try:
-        vec = dense(state)
-    except IndexError:  # a level past the length
-        vec = ()
-    if tuple(zip(compress(count(1), vec), filter(None, vec))) != state[1]:
-        raise ChainStateError(f"state {state} does not list its nonzero entries by rising level")
-    return vec
+def _check_state(state: State, a: int) -> BtState:
+    """The state's pairs, once they are checked to list positive counts at
+    levels rising within 1..length, the first of them at the emitted time."""
+    length, pairs = state
+    if not pairs:
+        raise ChainStateError(f"state {state} is all zero; termination ends a run")
+    below = 0
+    for level, v in pairs:
+        if not below < level <= length:
+            raise ChainStateError(f"state {state} does not list its levels rising in 1..{length}")
+        if v <= 0:
+            raise ChainStateError(f"nonpositive count in state {state}")
+        below = level
+    if pairs[0][0] != a:
+        raise ChainStateError(f"emitted {a} but the first level is {pairs[0][0]}")
+    return pairs
 
 
-def _check_step(prev: tuple[int, ...], state: tuple[int, ...], pa: int) -> None:
-    """Same-length step: the entry at pa dropped by one, those above it were copied."""
-    if state[pa - 1] != prev[pa - 1] - 1:
-        raise ChainStateError("entry at the previous time did not decrement")
-    if state[pa:] != prev[pa:]:
-        raise ChainStateError("entries above the previous time changed")
+def _check_step(prev: BtState, pairs: BtState) -> None:
+    """Same-length step: the entry at the previous first level dropped by one,
+    the pairs above it were copied."""
+    pa = prev[0][0]
+    if tuple([pr for pr in pairs if pr[0] >= pa]) != bt_star(prev):
+        raise ChainStateError("the step did not decrement the previous time and copy above it")
 
 
 def validate_b_run(run: ChainRun, horizon: int) -> None:
     """Check the copy/decrement/extend structure along a realized run.
 
     Fresh draws cannot be re-derived, but every structural constraint that
-    does not depend on them must hold: entries are nonnegative and not all
-    zero, emitted times are first-nonzero positions, lengths follow the
-    running maximum, the entry at the previous coalescent time dropped by one
-    unless fresh levels were opened, and entries above it are copied verbatim.
+    does not depend on them must hold: pairs list positive counts at rising
+    levels and are not empty, emitted times are first levels, lengths follow
+    the running maximum, the entry at the previous coalescent time dropped by
+    one unless fresh levels were opened, and pairs above it are copied
+    verbatim.  A state longer than the last one then holds a single pair, at
+    its length: its first level is the new running maximum.
     """
-    prev: tuple[int, ...] | None = None
+    prev: State | None = None
     running = 0
-    for point, a in zip(run.states, run.a_values):
-        state = _entries(point)
-        first = first_nonzero(state)
-        if first is None:
-            raise ChainStateError(f"state {state} is all zero; termination ends a run")
-        if min(state) < 0:
-            raise ChainStateError(f"negative entry in state {state}")
-        if first != a:
-            raise ChainStateError(f"emitted {a} but first nonzero is {first}")
+    for state, a in zip(run.states, run.a_values):
+        pairs = _check_state(state, a)
         running = max(running, a)
-        if len(state) != running:
-            raise ChainStateError(f"length {len(state)} != running maximum {running}")
-        if len(state) > horizon:
-            raise ChainStateError(f"length {len(state)} exceeds horizon {horizon}")
-        if prev is not None:
-            if len(state) == len(prev):
-                _check_step(prev, state, first_nonzero(prev))
-            else:
-                # extension happened, so the replaced prefix died out entirely
-                if len(state) < len(prev) or any(state[: len(prev)]):
-                    raise ChainStateError("extension with a surviving prefix")
-                if any(state[len(prev) : -1]):
-                    raise ChainStateError("extension passed a nonzero level")
+        if state[0] != running:
+            raise ChainStateError(f"length {state[0]} != running maximum {running}")
+        if running > horizon:
+            raise ChainStateError(f"length {running} exceeds horizon {horizon}")
+        if prev is not None and running == prev[0]:
+            _check_step(prev[1], pairs)
         prev = state
 
 
 def validate_d_run(run: ChainRun, horizon: int) -> None:
-    prev: tuple[int, ...] | None = None
-    for point, a in zip(run.states, run.a_values):
-        state = _entries(point)
-        if len(state) != horizon:
-            raise ChainStateError(f"state length {len(state)} != horizon {horizon}")
-        first = first_nonzero(state)
-        if first != a:
-            raise ChainStateError(f"emitted {a} but first nonzero is {first}")
+    prev: BtState | None = None
+    for state, a in zip(run.states, run.a_values):
+        if state[0] != horizon:
+            raise ChainStateError(f"state length {state[0]} != horizon {horizon}")
+        pairs = _check_state(state, a)
         if prev is not None:
-            _check_step(prev, state, first_nonzero(prev))
-        prev = state
+            _check_step(prev, pairs)
+        prev = pairs

@@ -11,8 +11,8 @@ Extraction functions recover, for each present individual i:
 * its ancestor's rank at every level (``ancestor_index``),
 * the pairwise coalescent times of consecutive individuals (``coalescent_times``),
 * the count of extra daughters of each spine ancestor whose descendants have
-  rank >= i (``extract_D``), and the derived truncated vector (``extract_B``)
-  and reduced point-measure sequence (``extract_Btilde``).
+  rank >= i (``extract_D``), and the derived truncated chain state
+  (``extract_B``) and reduced point-measure sequence (``extract_Btilde``).
 """
 
 from __future__ import annotations
@@ -233,15 +233,17 @@ def extract_D(tree: Tree, i: int, n: int) -> int:
     return _mark(tree, tree.horizon - n, ancestor_index(tree, i, n) - 1, i)
 
 
-def extract_B(tree: Tree, i: int, cpp: Cpp | None = None) -> tuple[int, ...]:
+def extract_B(tree: Tree, i: int, cpp: Cpp | None = None) -> tuple[int, BtState]:
     """The D-values of individual i truncated to the running maximum of
-    coalescent times, b = (D_i(1), ..., D_i(l_i)) with l_i = max(A_1..A_i)."""
+    coalescent times, b = (D_i(1), ..., D_i(l_i)) with l_i = max(A_1..A_i),
+    as the b chain's state ``(l_i, pairs)``: the (level, D-value) of each
+    nonzero D-value, levels rising."""
     if cpp is None:
         cpp = coalescent_times(tree)
     if not 1 <= i <= cpp.k - 1:
         raise DomainError(f"individual {i} needs a right neighbor, k={cpp.k}")
     l_i = max(cpp.a[:i])
-    return tuple(extract_D(tree, i, n) for n in range(1, l_i + 1))
+    return l_i, tuple((n, d) for n in range(1, l_i + 1) if (d := extract_D(tree, i, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chains import ChainRun, first_nonzero, validate_b_run
+from .chains import ChainRun, State, validate_b_run
 from .disttable import DistTable, outcome_key, tv_distance
 from .environment import TAIL_CUT, Environment, lf_a1_tail
 from .errors import (
@@ -35,7 +35,7 @@ from .errors import (
 from .laws import FiniteSupportLaw, Number
 from .pgf import a1_tail, eta_law_at_depth, eta_probs_generic
 from .sampling import as_stream, draw_forward
-from .tree import BtState, Tree, bt_fold, bt_update, cpp_and_marks
+from .tree import BtState, Tree, bt_fold, bt_star, bt_update, cpp_and_marks
 
 TERM_KEY = "TERMINATED"
 # Total variation above which two conditional laws witness history dependence.
@@ -72,9 +72,10 @@ def _offspring_support(law, guard: int) -> list[tuple[int, Number]]:
 
 @dataclass(frozen=True)
 class _LevelTable:
-    """Spine-sibling law at one ancestor level, as explicit support items."""
+    """Spine-sibling law at one ancestor level, as explicit support items:
+    the (level, value) pair of each value, None for 0, with its probability."""
 
-    items: tuple[tuple[int, Number], ...]
+    items: tuple[tuple[tuple[int, int] | None, Number], ...]
     zero: Number
 
 
@@ -83,7 +84,7 @@ def _eta_tables(env: Environment, rational: bool = False) -> list[_LevelTable]:
     out = []
     for level in range(1, base.horizon + 1):
         law = eta_law_at_depth(base, level).materialized()
-        items = tuple((k, p) for k, p in enumerate(law.probs) if p > 0)
+        items = tuple(((level, k) if k else None, p) for k, p in enumerate(law.probs) if p > 0)
         out.append(_LevelTable(items=items, zero=law.probs[0]))
     return out
 
@@ -185,39 +186,35 @@ def _tree_numerators(
 # ---------------------------------------------------------------------------
 
 
-def _transitions(state: tuple[int, ...] | None, tables: list[_LevelTable]):
+def _transitions(state: State | None, tables: list[_LevelTable]):
     """All transitions out of a chain state, with their probabilities.
 
-    ``()`` is the start of the truncated (b) chain, ``None`` that of the
-    fixed-length (d) chain.  The levels below the first nonzero one are drawn
-    afresh and that level loses one.  A b state left all zero draws the
-    levels beyond its length until a nonzero value, and terminates (``None``)
-    if none comes up to the horizon; all-zero d states are yielded as they
-    are.  Probabilities sum to one minus the truncation leak of the tables.
+    ``(0, ())`` is the start of the truncated (b) chain, ``None`` that of the
+    fixed-length (d) chain.  The levels below the first one are drawn afresh
+    and that level loses one.  A b state left without pairs draws the levels
+    beyond its length until a nonzero value, and terminates (``None``) if
+    none comes up to the horizon; a d start without pairs is yielded as it
+    is.  Probabilities sum to one minus the truncation leak of the tables.
     """
     one: Number = 1 if any(isinstance(t.zero, Fraction) for t in tables) else 1.0
     if state is None:
-        below, fixed = tables, ()
-    elif state:
-        a = first_nonzero(state)
-        below, fixed = tables[: a - 1], (state[a - 1] - 1,) + state[a:]
+        length, below, fixed = len(tables), tables, ()
     else:
-        below, fixed = [], ()
+        length, pairs = state
+        below, fixed = (tables[: pairs[0][0] - 1], bt_star(pairs)) if pairs else ([], ())
     for combo in itertools.product(*(t.items for t in below)):
         p = one
         for _, q in combo:
             p = p * q
-        prefix = tuple(v for v, _ in combo) + fixed
-        if state is None or any(prefix):
-            yield prefix, p
+        prefix = tuple([pr for pr, _ in combo if pr]) + fixed
+        if state is None or prefix:
+            yield (length, prefix), p
             continue
-        start = len(prefix)
-        for level in range(start + 1, len(tables) + 1):
+        for level in range(length + 1, len(tables) + 1):
             t = tables[level - 1]
-            padded = prefix + (0,) * (level - start - 1)
-            for v, q in t.items:
-                if v != 0:
-                    yield padded + (v,), p * q
+            for pr, q in t.items:
+                if pr:
+                    yield (level, (pr,)), p * q
             p = p * t.zero
             if p == 0:
                 break
@@ -235,8 +232,8 @@ class _Sweep:
     all of that state's histories in one inner loop.  A history is the text
     of the emitted times, each followed by a comma, unless the caller keys
     it otherwise.  Each distinct state's transitions are generated once per
-    sweep, with the first nonzero level of every next state (``None`` ends
-    the run, and so does an all-zero d state).  ``work`` counts every
+    sweep, with the first level of every next state (``None`` ends the run,
+    and so does a d state without pairs).  ``work`` counts every
     transition examined once per history that reads it, so a state charges
     its number of transitions times its number of histories; more than
     ``guard`` raises.
@@ -251,7 +248,7 @@ class _Sweep:
         if process not in ("b", "d"):
             raise ValueError("process must be 'b' or 'd'")
         self.tables = _eta_tables(env, rational)
-        self.start = () if process == "b" else None
+        self.start = (0, ()) if process == "b" else None
         self.rational = rational
         self.one: Number = 1 if rational else 1.0
         self.scale = math.prod(math.lcm(t.zero.denominator, *(q.denominator for _, q in t.items))
@@ -261,14 +258,14 @@ class _Sweep:
         self.work = 0
         self._memo: dict = {}
 
-    def transitions(self, state) -> list[tuple[tuple[int, ...] | None, int | None, Number]]:
-        """(next state or None, its first nonzero level, probability) of every
+    def transitions(self, state) -> list[tuple[State | None, int | None, Number]]:
+        """(next state or None, its first level, probability) of every
         transition out of ``state``."""
         out = self._memo.get(state)
         if out is None:
             out = []
             for nxt, p in _transitions(state, self.tables):
-                a = None if nxt is None else first_nonzero(nxt)
+                a = nxt[1][0][0] if nxt and nxt[1] else None
                 if self.rational:
                     p = p.numerator * (self.scale // p.denominator)
                 out.append((None if a is None else nxt, a, p))
@@ -392,9 +389,10 @@ def chain_step_laws(
 ) -> list[DistTable]:
     """Per-step joint law of (emitted times so far, visible state).
 
-    For the fixed-length chain the visible state is the prefix up to the
-    running maximum of emitted times, which is exactly the truncated chain's
-    state, so the two processes must produce identical tables step by step.
+    For the fixed-length chain the visible state is its pairs up to the
+    running maximum of emitted times, with that maximum as its length, which
+    is exactly the truncated chain's state, so the two processes must produce
+    identical tables step by step.
     """
     sweep = _Sweep(env, process, 2_000_000, "step-law sweep exceeded its budget")
     frontier: dict = {sweep.start: {"": 1.0}}
@@ -411,8 +409,8 @@ def chain_step_laws(
                     peak = peaks.get(times)
                     if peak is None:
                         peak = peaks[times] = max(map(int, times[:-1].split(",")))
-                    visible = state[:peak]
-                step_law.add(f"A={times[:-1]}|S=" + ",".join(map(str, visible)), mass)
+                    visible = (peak, tuple([pr for pr in state[1] if pr[0] <= peak]))
+                step_law.add(f"A={times[:-1]}|S={visible}", mass)
         out.append(step_law)
         if not frontier:
             break
@@ -421,22 +419,22 @@ def chain_step_laws(
 
 # ---------------------------------------------------------------------------
 # Embedded hand-worked reference genealogy.  Eleven consecutive individuals
-# of one realized tree: their truncated state vectors, coalescent times,
+# of one realized tree: their truncated states, coalescent times,
 # running maxima, and the reduced point-measure sequence.
 # ---------------------------------------------------------------------------
 
-REFERENCE_B_ROWS: tuple[tuple[int, ...], ...] = (
-    (1,),
-    (0, 2),
-    (1, 1),
-    (0, 1),
-    (2, 0),
-    (1, 0),
-    (0, 0, 0, 1),
-    (0, 0, 1, 0),
-    (0, 0, 0, 0, 1),
-    (1, 0, 0, 1, 0),
-    (0, 0, 0, 1, 0),
+REFERENCE_B_ROWS: tuple[State, ...] = (
+    (1, ((1, 1),)),
+    (2, ((2, 2),)),
+    (2, ((1, 1), (2, 1))),
+    (2, ((2, 1),)),
+    (2, ((1, 2),)),
+    (2, ((1, 1),)),
+    (4, ((4, 1),)),
+    (4, ((3, 1),)),
+    (5, ((5, 1),)),
+    (5, ((1, 1), (4, 1))),
+    (5, ((4, 1),)),
 )
 REFERENCE_A: tuple[int, ...] = (1, 2, 1, 2, 1, 1, 4, 3, 5, 1, 4)
 REFERENCE_L: tuple[int, ...] = (1, 2, 2, 2, 2, 2, 4, 4, 5, 5, 5)
@@ -467,31 +465,25 @@ class ReferenceTableReport:
 def figure1_consistency() -> ReferenceTableReport:
     """Re-derive every derived row of the embedded reference genealogy.
 
-    The coalescent times must be the first nonzero positions of the state
-    vectors, the vector lengths must follow the running maximum of the times,
-    the whole sequence must satisfy the chain's structural transition rules,
-    and the reduced point-measure recursion must reproduce the listed states.
+    The coalescent times must be the first levels of the states, the state
+    lengths must follow the running maximum of the times, the whole sequence
+    must satisfy the chain's structural transition rules, and the reduced
+    point-measure recursion must reproduce the listed states.
     """
     mismatches: list[str] = []
-    derived_a = tuple(first_nonzero(row) for row in REFERENCE_B_ROWS)
+    derived_a = tuple(pairs[0][0] for _, pairs in REFERENCE_B_ROWS)
     if derived_a != REFERENCE_A:
         mismatches.append(f"coalescent times: derived {derived_a}")
-    derived_l = tuple(len(row) for row in REFERENCE_B_ROWS)
+    derived_l = tuple(length for length, _ in REFERENCE_B_ROWS)
     running = tuple(itertools.accumulate(REFERENCE_A, max))
     if derived_l != REFERENCE_L or running != REFERENCE_L:
         mismatches.append(f"lengths: rows {derived_l}, running maxima {running}")
     try:
-        run = ChainRun(
-            a_values=list(REFERENCE_A),
-            states=[(len(row), tuple(zip(itertools.compress(itertools.count(1), row),
-                                         filter(None, row))))
-                    for row in REFERENCE_B_ROWS],
-            terminated=False,
-        )
+        run = ChainRun(a_values=list(REFERENCE_A), states=list(REFERENCE_B_ROWS))
         validate_b_run(run, horizon=max(REFERENCE_L))
     except Exception as exc:
         mismatches.append(f"structural transition rules: {exc}")
-    marks = [row[a_i - 1] for a_i, row in zip(REFERENCE_A, REFERENCE_B_ROWS)]
+    marks = [pairs[0][1] for _, pairs in REFERENCE_B_ROWS]
     derived_btilde = bt_fold(REFERENCE_A, marks)
     if derived_btilde != REFERENCE_BTILDE:
         mismatches.append(f"reduced sequence: derived {derived_btilde}")
@@ -547,11 +539,11 @@ def btilde_witness_search(env: Environment) -> Witness | None:
         raise EnumerationGuardError("witness search requires finite-support laws")
     sweep = _Sweep(env, "d", 5_000_000, "witness sweep exceeded its budget")
     # the frontier's history is the last two reduced states
-    wave: dict[tuple[int, ...] | None, dict[tuple[BtState, BtState], float]] = {
+    wave: dict[State | None, dict[tuple[BtState, BtState], float]] = {
         sweep.start: {((), ()): 1.0}}
     for step in range(1, 11):
         cond: dict[tuple[BtState, BtState], dict[str, float]] = {}
-        nxt_wave: dict[tuple[int, ...], dict[tuple[BtState, BtState], float]] = {}
+        nxt_wave: dict[State, dict[tuple[BtState, BtState], float]] = {}
         for d2, a2, p, hists in sweep.moves(wave):
             for (x, y), mass in hists.items():
                 mp = mass * p
@@ -560,7 +552,7 @@ def btilde_witness_search(env: Environment) -> Witness | None:
                 if a2 is None:
                     z_key = TERM_KEY
                 else:
-                    z_state = bt_update(y, a2, d2[a2 - 1])
+                    z_state = bt_update(y, a2, d2[1][0][1])
                     z_key = encode_bt(z_state)
                     into = nxt_wave.setdefault(d2, {})
                     into[(y, z_state)] = into.get((y, z_state), 0.0) + mp

@@ -25,7 +25,7 @@ from gwcoal.chains import b_step, d_step, dense
 from gwcoal.errors import ChainStateError, DegenerateEnvironmentError, NotLinearFractionalError
 from gwcoal.sampling import draw_from_cumulative
 
-from conftest import env_path, per_draw_chain
+from conftest import dense_validate_b_run, dense_validate_d_run, env_path, per_draw_chain
 
 
 class FixedStream:
@@ -175,6 +175,16 @@ class TestRuns:
         run = ChainRun(a_values=[2, 1], states=[(2, ((2, 1),)), state])
         with pytest.raises(ChainStateError):
             validate_b_run(run, 2)
+
+    @pytest.mark.parametrize("process, state", [("b", (1, ((1, 1), (2, 1)))),
+                                                ("d", (2, ((1, 1), (3, 1))))])
+    def test_validator_rejects_level_past_length(self, process, state):
+        # a first state: no earlier state has the level to copy
+        run = ChainRun(a_values=[1], states=[state])
+        for validate in ((validate_b_run, dense_validate_b_run) if process == "b"
+                         else (validate_d_run, dense_validate_d_run)):
+            with pytest.raises(ChainStateError):
+                validate(run, 2)
 
     def test_runs_look_up_steps_at_call_time(self, binom3, monkeypatch):
         # a tracer counts steps by patching the module's step functions
@@ -370,3 +380,48 @@ def test_sparse_runs_match_dense_reference(laws, process, seed, cap):
         expected = per_draw_chain(process, env, ref, cap)
         assert dense_run(run_chain(env, new, cap, samplers=samplers)) == expected
         assert new.take(3) == ref.take(3)
+
+
+def _rejects(validate, run, horizon):
+    try:
+        validate(run, horizon)
+    except ChainStateError:
+        return True
+    return False
+
+
+VALIDATED_ENVS = {name: load_environment(env_path(name))
+                  for name in ("binom_n3", "varying_n3", "binom_n6", "lf_half_n6")}
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(VALIDATED_ENVS)), process=st.sampled_from("bd"),
+       run_id=st.integers(0, 500), field=st.sampled_from(["level", "count", "length", "a"]),
+       delta=st.integers(-2, 2), short=st.booleans(), data=st.data())
+def test_pair_validators_match_dense_reference(name, process, run_id, field, delta, short, data):
+    """A real run with one entry moved by ``delta``: a level, a count, a
+    length or an emitted time, checked against the horizon or one level
+    less.  The pair validators reject it exactly when the dense reference
+    does, or when a count is negative: the dense d reference let negative
+    counts through."""
+    env = VALIDATED_ENVS[name]
+    horizon = env.horizon - short
+    run = (b_run if process == "b" else d_run)(env, stream_for_run(5, run_id))
+    assume(run.states)
+    step = data.draw(st.integers(0, len(run.states) - 1))
+    length, pairs = run.states[step]
+    if field == "a":
+        run.a_values[step] += delta
+    elif field == "length":
+        run.states[step] = (length + delta, pairs)
+    else:
+        j = data.draw(st.integers(0, len(pairs) - 1))
+        level, v = pairs[j]
+        pair = (level + delta, v) if field == "level" else (level, v + delta)
+        run.states[step] = (length, pairs[:j] + (pair,) + pairs[j + 1:])
+    validate, reference = ((validate_b_run, dense_validate_b_run) if process == "b"
+                           else (validate_d_run, dense_validate_d_run))
+    negative = any(v < 0 for _, pairs in run.states for _, v in pairs)
+    assert _rejects(validate, run, horizon) == (_rejects(reference, run, horizon) or negative)
+    if delta == 0 and not short:
+        validate(run, horizon)

@@ -8,6 +8,8 @@ import pytest
 
 import gwcoal.chains
 import gwcoal.cli
+import gwcoal.tree
+import gwcoal.verify
 from gwcoal.chains import EtaSamplers, dense
 from gwcoal.cli import (
     EXIT_CHECK_FAILED,
@@ -535,6 +537,23 @@ class TestChain:
         code, out, _ = run_cli(capsys, "chain", "--env", env_path("binom_n6"), "--trace")
         assert code == EXIT_OK
         assert len(calls) == len(out.splitlines()) - 1 > 0
+
+    def test_verify_builds_no_dense_state(self, capsys, monkeypatch):
+        # the sweeps, the validators and the reference table read the pairs
+        calls = []
+
+        def counting(state):
+            calls.append(state)
+            return dense(state)
+
+        for module in (gwcoal.chains, gwcoal.cli, gwcoal.verify, gwcoal.tree):
+            if hasattr(module, "dense"):
+                monkeypatch.setattr(module, "dense", counting)
+        for argv in (["--env", env_path("varying_n3")], ["--figure1"],
+                     ["--env", env_path("binom_n5"), "--witness"]):
+            code, _, _ = run_cli(capsys, "verify", *argv)
+            assert code == EXIT_OK
+        assert calls == []
 
     def test_d_process_runs(self, capsys):
         code, out, _ = run_cli(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gwcoal import (
+    ChainRun,
     Cpp,
     Environment,
     FiniteSupportLaw,
@@ -21,6 +22,7 @@ from gwcoal import (
     load_environment,
     simulate_tree,
     stream_for_run,
+    validate_b_run,
 )
 from gwcoal.errors import AttemptCapError, DegenerateEnvironmentError, DomainError
 from gwcoal import tree as tree_module
@@ -113,22 +115,27 @@ class TestMarks:
         assert extract_D(tree_3leaves, 3, 2) == 0
 
     def test_prefix_vectors(self, tree_3leaves):
+        # D-values (0, 1) and (1, 0) as (length, pairs) states
         cpp = coalescent_times(tree_3leaves)
-        assert extract_B(tree_3leaves, 1, cpp) == (0, 1)
-        assert extract_B(tree_3leaves, 2, cpp) == (1, 0)
+        assert extract_B(tree_3leaves, 1, cpp) == (2, ((2, 1),))
+        assert extract_B(tree_3leaves, 2, cpp) == (2, ((1, 1),))
 
     def test_first_nonzero_is_time(self, binom3):
-        # structural link between the mark vectors and the times
+        # structural link between the tree's states and the times: the first
+        # level is the time, the length its running maximum, and the states
+        # along the tree form a b chain run
         for seed in range(40):
             tree = condition_on_survival(binom3, stream_for_run(seed, 0))
             cpp = coalescent_times(tree)
             running = 0
+            states = []
             for i in range(1, tree.k):
-                b = extract_B(tree, i, cpp)
+                length, pairs = extract_B(tree, i, cpp)
                 running = max(running, cpp.a[i - 1])
-                assert len(b) == running
-                first = next(m + 1 for m, v in enumerate(b) if v)
-                assert first == cpp.a[i - 1]
+                assert length == running
+                assert pairs[0][0] == cpp.a[i - 1]
+                states.append((length, pairs))
+            validate_b_run(ChainRun(a_values=list(cpp.a), states=states), binom3.horizon)
 
     def test_fused_extraction_matches(self, varying3):
         for seed in range(40):

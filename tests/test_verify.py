@@ -38,7 +38,7 @@ from gwcoal.errors import (
     NotLinearFractionalError,
 )
 from gwcoal import verify
-from gwcoal.chains import first_nonzero
+from gwcoal.chains import dense
 from gwcoal.disttable import outcome_key, parse_outcome
 from gwcoal.environment import LevelTable
 from gwcoal.tree import cpp_and_marks, simulate_tree
@@ -50,7 +50,7 @@ from gwcoal.verify import (
     encode_bt,
 )
 
-from conftest import ENVS, env_path
+from conftest import ENVS, dense_transitions, env_path
 
 # conditioned genealogy law of the two-generation three-point environment,
 # derived by enumerating all surviving shapes by hand before any code ran
@@ -464,14 +464,14 @@ class TestExactArithmetic:
         # the outcomes in another order
         env = load_environment(env_path(name))
         tables = verify._eta_tables(env)
-        frontier = {((), () if process == "b" else None): 1.0}
+        frontier = {((), (0, ()) if process == "b" else None): 1.0}
         done = DistTable()
         while frontier:
             new: dict = {}
             for (a_seq, state), mass in frontier.items():
                 for nxt, p in verify._transitions(state, tables):
                     mp = mass * p
-                    a = None if nxt is None else first_nonzero(nxt)
+                    a = nxt[1][0][0] if nxt and nxt[1] else None
                     if mp == 0:
                         continue
                     if a is None:
@@ -484,6 +484,30 @@ class TestExactArithmetic:
                 break
         table = exact_chain_law(env, process=process)
         assert dict(table) == dict(done)
+
+    @pytest.mark.parametrize("process", ["b", "d"])
+    @pytest.mark.parametrize("name, rational", [
+        ("binom_n3", False), ("binom_n3", True), ("varying_n3", False), ("varying_n3", True),
+        ("lf_half_n1", False)])
+    def test_sparse_transitions_match_dense_reference(self, name, rational, process):
+        # every state the sweep reaches, in the order it first reaches them:
+        # its transitions under ``dense`` are the dense reference's, in the
+        # same order and with bit-equal probabilities (LF laws have no
+        # rational mode)
+        tables = verify._eta_tables(load_environment(env_path(name)), rational)
+        start = (0, ()) if process == "b" else None
+        seen, todo = {start}, [start]
+        while todo:
+            state = todo.pop(0)
+            sparse = list(verify._transitions(state, tables))
+            ref = dense_transitions(None if state is None else dense(state), tables)
+            assert [(None if nxt is None else dense(nxt), repr(p)) for nxt, p in sparse] \
+                == [(nxt, repr(p)) for nxt, p in ref]
+            for nxt, _ in sparse:
+                if nxt and nxt[1] and nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        assert len(seen) > 3
 
     def test_tv_of_equal_tables_keeps_its_type(self):
         exact = DistTable({"a": Fraction(1, 3), "b": Fraction(2, 3)})
