@@ -104,13 +104,14 @@ def exact_tree_law(
     Works bottom-up: the genealogy pattern of a subtree is assembled from the
     patterns of its child subtrees, joined at the subtree's root level.  This
     visits exactly the information content of every tree; ``guard`` bounds
-    the number of child-pattern combinations examined.  In exact mode one
-    ``Fraction`` per outcome is formed from the integer numerators.
+    the number of child-pattern combinations examined.  Outcomes are listed
+    by K, then by the text of their times.  In exact mode one ``Fraction``
+    per outcome is formed from the integer numerators.
     """
     patterns, dead, alive = _tree_numerators(env, guard, rational)
     table = DistTable({
         outcome_key(k, a): Fraction(p, alive) if rational else p / alive
-        for (k, a), p in sorted(patterns.items())
+        for k, a, p in sorted((t.count(",") + 1, t[:-1], p) for t, p in patterns.items())
     })
     if not rational:  # exact supports are complete
         table.truncated_mass = max(0.0, float(1 - dead - alive)) / float(alive)
@@ -121,9 +122,19 @@ def _tree_numerators(
     env: Environment,
     guard: int,
     rational: bool,
-) -> tuple[dict[tuple[int, str], Number], Number, Number]:
+) -> tuple[dict[str, Number], Number, Number]:
     """The surviving patterns of ``exact_tree_law`` with their masses, the
     dead mass and the surviving mass ``alive``.
+
+    A pattern is keyed by the b sweep's history text, every coalescent time
+    followed by a comma: ``""`` for K = 1, ``"1,3,"`` for K = 3 with times
+    (1, 3); the dead pattern is keyed None.  The patterns of a subtree's
+    ``c`` children are the combinations of ``c`` child patterns in
+    ``itertools.product`` order, and each key extends the key of its first
+    ``c - 1`` children, so a key is one concatenation, shared across the
+    child counts.  A combination's mass is ``math.prod`` of its children's
+    masses from ``P(count)``, the same left-to-right products as a loop.
+    ``guard`` bounds the combinations, charged per depth before any is built.
 
     Exact masses are integer numerators over one common denominator per
     depth, so that merging two patterns is an integer addition; a pattern's
@@ -133,17 +144,20 @@ def _tree_numerators(
     N = base.horizon
     supports = [_offspring_support(law, guard) for law in base.laws]
 
-    # a pattern is K and the comma-joined coalescent times; its mass is
-    # relative to ``total``, the mass of all subtrees rooted at the current
-    # depth: 1, or in exact mode the common denominator of the numerators
+    # a pattern's mass is relative to ``total``, the mass of all subtrees
+    # rooted at the current depth: 1, or in exact mode the common
+    # denominator of the numerators
     total: Number = 1 if rational else 1.0
-    patterns: dict[tuple[int, str], Number] = {(1, ""): total}
+    patterns: dict[str | None, Number] = {"": total}
     work = 0
     for depth in range(N - 1, -1, -1):
-        junction = str(N - depth)
-        pats = list(patterns.items())
-        merged: dict[tuple[int, str], Number] = {}
+        junction = f"{N - depth},"
         items = supports[depth]
+        for c, _ in items:  # stops before n ** c grows past the guard
+            work += len(patterns) ** c
+            if work > guard:
+                raise EnumerationGuardError(
+                    f"tree enumeration exceeded {guard} pattern combinations")
         if rational:
             # P(count) * prod(num_i / total) over total' = den * total**top
             den = math.lcm(*(p.denominator for _, p in items))
@@ -151,30 +165,23 @@ def _tree_numerators(
             items = [(c, p.numerator * (den // p.denominator) * total ** (top - c))
                      for c, p in items]
             total = den * total**top
+        child_keys, child_masses = list(patterns), list(patterns.values())
+        zero = 0 * total
+        merged: dict[str | None, Number] = {}
+        keys: list[str | None] = [None]  # the keys of every combination of `built` children
+        built = 0
         for count, p_count in items:
-            for combo in itertools.product(pats, repeat=count):
-                work += 1
-                if work > guard:
-                    raise EnumerationGuardError(
-                        f"tree enumeration exceeded {guard} pattern combinations"
-                    )
-                prob = p_count
-                k_total = 0
-                a: list[str] = []
-                for (k_child, a_child), p_child in combo:
-                    prob = prob * p_child
-                    if k_child == 0:
-                        continue
-                    if k_total:
-                        a.append(junction)
-                    if a_child:
-                        a.append(a_child)
-                    k_total += k_child
-                key = (k_total, ",".join(a))
-                merged[key] = merged.get(key, 0 * total) + prob
+            while built < count:
+                keys = [ck if key is None else key if ck is None else key + junction + ck
+                        for key in keys for ck in child_keys]
+                built += 1
+            masses = (math.prod(ms, start=p_count)
+                      for ms in itertools.product(child_masses, repeat=count))
+            for key, mass in zip(keys, masses):
+                merged[key] = merged.get(key, zero) + mass
         patterns = merged
 
-    dead = patterns.pop((0, ""), 0 * total)
+    dead = patterns.pop(None, 0 * total)
     alive = sum(patterns.values())
     if alive == 0:
         raise DegenerateEnvironmentError("no surviving tree has positive probability")
@@ -317,16 +324,18 @@ def exact_chain_law(
     forward sweep of its transition kernel from the initial state.  A float
     sweep stops once less than 1e-14 of the mass is still running."""
     done = DistTable()
-    for k, times, mass, den in _chain_outcomes(env, process, guard, rational):
-        done[outcome_key(k, times)] = Fraction(mass, den) if rational else mass
+    for k, hist, mass, den in _chain_outcomes(env, process, guard, rational):
+        done[outcome_key(k, hist[:-1])] = Fraction(mass, den) if rational else mass
     done.truncated_mass = max(0.0, 1.0 - float(done.total())) if not rational else 0.0
     return done
 
 
 def _chain_outcomes(env: Environment, process: str, guard: int, rational: bool):
-    """(K, emitted times as text, mass, denominator) of every run of the
-    chain sweep, yielded at the end of the step that ends it.  Exact masses
-    are integers over ``scale ** K``; float masses are over 1."""
+    """(K, history, mass, denominator) of every run of the chain sweep,
+    yielded at the end of the step that ends it.  The history is the
+    sweep's own text, each emitted time followed by a comma, which is also
+    the tree's pattern key.  Exact masses are integers over ``scale ** K``;
+    float masses are over 1."""
     sweep = _Sweep(env, process, guard, f"chain sweep exceeded {guard} transitions", rational)
     frontier = {sweep.start: {"": sweep.one}}
     steps = 0
@@ -335,8 +344,8 @@ def _chain_outcomes(env: Environment, process: str, guard: int, rational: bool):
         frontier, ended = sweep.step(frontier)
         # a run that ends at step K emitted K - 1 times
         den = sweep.scale**steps
-        for times, mass in ended.items():
-            yield steps, times[:-1], mass, den
+        for hist, mass in ended.items():
+            yield steps, hist, mass, den
         if not rational and frontier and sum(
                 mass for hists in frontier.values() for mass in hists.values()) < 1e-14:
             break
@@ -348,7 +357,8 @@ def _tree_chain_gap(env: Environment, guard: int, rational: bool) -> tuple[Numbe
     outcome keys on either side.
 
     The b chain's outcomes are compared as they end against the tree's
-    numerators, which are popped as they are matched.  In exact mode an
+    numerators, which are popped by the sweep's history text as they are
+    matched.  In exact mode an
     outcome agrees when ``tree * den == chain * alive``, and only outcomes
     that disagree, or that one side lacks, add a ``Fraction`` to the gap, so
     that the gap equals ``tv_distance`` on the two public tables.  In float
@@ -363,8 +373,8 @@ def _tree_chain_gap(env: Environment, guard: int, rational: bool) -> tuple[Numbe
     outcomes = len(tree)
     gap: Number = Fraction(0) if rational else 0.0
     ended = 0.0
-    for k, times, mass, den in _chain_outcomes(env, "b", guard, rational):
-        num = tree.pop((k, times), 0)
+    for _, hist, mass, den in _chain_outcomes(env, "b", guard, rational):
+        num = tree.pop(hist, 0)
         if rational:
             if num * den != mass * alive:
                 gap += abs(Fraction(num, alive) - Fraction(mass, den))

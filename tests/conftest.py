@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,8 +7,9 @@ import pytest
 
 from gwcoal import EtaSamplers, Environment, FiniteSupportLaw, LinearFractionalLaw, load_environment
 from gwcoal.chains import dense
-from gwcoal.errors import ChainStateError
+from gwcoal.errors import ChainStateError, DegenerateEnvironmentError, EnumerationGuardError
 from gwcoal.sampling import draw_count
+from gwcoal.verify import _offspring_support
 
 ENVS = Path(__file__).resolve().parent.parent / "envs"
 
@@ -241,3 +243,60 @@ def dense_validate_d_run(run, horizon):
         if prev is not None:
             _dense_check_step(prev, state, first_nonzero(prev))
         prev = state
+
+
+# ---------------------------------------------------------------------------
+# Product-loop reference of the tree enumeration: one loop over the children
+# of every combination, keyed by (K, comma-joined times).
+# ---------------------------------------------------------------------------
+
+
+def loop_tree_numerators(env, guard, rational):
+    """``verify._tree_numerators`` as a loop over every combination's
+    children, with its patterns keyed ``(K, times text)``; also returns the
+    number of combinations examined, the smallest passing guard."""
+    base = env.as_rational() if rational else env
+    N = base.horizon
+    supports = [_offspring_support(law, guard) for law in base.laws]
+    total = 1 if rational else 1.0
+    patterns = {(1, ""): total}
+    work = 0
+    for depth in range(N - 1, -1, -1):
+        junction = str(N - depth)
+        pats = list(patterns.items())
+        merged = {}
+        items = supports[depth]
+        if rational:
+            den = math.lcm(*(p.denominator for _, p in items))
+            top = items[-1][0]
+            items = [(c, p.numerator * (den // p.denominator) * total ** (top - c))
+                     for c, p in items]
+            total = den * total**top
+        for count, p_count in items:
+            for combo in itertools.product(pats, repeat=count):
+                work += 1
+                if work > guard:
+                    raise EnumerationGuardError(
+                        f"tree enumeration exceeded {guard} pattern combinations"
+                    )
+                prob = p_count
+                k_total = 0
+                a = []
+                for (k_child, a_child), p_child in combo:
+                    prob = prob * p_child
+                    if k_child == 0:
+                        continue
+                    if k_total:
+                        a.append(junction)
+                    if a_child:
+                        a.append(a_child)
+                    k_total += k_child
+                key = (k_total, ",".join(a))
+                merged[key] = merged.get(key, 0 * total) + prob
+        patterns = merged
+
+    dead = patterns.pop((0, ""), 0 * total)
+    alive = sum(patterns.values())
+    if alive == 0:
+        raise DegenerateEnvironmentError("no surviving tree has positive probability")
+    return patterns, dead, alive, work

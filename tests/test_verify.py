@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gwcoal import (
     DistTable,
@@ -35,6 +36,7 @@ from gwcoal.errors import (
     DegenerateEnvironmentError,
     DomainError,
     EnumerationGuardError,
+    EnvFormatError,
     NotLinearFractionalError,
 )
 from gwcoal import verify
@@ -50,7 +52,7 @@ from gwcoal.verify import (
     encode_bt,
 )
 
-from conftest import ENVS, dense_transitions, env_path
+from conftest import ENVS, dense_transitions, env_path, loop_tree_numerators
 
 # conditioned genealogy law of the two-generation three-point environment,
 # derived by enumerating all surviving shapes by hand before any code ran
@@ -433,6 +435,13 @@ class TestExactArithmetic:
         with pytest.raises(EnumerationGuardError):
             exact_chain_law(FULL_SUPPORT_N3_FLOAT, guard=smallest - 1, process=process)
 
+    def test_smallest_passing_tree_guard_on_full_support(self):
+        # the count of the product loop that charged each combination as it
+        # examined it, now charged per depth before any key is built
+        verify._tree_numerators(FULL_SUPPORT_N3_FLOAT, 65_730, False)
+        with pytest.raises(EnumerationGuardError):
+            verify._tree_numerators(FULL_SUPPORT_N3_FLOAT, 65_729, False)
+
     @pytest.mark.parametrize("process", ["b", "d"])
     def test_transitions_generated_once_per_state(self, monkeypatch, varying3, process):
         real = verify._transitions
@@ -578,8 +587,9 @@ class TestExactArithmetic:
 def _edit_outcomes(monkeypatch, edit):
     """Edit the chain's outcome stream at its fourth outcome: add one to its
     mass, drop it (a key on the tree side only), or append a key on the chain
-    side only.  The public chain law reads the same stream, so a reference
-    built from the public tables sees the same disagreement."""
+    side only, the history "7," of K = 2 and A = 7.  The public chain law
+    reads the same stream, so a reference built from the public tables sees
+    the same disagreement."""
     real = verify._chain_outcomes
 
     def edited(*args, **kwargs):
@@ -590,7 +600,7 @@ def _edit_outcomes(monkeypatch, edit):
                 continue
             yield k, times, mass + (n == 3 and edit == "perturb"), den
         if edit == "extra":
-            yield 2, "7", 5, dens[2]
+            yield 2, "7,", 5, dens[2]
 
     monkeypatch.setattr(verify, "_chain_outcomes", edited)
 
@@ -714,6 +724,60 @@ class TestFloatCertificate:
         for rational in (False, True):
             res = tree_vs_chain_check(varying3, rational=rational)
             assert res.passed, res.detail
+
+
+def _dyadic_counts(cuts):
+    """The sixteenths between sorted cut points of [0, 16]: a law's counts."""
+    edges = [0, *sorted(cuts), 16]
+    return tuple(b - a for a, b in zip(edges, edges[1:]))
+
+
+# pmf envs of horizon 1-3 and widths 1-4 in sixteenths, zero entries
+# included (a width-1 law never has children, so about half of them cannot
+# survive); horizon-1 lf envs, whose supports run to hundreds of counts
+DYADIC_ENVS = st.lists(
+    st.integers(0, 3).flatmap(lambda n: st.lists(st.integers(0, 16), min_size=n, max_size=n))
+    .map(lambda cuts: FiniteSupportLaw(tuple(c / 16 for c in _dyadic_counts(cuts)))),
+    min_size=1, max_size=3).map(lambda laws: Environment(tuple(laws)))
+LF_N1_ENVS = st.builds(lambda r, p: Environment((LinearFractionalLaw(r, p),)),
+                       st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                       st.sampled_from([0.05, 0.3, 0.5, 0.9]))
+
+
+def _outcome_or_error(numerators, env, guard, rational):
+    try:
+        return numerators(env, guard, rational)
+    except (EnumerationGuardError, DegenerateEnvironmentError, EnvFormatError) as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(env=st.one_of(DYADIC_ENVS, LF_N1_ENVS))
+@example(env=Environment((FiniteSupportLaw((1 / 16, 3 / 16, 5 / 16, 7 / 16)),) * 3))
+@example(env=Environment((FiniteSupportLaw((0.3, 0.3, 0.4)), FiniteSupportLaw((0.1, 0.2, 0.7)),
+                          FiniteSupportLaw((0.2, 0.5, 0.3)))))
+def test_prefix_extension_matches_loop_reference(env):
+    """The tree's patterns, built by prefix extension and keyed by history
+    text, equal the product loop's: the same outcomes in the same order,
+    bit-equal masses, dead and surviving mass, and the same smallest
+    passing guard (lf laws have no rational mode).  Dyadic masses multiply
+    exactly, so the order of each product shows only on the non-dyadic
+    example, whose rational mode is refused on both sides."""
+    for rational in (False, True) if env.is_finite_support else (False,):
+        # the full-support example needs more than 20 000 combinations
+        ref = _outcome_or_error(loop_tree_numerators, env, 20_000, rational)
+        new = _outcome_or_error(verify._tree_numerators, env, 20_000, rational)
+        if isinstance(ref, type):
+            assert new is ref
+            continue
+        patterns, dead, alive, work = ref
+        got, got_dead, got_alive = new
+        assert [((t.count(",") + 1, t[:-1]), repr(p)) for t, p in got.items()] \
+            == [(key, repr(p)) for key, p in patterns.items()]
+        assert (repr(got_dead), repr(got_alive)) == (repr(dead), repr(alive))
+        verify._tree_numerators(env, work, rational)
+        with pytest.raises(EnumerationGuardError):
+            verify._tree_numerators(env, work - 1, rational)
 
 
 class TestLfSupportGuard:
