@@ -51,7 +51,7 @@ class EtaSamplers:
 
     def __init__(self, env: Environment):
         self.horizon = env.horizon
-        self._laws: list[EtaLaw] = [env.levels.eta(m) for m in range(1, env.horizon + 1)]
+        self._laws: list[EtaLaw] = env.levels.etas()
         self._cum = [None if law.geom is not None else cumulative(law.probs) for law in self._laws]
         # None marks a geometric law with success probability 1: always 0,
         # and it reads no uniform

@@ -151,9 +151,11 @@ class LevelTable:
     f_k(u_{k-1}), the chance that one level-k individual has no descendant
     at generation 0, D_k = D_{k-1} f_k'(u_{k-1}), p_k = P(eta_k = 0) and
     P_k = p_1 ... p_k, which must equal the closed form D_k / (1 - u_k).
-    Columns grow only as deep as the deepest level read: exact values grow
-    doubly exponentially in size with the depth.  The LF column is the same
-    pass in closed form, from the s-coefficients alone.
+    A read of level k fills every level up to k that is not yet filled, in
+    one loop; a read of an eta law also fills the eta laws below it.  So
+    the table grows only as deep as the deepest level read: exact values
+    grow doubly exponentially in size with the depth.  The LF column is the
+    same pass in closed form, from the s-coefficients alone.
     """
 
     def __init__(self, laws: Sequence[OffspringLaw]):
@@ -162,7 +164,7 @@ class LevelTable:
         exact = all(isinstance(law, FiniteSupportLaw) and law.is_exact for law in self.laws)
         self.zero: Number = Fraction(0) if exact else 0.0
         self._rows: list[tuple] = [(self.zero, 1, math.nan, 1)]
-        self._eta: dict[int, EtaLaw] = {}
+        self._etas: list[EtaLaw] = []  # the eta laws of levels 1, 2, ...
 
     def _check(self, k: int, lowest: int = 1) -> None:
         if not lowest <= k <= self.horizon:
@@ -172,39 +174,51 @@ class LevelTable:
         """(u_k, D_k, p_k, P_k) for 0 <= k <= N; p_k is NaN at a
         finite-support level without survival, and so is P_k from there on."""
         self._check(k, 0)
-        while (j := len(self._rows)) <= k:
-            u, deriv, _, product = self._rows[j - 1]
-            law = self.laws[self.horizon - j]
-            fprime, nxt = law.pgf_deriv(u, 1), law.pgf(u)
-            if isinstance(law, LinearFractionalLaw):
-                p0 = (1.0 - law.q) / (1.0 - law.q * float(u))
-            else:
-                p0 = (1 - u) * fprime / (1 - nxt) if nxt != 1 else math.nan
-            self._rows.append((nxt, deriv * fprime, p0, product * p0))
+        if k >= len(self._rows):
+            self._fill(k, False)
         return self._rows[k]
 
     def eta(self, k: int) -> EtaLaw:
         """Spine-sibling law at level k."""
-        if k not in self._eta:
+        if not 0 < k <= len(self._etas):
             self._check(k)
-            u, (extinct, _, p0, _) = self.column(k - 1)[0], self.column(k)
-            f, surv = self.laws[self.horizon - k], 1 - extinct
-            if surv == 0:
-                raise DegenerateEnvironmentError(_NO_SURVIVAL)
-            if isinstance(f, LinearFractionalLaw):
-                self._eta[k] = EtaLaw(probs=(), geom=p0)
+            self._fill(k, True)
+        return self._etas[k - 1]
+
+    def etas(self) -> list[EtaLaw]:
+        """Spine-sibling laws at levels 1..N, from one fill; a copy of the
+        table's list."""
+        if len(self._etas) < self.horizon:
+            self._fill(self.horizon, True)
+        return list(self._etas)
+
+    def _fill(self, k: int, etas: bool) -> None:
+        """The rows up to level k and, with ``etas``, the eta laws too, in
+        one loop over the levels.  Each value is formed by the expressions,
+        in the order, of the per-level calls: ``pgf``, ``pgf_deriv`` and
+        ``_eta_law``, so it is the same number bit for bit.
+        """
+        rows, laws, N, out = self._rows, self.laws, self.horizon, self._etas
+        filled = len(rows)
+        start = len(out) + 1 if etas else filled
+        u, deriv, _, product = rows[start - 1]
+        for j in range(start, k + 1):
+            law = laws[N - j]
+            if j < filled:
+                nxt, deriv, p0, product = rows[j]
             else:
-                alive = 1 - u
-                try:
-                    self._eta[k] = EtaLaw(probs=(p0,) + tuple(
-                        alive ** (j + 1) * f.pgf_deriv(u, j + 1) / (math.factorial(j + 1) * surv)
-                        for j in range(1, max(f.max_children, 1))
-                    ))
-                except OverflowError:
-                    # j!/(j-k)! past 170! does not fit a float
-                    raise GwcoalError(f"eta law at level {k}: a pmf law of width {len(f.probs)} "
-                                      "overflows the float derivative formula") from None
-        return self._eta[k]
+                if isinstance(law, LinearFractionalLaw):
+                    fprime, nxt = law.pgf_deriv(u, 1), law.pgf(u)
+                    p0 = (1.0 - law.q) / (1.0 - law.q * float(u))
+                else:
+                    nxt = law.pgf(u)  # checks that u lies in [0, 1]
+                    fprime = law._deriv(u, 1)
+                    p0 = (1 - u) * fprime / (1 - nxt) if nxt != 1 else math.nan
+                deriv, product = deriv * fprime, product * p0
+                rows.append((nxt, deriv, p0, product))
+            if etas:
+                out.append(_eta_law(j, law, u, nxt, p0))
+            u = nxt
 
     @cached_property
     def offspring_cumulatives(self) -> list[tuple[float, ...] | None]:
@@ -242,6 +256,30 @@ class LevelTable:
         return cumulative([tails[k - 1] - tails[k] for k in range(1, self.horizon + 1)])
 
 
+def _eta_law(k: int, law: OffspringLaw, u: Number, extinct: Number, p0: Number) -> EtaLaw:
+    """The eta law at level k, from u = u_{k-1}, u_k = ``extinct`` and p_k.
+
+    A finite law gives p_k, then ``alive ** m * f^(m)(u) / (m! * surv)``
+    for m = 2..max_children; an LF law gives the geometric law of success
+    probability p_k.
+    """
+    surv = 1 - extinct
+    if surv == 0:
+        raise DegenerateEnvironmentError(_NO_SURVIVAL)
+    if isinstance(law, LinearFractionalLaw):
+        return EtaLaw((), p0)
+    alive = 1 - u
+    out = [p0]
+    try:
+        for m in range(2, law.max_children + 1):
+            out.append(alive ** m * law._deriv(u, m) / (math.factorial(m) * surv))
+    except OverflowError:
+        # j!/(j-k)! past 170! does not fit a float
+        raise GwcoalError(f"eta law at level {k}: a pmf law of width {len(law.probs)} "
+                          "overflows the float derivative formula") from None
+    return EtaLaw(tuple(out))
+
+
 def environment_from_dict(doc: dict) -> Environment:
     if not isinstance(doc, dict):
         raise EnvFormatError("environment document must be a JSON object")
@@ -251,6 +289,8 @@ def environment_from_dict(doc: dict) -> Environment:
     if not isinstance(raw_laws, list) or not raw_laws:
         raise EnvFormatError("'laws' must be a non-empty list")
     horizon = doc.get("horizon", len(raw_laws))
+    if type(horizon) is not int:  # a bool is an int subclass, and 1.0 == 1
+        raise EnvFormatError(f"'horizon' must be an integer, got {horizon!r}")
     if horizon != len(raw_laws):
         raise EnvFormatError(
             f"declared horizon {horizon} does not match {len(raw_laws)} law entries"

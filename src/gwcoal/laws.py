@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import lt
 from typing import Union
 
 from .errors import DomainError, EnvFormatError
@@ -44,12 +46,16 @@ class FiniteSupportLaw:
     probs: tuple[Number, ...]
 
     def __post_init__(self) -> None:
-        if len(self.probs) == 0:
+        probs = self.probs
+        if not probs:
             raise EnvFormatError("finite-support law needs at least one probability")
-        if any(p < 0 for p in self.probs):
+        if any(map(lt, probs, repeat(0))):
             raise EnvFormatError("negative probability in finite-support law")
-        total = sum(self.probs)
-        if self.is_exact:
+        total = sum(probs)
+        # a float first entry settles it without the slower ABC check
+        exact = type(probs[0]) is not float and all(isinstance(p, (Fraction, int)) for p in probs)
+        object.__setattr__(self, "_exact", exact)
+        if exact:
             if total != 1:
                 raise EnvFormatError(f"probabilities sum to {total}, expected exactly 1")
         elif not math.isfinite(total):
@@ -60,7 +66,8 @@ class FiniteSupportLaw:
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(p, (Fraction, int)) for p in self.probs)
+        """Every probability is a Fraction or an int."""
+        return self._exact
 
     @property
     def max_children(self) -> int:
@@ -88,10 +95,16 @@ class FiniteSupportLaw:
     def pgf_deriv(self, s: Number, k: int) -> Number:
         _check_point(s)
         _check_order(k)
+        return self._deriv(s, k)
+
+    def _deriv(self, s: Number, k: int) -> Number:
+        """``pgf_deriv`` without the argument checks, for callers that
+        already hold s in [0, 1] and an integer k >= 1."""
         # d^k/ds^k sum_j p_j s^j = sum_{j>=k} p_j * j!/(j-k)! * s^(j-k)
+        probs, perm = self.probs, math.perm
         acc = 0 * s
-        for j in range(len(self.probs) - 1, k - 1, -1):
-            acc = acc * s + self.probs[j] * math.perm(j, k)
+        for j in range(len(probs) - 1, k - 1, -1):
+            acc = acc * s + probs[j] * perm(j, k)
         return acc
 
     def as_rational(self) -> "FiniteSupportLaw":

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EnumerationGuardError
 from .laws import FiniteSupportLaw, LinearFractionalLaw, OffspringLaw
 
 if TYPE_CHECKING:
@@ -37,10 +37,16 @@ def rng_for_run(seed: int, run_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((_check_seed(seed), int(run_id))))
 
 
+# Most individuals one generation of a forward draw may hold.
+MAX_WIDTH = 1_000_000
+
+
 class UniformStream:
     """Uniforms in [0, 1) from a numpy generator, in blocks of 32 doubling up
     to ``block``: a float64 uniform takes one 64-bit output, so the values
-    read are those of one ``rng.random(n)`` call whatever the block sizes."""
+    read are those of one ``rng.random(n)`` call whatever the block sizes.
+    A block never exceeds ``MAX_WIDTH``, so a generation wider than that
+    never fits one, which ``draw_forward``'s width guard relies on."""
 
     __slots__ = ("_rng", "_block", "_buf", "_pos", "_lease")
 
@@ -48,7 +54,8 @@ class UniformStream:
         if isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(np.random.SeedSequence(_check_seed(rng)))
         self._rng = rng
-        self._block = block
+        # not min(), which costs about 0.25 µs more, once per run of a campaign
+        self._block = block if block <= MAX_WIDTH else MAX_WIDTH
         self._buf: list[float] = []
         self._pos = 0
         # a campaign stream shares its generator: [False] once the next run has it
@@ -235,6 +242,11 @@ def geometric_failures(success: float, stream: UniformStream) -> int:
     return geometric_from_uniform(math.log1p(-success), stream.next())
 
 
+def _too_wide(width: int) -> EnumerationGuardError:
+    return EnumerationGuardError(
+        f"a forward draw reached {width} individuals in one generation, more than {MAX_WIDTH}")
+
+
 def draw_forward(env: Environment, stream: UniformStream,
                  limit: int) -> tuple[list[list[int]], int, int]:
     """Read forward draws until one survives, at most ``limit`` of them.
@@ -247,6 +259,12 @@ def draw_forward(env: Environment, stream: UniformStream,
     uniforms read are those of one ``draw_count`` per individual, in order:
     ``pmf`` generations are read off the stream's block, a founder dead at
     its uniform costing one comparison.
+
+    A generation of more than ``MAX_WIDTH`` individuals raises
+    EnumerationGuardError before it is read or built into a tree.  The
+    check sits where a row does not fit the block, which such a row never
+    does, and on the final width, so the rows read in place pay nothing
+    for it.
     """
     cums = env.levels.offspring_cumulatives
     levels = list(zip(env.laws, cums))
@@ -276,6 +294,8 @@ def draw_forward(env: Environment, stream: UniformStream,
         for law, cum in levels:
             if cum is None or pos + width > end:
                 # an lf generation, or a row that crosses the block's end
+                if width > MAX_WIDTH:
+                    raise _too_wide(width)
                 stream._pos = pos
                 if cum is None:
                     row = [draw_count(law, stream) for _ in range(width)]
@@ -296,6 +316,8 @@ def draw_forward(env: Environment, stream: UniformStream,
             if not width:
                 break
         if width:
+            if width > MAX_WIDTH:
+                raise _too_wide(width)
             break
     stream._pos = pos
     if counts is None:

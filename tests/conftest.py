@@ -1,14 +1,23 @@
 import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from gwcoal import EtaSamplers, Environment, FiniteSupportLaw, LinearFractionalLaw, load_environment
 from gwcoal.chains import dense
-from gwcoal.errors import ChainStateError, DegenerateEnvironmentError, EnumerationGuardError
-from gwcoal.sampling import draw_count
+from gwcoal.environment import _NO_SURVIVAL, EtaLaw
+from gwcoal.errors import (
+    ChainStateError,
+    DegenerateEnvironmentError,
+    EnumerationGuardError,
+    GwcoalError,
+    HorizonError,
+)
+from gwcoal.sampling import cumulative, draw_count, geometric_from_uniform
 from gwcoal.verify import _offspring_support
 
 ENVS = Path(__file__).resolve().parent.parent / "envs"
@@ -135,6 +144,76 @@ def per_draw_chain(process, env, stream, max_individuals=1_000_000):
         states.append(state)
         a_values.append(first)
     return a_values, states, False
+
+
+# ---------------------------------------------------------------------------
+# Per-level reference of the level table and the spine-sibling samplers: one
+# checked ``pgf``/``pgf_deriv`` call per level and per derivative order, and
+# one ``eta`` call per level, in the order the one-pass table must reproduce
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+
+class PerLevelTable:
+    """``LevelTable.column`` and ``LevelTable.eta`` as calls per level."""
+
+    def __init__(self, laws):
+        self.laws = tuple(laws)
+        self.horizon = len(self.laws)
+        exact = all(isinstance(law, FiniteSupportLaw) and law.is_exact for law in self.laws)
+        self.zero = Fraction(0) if exact else 0.0
+        self._rows = [(self.zero, 1, math.nan, 1)]
+        self._eta = {}
+
+    def column(self, k):
+        if not 0 <= k <= self.horizon:
+            raise HorizonError(f"depth {k} outside [0, {self.horizon}]")
+        while (j := len(self._rows)) <= k:
+            u, deriv, _, product = self._rows[j - 1]
+            law = self.laws[self.horizon - j]
+            fprime, nxt = law.pgf_deriv(u, 1), law.pgf(u)
+            if isinstance(law, LinearFractionalLaw):
+                p0 = (1.0 - law.q) / (1.0 - law.q * float(u))
+            else:
+                p0 = (1 - u) * fprime / (1 - nxt) if nxt != 1 else math.nan
+            self._rows.append((nxt, deriv * fprime, p0, product * p0))
+        return self._rows[k]
+
+    def eta(self, k):
+        if k not in self._eta:
+            if not 1 <= k <= self.horizon:
+                raise HorizonError(f"depth {k} outside [1, {self.horizon}]")
+            u, (extinct, _, p0, _) = self.column(k - 1)[0], self.column(k)
+            f, surv = self.laws[self.horizon - k], 1 - extinct
+            if surv == 0:
+                raise DegenerateEnvironmentError(_NO_SURVIVAL)
+            if isinstance(f, LinearFractionalLaw):
+                self._eta[k] = EtaLaw(probs=(), geom=p0)
+            else:
+                alive = 1 - u
+                try:
+                    self._eta[k] = EtaLaw(probs=(p0,) + tuple(
+                        alive ** (j + 1) * f.pgf_deriv(u, j + 1) / (math.factorial(j + 1) * surv)
+                        for j in range(1, max(f.max_children, 1))
+                    ))
+                except OverflowError:
+                    raise GwcoalError(f"eta law at level {k}: a pmf law of width {len(f.probs)} "
+                                      "overflows the float derivative formula") from None
+        return self._eta[k]
+
+
+def per_level_samplers(env):
+    """(laws, cumulative tables, floors, maps) of an ``EtaSamplers`` built
+    from one ``PerLevelTable.eta`` call per level."""
+    levels = PerLevelTable(env.laws)
+    laws = [levels.eta(m) for m in range(1, env.horizon + 1)]
+    cums = [None if law.geom is not None else cumulative(law.probs) for law in laws]
+    maps = [partial(bisect_right, cum) if cum is not None
+            else partial(geometric_from_uniform, math.log1p(-law.geom))
+            if law.geom < 1.0 else None
+            for law, cum in zip(laws, cums)]
+    floors = [0.0 if cum is None else cum[0] for cum in cums]
+    return laws, cums, floors, maps
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 import gwcoal.chains
 import gwcoal.cli
+import gwcoal.environment
 import gwcoal.tree
 import gwcoal.verify
 from gwcoal.chains import EtaSamplers, dense
@@ -127,6 +128,64 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "tail", "--env", str(bad))
         assert code == EXIT_CONFIG
         assert message in err and "Traceback" not in err and out == ""
+
+    # exit code and stderr of malformed environment files; the two horizon
+    # cases were accepted as horizon 1 before 'horizon' had to be an integer
+    @pytest.mark.parametrize("text, err", [
+        ('{"laws": [{"type": "pmf", "p": [NaN, 1.0]}]}',
+         "laws[0]: non-finite probability in finite-support law"),
+        ('{"laws": [{"type": "pmf", "p": [Infinity, 0.5]}]}',
+         "laws[0]: non-finite probability in finite-support law"),
+        ('{"laws": [{"type": "pmf", "p": [true, 0.0]}]}',
+         "laws[0]: 'pmf' probability must be a number, got True"),
+        ('{"laws": [{"type": "pmf", "p": ["0.5", 0.5]}]}',
+         "laws[0]: 'pmf' probability must be a number, got '0.5'"),
+        ('{"laws": [{"type": "pmf", "p": [0.25, 0.5, 0.25]}, {"type": "pmf", "p": [-0.5, 1.5]}]}',
+         "laws[1]: negative probability in finite-support law"),
+        ('{"laws": [{"type": "pmf", "p": [NaN, -0.5, 1.5]}]}',
+         "laws[0]: negative probability in finite-support law"),
+        ('{"laws": [{"type": "pmf", "p": [0.5, 0.4]}]}',
+         "laws[0]: probabilities sum to 0.9, expected 1"),
+        ('{"laws": [{"type": "pmf", "p": []}]}',
+         "laws[0]: 'pmf' law needs a non-empty probability list 'p'"),
+        ('{"laws": [{"p": [1.0]}]}', "laws[0]: law entry must be an object with a 'type' field"),
+        ('{"laws": [{"type": "poisson", "mean": 1.0}]}',
+         "laws[0]: unknown law type 'poisson' (expected 'pmf' or 'lf')"),
+        ('{"laws": [{"type": "lf", "r": 1.5, "p": 0.5}]}',
+         "laws[0]: linear-fractional r must lie in [0,1], got 1.5"),
+        ('{"laws": [{"type": "lf", "r": 0.5, "p": 0.0}]}',
+         "laws[0]: linear-fractional p must lie in (0,1), got 0.0"),
+        ('{"laws": [{"type": "lf", "r": 0.5, "p": 1.0}]}',
+         "laws[0]: linear-fractional p must lie in (0,1), got 1.0"),
+        ('{"laws": [{"type": "lf", "r": 0.5, "p": 1e-17}]}',
+         "laws[0]: linear-fractional p must exceed 2**-54, got 1e-17"),
+        ('{"horizon": 2, "laws": [{"type": "pmf", "p": [0.5, 0.5]}]}',
+         "declared horizon 2 does not match 1 law entries"),
+        ('{"horizon": true, "laws": [{"type": "pmf", "p": [0.5, 0.5]}]}',
+         "'horizon' must be an integer, got True"),
+        ('{"horizon": 1.0, "laws": [{"type": "pmf", "p": [0.5, 0.5]}]}',
+         "'horizon' must be an integer, got 1.0"),
+    ])
+    def test_malformed_env_message(self, capsys, tmp_path, text, err):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run_cli(capsys, "tail", "--env", str(bad)) == (EXIT_CONFIG, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize("law, horizon", [
+        ({"type": "lf", "r": 1.0, "p": 1e-15}, 1), ({"type": "lf", "r": 1.0, "p": 1e-15}, 2),
+        ({"type": "pmf", "p": [0.0] * 2000 + [1.0]}, 2),
+        ({"type": "pmf", "p": [0.0] * 2000 + [1.0]}, 3),
+    ], ids=["lf-1", "lf-2", "pmf-2", "pmf-3"])
+    def test_huge_generation_stops_simulate(self, capsys, tmp_path, law, horizon):
+        # the founder's ~1e15 children would fill a tree row, or be drawn
+        # one by one at horizon 2, and 2000**2 children would fill one; the
+        # draw stops before any of these
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"laws": [law] * horizon}))
+        code, out, err = run_cli(capsys, "simulate", "--env", str(path), "--samples", "3")
+        assert code == EXIT_GUARD and out == ""
+        assert err.startswith("error: a forward draw reached ") and err.count("\n") == 1
+        assert err.endswith(" individuals in one generation, more than 1000000\n")
 
     def test_lf_sampler_needs_lf_env(self, capsys):
         code, _, _ = run_cli(
@@ -518,6 +577,31 @@ class TestChain:
         )
         assert code == EXIT_OK
         assert calls == [6] * builds
+
+    @pytest.mark.parametrize("argv, levels", [
+        (["chain", "--process", "b", "--samples", "20"], list(range(1, 201))),
+        (["chain", "--process", "d", "--samples", "20"], list(range(1, 201))),
+        (["eta"], list(range(1, 201))),
+        (["simulate", "--samples", "3"], []),
+    ], ids=["chain-b", "chain-d", "eta", "simulate"])
+    def test_each_eta_level_built_once(self, capsys, monkeypatch, tmp_path, argv, levels):
+        # one pass fills the eta law of every level once; simulate reads
+        # the level rows only
+        path = tmp_path / "mixed_n200.json"
+        laws = [{"type": "pmf", "p": [0.25, 0.5, 0.25]}, {"type": "lf", "r": 0.5, "p": 0.5},
+                {"type": "pmf", "p": [0.5, 0.25, 0.0, 0.25]}]  # all critical
+        path.write_text(json.dumps({"laws": [laws[i % 3] for i in range(200)]}))
+        built = []
+        real = gwcoal.environment._eta_law
+
+        def counting(k, *args):
+            built.append(k)
+            return real(k, *args)
+
+        monkeypatch.setattr(gwcoal.environment, "_eta_law", counting)
+        code, _, _ = run_cli(capsys, *argv, "--env", str(path))
+        assert code == EXIT_OK
+        assert built == levels
 
     def test_campaign_builds_no_dense_state(self, capsys, monkeypatch):
         # states stay sparse unless --trace or --validate reads them

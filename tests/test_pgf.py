@@ -1,12 +1,15 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gwcoal import (
+    EtaSamplers,
     Environment,
     FiniteSupportLaw,
+    LinearFractionalLaw,
     a1_tail,
     constant_environment,
     dirac,
@@ -15,11 +18,11 @@ from gwcoal import (
     load_environment,
     survival_prob,
 )
-from gwcoal.errors import DegenerateEnvironmentError, DomainError, HorizonError
+from gwcoal.errors import DegenerateEnvironmentError, DomainError, GwcoalError, HorizonError
 from gwcoal.environment import LevelTable
 from gwcoal.pgf import EtaLaw, compose_deriv, compose_range, eta_probs_generic
 
-from conftest import ENVS
+from conftest import ENVS, PerLevelTable, per_level_samplers
 
 
 def exact_binom_env(n):
@@ -232,3 +235,93 @@ class TestLevelTable:
         levels = constant_environment(law, N).levels
         assert [levels.column(k) for k in range(N, -1, -1)][::-1] == expected
         assert len(levels._rows) == N + 1
+
+
+# ---------------------------------------------------------------------------
+# The one-pass level table against the per-level route, bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _outcome(f, *args):
+    """repr of the value, which tells every float bit apart but NaNs; or
+    the error's type and text."""
+    try:
+        return "ok", repr(f(*args))
+    except GwcoalError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _eta_outcomes(eta, N):
+    """Outcomes of ``eta(1)``, ``eta(2)``, ... up to the first error."""
+    out = []
+    for k in range(1, N + 1):
+        out.append(_outcome(eta, k))
+        if out[-1][0] != "ok":
+            break
+    return out
+
+
+def assert_one_pass_matches_per_level(env):
+    """Every column row, every eta law, read in each of the orders the
+    commands read them, and every sampler table and floor, are those of the
+    per-level route."""
+    N = env.horizon
+    ref = PerLevelTable(env.laws)
+    expected = _eta_outcomes(ref.eta, N)
+    # deepest row first: one loop fills every row
+    by_rows = LevelTable(env.laws)
+    assert _outcome(by_rows.column, N) == _outcome(ref.column, N)
+    for k in range(N + 1):
+        assert _outcome(by_rows.column, k) == _outcome(ref.column, k)
+    # eta laws over filled rows (verify), level by level (eta), all at once
+    # (the samplers)
+    assert _eta_outcomes(by_rows.eta, N) == expected
+    assert _eta_outcomes(LevelTable(env.laws).eta, N) == expected
+    at_once = LevelTable(env.laws)
+    _outcome(at_once.etas)
+    assert _eta_outcomes(at_once.eta, N) == expected
+
+    try:
+        laws, cums, floors, maps = per_level_samplers(env)
+    except GwcoalError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            EtaSamplers(env)
+        return
+    samplers = EtaSamplers(env)
+    assert repr(samplers._laws) == repr(laws)
+    assert repr(samplers._cum) == repr(cums)
+    assert repr(samplers._floors) == repr(floors)
+    for got, want in zip(samplers._maps, maps, strict=True):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.func is want.func and repr(got.args) == repr(want.args)
+
+
+# float pmf laws of width 1-6 with zero entries; Fraction laws; lf laws
+FLOAT_PMF = st.lists(st.integers(0, 4), min_size=1, max_size=6).filter(any).map(
+    lambda c: FiniteSupportLaw(tuple(x / sum(c) for x in c)))
+EXACT_PMF = st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(any).map(
+    lambda c: FiniteSupportLaw(tuple(Fraction(x, sum(c)) for x in c)))
+LF = st.builds(LinearFractionalLaw, st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)),
+               st.one_of(st.sampled_from([0.5, 1 - 2 ** -53]), st.floats(1e-3, 0.999)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(pattern=st.lists(st.one_of(FLOAT_PMF, LF, EXACT_PMF), min_size=1, max_size=8),
+       horizon=st.integers(1, 200))
+@example(pattern=[FiniteSupportLaw((0.25, 0.5, 0.25))], horizon=200)
+@example(pattern=[FiniteSupportLaw((0.25, 0.5, 0.25)), FiniteSupportLaw((1.0,))], horizon=5)
+@example(pattern=[LinearFractionalLaw(0.6, 0.5), FiniteSupportLaw((0.5, 0.0, 0.0, 0.5, 0.0))],
+         horizon=200)
+def test_one_pass_table_matches_per_level_route(pattern, horizon):
+    laws = [pattern[i % len(pattern)] for i in range(horizon)]
+    if all(isinstance(law, FiniteSupportLaw) and law.is_exact for law in laws):
+        laws = laws[:6]  # exact values double in size per level
+    assert_one_pass_matches_per_level(Environment(tuple(laws)))
+
+
+@pytest.mark.parametrize("name, rational", [(p.stem, False) for p in sorted(ENVS.glob("*.json"))]
+                         + [(name, True) for name in FINITE_ENVS])
+def test_one_pass_table_matches_on_bundled_envs(name, rational):
+    env = load_environment(str(ENVS / f"{name}.json"))
+    assert_one_pass_matches_per_level(env.as_rational() if rational else env)

@@ -11,6 +11,7 @@ import gwcoal
 from gwcoal import FiniteSupportLaw, LinearFractionalLaw, stream_for_run
 from gwcoal.errors import DomainError
 from gwcoal.sampling import (
+    MAX_WIDTH,
     UniformStream,
     _pcg64_states,
     _seed_states,
@@ -124,6 +125,12 @@ class TestStreams:
         rng = np.random.default_rng(5)
         UniformStream(rng).next()
         assert rng.random() == np.random.default_rng(5).random(33)[32]
+
+    def test_block_is_capped_at_max_width(self):
+        # draw_forward checks a generation's width only where it crosses a
+        # block's end, which one wider than MAX_WIDTH then always does
+        assert UniformStream(0, block=10 * MAX_WIDTH)._block == MAX_WIDTH
+        assert UniformStream(0, block=64)._block == 64
 
     @pytest.mark.parametrize("module", ["tree", "chains", "verify"])
     def test_block_format_stays_in_sampling(self, module):
