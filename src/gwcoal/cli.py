@@ -40,7 +40,7 @@ from .errors import (
 from .pgf import a1_tail, eta_law_at_depth
 from .sampling import campaign_streams
 from .tree import condition_on_survival, coalescent_times
-from .verify import reference_table_check, run_verify_suite
+from .verify import figure1_consistency, run_verify_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -324,7 +324,7 @@ def cmd_verify(args) -> int:
                                                 args.witness_mc_samples > 0)) if given]
         _require(not unread, "--figure1 checks the embedded reference table and takes no "
                  + " ".join(unread))
-        results = [reference_table_check()]
+        results = [figure1_consistency()]
     else:
         _require(args.witness or not args.witness_mc_samples,
                  "--witness-mc-samples needs --witness")

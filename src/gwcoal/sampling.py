@@ -37,7 +37,7 @@ def rng_for_run(seed: int, run_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((_check_seed(seed), int(run_id))))
 
 
-# Most individuals one generation of a forward draw may hold.
+# Most individuals one forward draw may hold, all its generations together.
 MAX_WIDTH = 1_000_000
 
 
@@ -45,8 +45,9 @@ class UniformStream:
     """Uniforms in [0, 1) from a numpy generator, in blocks of 32 doubling up
     to ``block``: a float64 uniform takes one 64-bit output, so the values
     read are those of one ``rng.random(n)`` call whatever the block sizes.
-    A block never exceeds ``MAX_WIDTH``, so a generation wider than that
-    never fits one, which ``draw_forward``'s width guard relies on."""
+    A block never exceeds ``MAX_WIDTH``, so ``draw_forward``, which checks
+    its size guard where a row crosses a block's end, reads at most one
+    block past the guard."""
 
     __slots__ = ("_rng", "_block", "_buf", "_pos", "_lease")
 
@@ -242,9 +243,9 @@ def geometric_failures(success: float, stream: UniformStream) -> int:
     return geometric_from_uniform(math.log1p(-success), stream.next())
 
 
-def _too_wide(width: int) -> EnumerationGuardError:
+def _too_wide(size: int) -> EnumerationGuardError:
     return EnumerationGuardError(
-        f"a forward draw reached {width} individuals in one generation, more than {MAX_WIDTH}")
+        f"a forward draw reached {size} individuals, more than {MAX_WIDTH}")
 
 
 def draw_forward(env: Environment, stream: UniformStream,
@@ -260,11 +261,14 @@ def draw_forward(env: Environment, stream: UniformStream,
     ``pmf`` generations are read off the stream's block, a founder dead at
     its uniform costing one comparison.
 
-    A generation of more than ``MAX_WIDTH`` individuals raises
-    EnumerationGuardError before it is read or built into a tree.  The
-    check sits where a row does not fit the block, which such a row never
-    does, and on the final width, so the rows read in place pay nothing
-    for it.
+    A draw of more than ``MAX_WIDTH`` individuals, all its generations
+    together, raises EnumerationGuardError before it is built into a tree.
+    A row read in place takes one uniform per individual, so the draw's
+    size is ``base + pos + width``, with ``base`` brought up to date where
+    the block pointer jumps.  The check sits there, where a row does not
+    fit the block or is an ``lf`` row, and on the final width, so the rows
+    read in place pay nothing for it and a draw reads at most one block
+    past the bound.
     """
     cums = env.levels.offspring_cumulatives
     levels = list(zip(env.laws, cums))
@@ -280,6 +284,7 @@ def draw_forward(env: Environment, stream: UniformStream,
         read += 1
         if first is None:
             counts, width = [], 1
+            base = -pos
         else:
             if pos == end:
                 buf = stream._refill()
@@ -291,11 +296,13 @@ def draw_forward(env: Environment, stream: UniformStream,
                 continue
             width = bisect_right(first, u)
             counts = [[width]]
+            base = 1 - pos
         for law, cum in levels:
             if cum is None or pos + width > end:
                 # an lf generation, or a row that crosses the block's end
-                if width > MAX_WIDTH:
-                    raise _too_wide(width)
+                size = base + pos + width
+                if size > MAX_WIDTH:
+                    raise _too_wide(size)
                 stream._pos = pos
                 if cum is None:
                     row = [draw_count(law, stream) for _ in range(width)]
@@ -303,6 +310,7 @@ def draw_forward(env: Environment, stream: UniformStream,
                     row = [bisect_right(cum, u) for u in stream.take(width)]
                 buf, pos = stream._buf, stream._pos
                 end = len(buf)
+                base = size - pos
                 width = sum(row)
             elif width == 1:
                 width = bisect_right(cum, buf[pos])
@@ -315,9 +323,10 @@ def draw_forward(env: Environment, stream: UniformStream,
             counts.append(row)
             if not width:
                 break
+        size = base + pos + width
+        if size > MAX_WIDTH:
+            raise _too_wide(size)
         if width:
-            if width > MAX_WIDTH:
-                raise _too_wide(width)
             break
     stream._pos = pos
     if counts is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 
 import numpy as np
@@ -463,22 +463,15 @@ REFERENCE_BTILDE: tuple[BtState, ...] = (
 )
 
 
-@dataclass
-class ReferenceTableReport:
-    passed: bool
-    derived_a: tuple[int, ...]
-    derived_l: tuple[int, ...]
-    derived_btilde: tuple[BtState, ...]
-    mismatches: list[str] = field(default_factory=list)
-
-
-def figure1_consistency() -> ReferenceTableReport:
-    """Re-derive every derived row of the embedded reference genealogy.
+def figure1_consistency() -> CheckResult:
+    """The ``reference-table`` check line: every derived row of the embedded
+    reference genealogy re-derived.
 
     The coalescent times must be the first levels of the states, the state
     lengths must follow the running maximum of the times, the whole sequence
     must satisfy the chain's structural transition rules, and the reduced
-    point-measure recursion must reproduce the listed states.
+    point-measure recursion must reproduce the listed states.  Each failure
+    adds its own clause to the detail.
     """
     mismatches: list[str] = []
     derived_a = tuple(pairs[0][0] for _, pairs in REFERENCE_B_ROWS)
@@ -497,12 +490,13 @@ def figure1_consistency() -> ReferenceTableReport:
     derived_btilde = bt_fold(REFERENCE_A, marks)
     if derived_btilde != REFERENCE_BTILDE:
         mismatches.append(f"reduced sequence: derived {derived_btilde}")
-    return ReferenceTableReport(
+    return CheckResult(
+        name="reference-table",
+        env_digest="-",
+        metric=1.0 if mismatches else 0.0,
+        threshold=0.0,
         passed=not mismatches,
-        derived_a=derived_a,
-        derived_l=derived_l,
-        derived_btilde=derived_btilde,
-        mismatches=mismatches,
+        detail="; ".join(mismatches) or "all rows re-derived",
     )
 
 
@@ -703,19 +697,11 @@ def _product_of_marginals(joint: DistTable) -> tuple[DistTable, DistTable, DistT
     return prod, m1, m2
 
 
-@dataclass
-class LfIidReport:
-    env_digest: str
-    tv_joint_vs_product: float
-    tv_marginal_vs_closed_form: float
-    truncation_bound: float
-    tolerance: float
-    passed: bool
-
-
-def lf_iid_check(env: Environment) -> LfIidReport:
-    """For LF environments the coalescent times are independent draws from
-    the closed-form law; check the factorization and the marginals."""
+def lf_iid_check(env: Environment) -> CheckResult:
+    """The ``lf-independence`` check line.  For LF environments the
+    coalescent times are independent draws from the closed-form law; the
+    metric is the larger of the total variations of the factorization and
+    of the marginals, the threshold 1e-8 plus the truncation bound."""
     if not env.is_linear_fractional:
         raise NotLinearFractionalError("independence structure is specific to LF laws")
     joint, bound = joint_first_two_times(env)
@@ -726,15 +712,14 @@ def lf_iid_check(env: Environment) -> LfIidReport:
     norm = 1.0 - tails[N]
     closed = DistTable({str(n): (tails[n - 1] - tails[n]) / norm for n in range(1, N + 1)})
     tv_marg = max(float(tv_distance(m1, closed)), float(tv_distance(m2, closed)))
-    tol = 1e-8
-    passed = tv_joint <= tol + bound and tv_marg <= tol + bound
-    return LfIidReport(
+    threshold = 1e-8 + bound
+    return CheckResult(
+        name="lf-independence",
         env_digest=env.digest(),
-        tv_joint_vs_product=tv_joint,
-        tv_marginal_vs_closed_form=tv_marg,
-        truncation_bound=bound,
-        tolerance=tol,
-        passed=passed,
+        metric=max(tv_joint, tv_marg),
+        threshold=threshold,
+        passed=tv_joint <= threshold and tv_marg <= threshold,
+        detail=f"joint={tv_joint:.3e} marginal={tv_marg:.3e}",
     )
 
 
@@ -927,16 +912,30 @@ def tree_vs_chain_check(
     )
 
 
-def reference_table_check() -> CheckResult:
-    """The embedded reference genealogy re-derived, as one check line."""
-    ref = figure1_consistency()
+def witness_check(env: Environment, mc_samples: int, seed: int) -> CheckResult:
+    """The ``reduced-sequence-witness`` check line: the exact witness
+    search, and with ``mc_samples`` its Monte Carlo replication, which must
+    then agree in direction.  No witness within the search is inconclusive
+    and fails."""
+    found = btilde_witness_search(env)
+    metric, passed, detail = 0.0, False, "no history dependence found (inconclusive)"
+    if found is not None:
+        metric, passed = found.tv, found.tv > WITNESS_TV
+        detail = (
+            f"step={found.step_index} shared={encode_bt(found.shared_state)} "
+            f"histories={encode_bt(found.history_a)}|{encode_bt(found.history_b)}"
+        )
+        if mc_samples:
+            mc = mc_witness_check(env, found, mc_samples, seed)
+            passed = passed and mc.same_direction
+            detail += f" mc_gap={mc.mc_gap:.4f} dp_gap={mc.dp_gap:.4f}"
     return CheckResult(
-        name="reference-table",
-        env_digest="-",
-        metric=0.0 if ref.passed else 1.0,
-        threshold=0.0,
-        passed=ref.passed,
-        detail="; ".join(ref.mismatches) or "all rows re-derived",
+        name="reduced-sequence-witness",
+        env_digest=env.digest(),
+        metric=metric,
+        threshold=WITNESS_TV,
+        passed=passed,
+        detail=detail,
     )
 
 
@@ -949,7 +948,7 @@ def run_verify_suite(
     guard: int = 2_000_000,
 ) -> list[CheckResult]:
     """The default verification battery for one environment."""
-    results = [reference_table_check()]
+    results = [figure1_consistency()]
     # distinct genealogies grow as g(n) = g(n-1) + g(n-1)^2 per generation,
     # so the exhaustive comparison is a short-horizon instrument; geometric
     # tails further cap the LF case at horizon one
@@ -969,38 +968,7 @@ def run_verify_suite(
         # the joint sweep stays tractable only for short horizons: the fresh
         # geometric draws below the coalescent level multiply combinatorially
         if env.horizon <= 3:
-            rep = lf_iid_check(env)
-            results.append(
-                CheckResult(
-                    name="lf-independence",
-                    env_digest=rep.env_digest,
-                    metric=max(rep.tv_joint_vs_product, rep.tv_marginal_vs_closed_form),
-                    threshold=rep.tolerance + rep.truncation_bound,
-                    passed=rep.passed,
-                    detail=f"joint={rep.tv_joint_vs_product:.3e} marginal={rep.tv_marginal_vs_closed_form:.3e}",
-                )
-            )
+            results.append(lf_iid_check(env))
     if witness:
-        found = btilde_witness_search(env)
-        metric, passed, detail = 0.0, False, "no history dependence found (inconclusive)"
-        if found is not None:
-            metric, passed = found.tv, found.tv > WITNESS_TV
-            detail = (
-                f"step={found.step_index} shared={encode_bt(found.shared_state)} "
-                f"histories={encode_bt(found.history_a)}|{encode_bt(found.history_b)}"
-            )
-            if witness_mc_samples:
-                mc = mc_witness_check(env, found, witness_mc_samples, seed)
-                passed = passed and mc.same_direction
-                detail += f" mc_gap={mc.mc_gap:.4f} dp_gap={mc.dp_gap:.4f}"
-        results.append(
-            CheckResult(
-                name="reduced-sequence-witness",
-                env_digest=env.digest(),
-                metric=metric,
-                threshold=WITNESS_TV,
-                passed=passed,
-                detail=detail,
-            )
-        )
+        results.append(witness_check(env, witness_mc_samples, seed))
     return results

@@ -148,27 +148,28 @@ def test_lf_independence_and_control(binom2):
     # first two coalescent times decouple for geometric offspring but not in
     # general; the control gap is 12/25 by hand
     env = load_environment(env_path("lf_varying_n3"))
-    rep = lf_iid_check(env)
-    bound = 1e-8 + rep.truncation_bound
+    res = lf_iid_check(env)
     control_gap = factorization_gap(binom2)
-    ok = rep.tv_joint_vs_product <= bound and control_gap > 0.001
+    # lf_tv is the larger of the joint and the marginal total variations
+    ok = res.passed and res.metric <= res.threshold and control_gap > 0.001
     report(
         "lf-independence",
         ok,
-        f"lf_tv={rep.tv_joint_vs_product:.2e} bound={bound:.2e} "
+        f"lf_tv={res.metric:.2e} bound={res.threshold:.2e} "
         f"control_gap={control_gap:.4f}",
     )
 
 
 def test_reference_table_rederived():
     t0 = time.perf_counter()
-    rep = figure1_consistency()
+    res = figure1_consistency()
     elapsed = time.perf_counter() - t0
-    ok = rep.passed and rep.mismatches == [] and elapsed < 1.0
+    mismatches = 0 if res.passed else len(res.detail.split("; "))
+    ok = res.passed and res.detail == "all rows re-derived" and elapsed < 1.0
     report(
         "reference-table",
         ok,
-        f"mismatches={len(rep.mismatches)} elapsed={elapsed * 1000:.0f}ms",
+        f"mismatches={mismatches} elapsed={elapsed * 1000:.0f}ms",
     )
 
 

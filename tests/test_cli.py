@@ -171,21 +171,24 @@ class TestExitCodes:
         bad.write_text(text)
         assert run_cli(capsys, "tail", "--env", str(bad)) == (EXIT_CONFIG, "", f"error: {err}\n")
 
-    @pytest.mark.parametrize("law, horizon", [
-        ({"type": "lf", "r": 1.0, "p": 1e-15}, 1), ({"type": "lf", "r": 1.0, "p": 1e-15}, 2),
-        ({"type": "pmf", "p": [0.0] * 2000 + [1.0]}, 2),
-        ({"type": "pmf", "p": [0.0] * 2000 + [1.0]}, 3),
-    ], ids=["lf-1", "lf-2", "pmf-2", "pmf-3"])
-    def test_huge_generation_stops_simulate(self, capsys, tmp_path, law, horizon):
+    @pytest.mark.parametrize("laws", [
+        [{"type": "lf", "r": 1.0, "p": 1e-15}], [{"type": "lf", "r": 1.0, "p": 1e-15}] * 2,
+        [{"type": "pmf", "p": [0.0] * 2000 + [1.0]}] * 2,
+        [{"type": "pmf", "p": [0.0] * 2000 + [1.0]}] * 3,
+        ([{"type": "pmf", "p": [0.25, 0.5, 0.25]}, {"type": "lf", "r": 0.5, "p": 0.5},
+          {"type": "pmf", "p": [0.5, 0, 0.25, 0.25]}] * 67)[:200],
+    ], ids=["lf-1", "lf-2", "pmf-2", "pmf-3", "cycle-200"])
+    def test_huge_generation_stops_simulate(self, capsys, tmp_path, laws):
         # the founder's ~1e15 children would fill a tree row, or be drawn
-        # one by one at horizon 2, and 2000**2 children would fill one; the
-        # draw stops before any of these
+        # one by one at horizon 2, and 2000**2 children would fill one; a
+        # mean of 1.25 every third generation passes the bound over many
+        # generations, long before one of them does; the draw stops first
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps({"laws": [law] * horizon}))
+        path.write_text(json.dumps({"laws": laws}))
         code, out, err = run_cli(capsys, "simulate", "--env", str(path), "--samples", "3")
         assert code == EXIT_GUARD and out == ""
         assert err.startswith("error: a forward draw reached ") and err.count("\n") == 1
-        assert err.endswith(" individuals in one generation, more than 1000000\n")
+        assert err.endswith(" individuals, more than 1000000\n")
 
     def test_lf_sampler_needs_lf_env(self, capsys):
         code, _, _ = run_cli(

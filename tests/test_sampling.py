@@ -127,8 +127,8 @@ class TestStreams:
         assert rng.random() == np.random.default_rng(5).random(33)[32]
 
     def test_block_is_capped_at_max_width(self):
-        # draw_forward checks a generation's width only where it crosses a
-        # block's end, which one wider than MAX_WIDTH then always does
+        # draw_forward checks a draw's size only where a row crosses a
+        # block's end, so it reads at most one block past MAX_WIDTH
         assert UniformStream(0, block=10 * MAX_WIDTH)._block == MAX_WIDTH
         assert UniformStream(0, block=64)._block == 64
 

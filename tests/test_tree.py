@@ -24,8 +24,13 @@ from gwcoal import (
     stream_for_run,
     validate_b_run,
 )
-from gwcoal.errors import AttemptCapError, DegenerateEnvironmentError, DomainError
-from gwcoal import tree as tree_module
+from gwcoal.errors import (
+    AttemptCapError,
+    DegenerateEnvironmentError,
+    DomainError,
+    EnumerationGuardError,
+)
+from gwcoal import sampling, tree as tree_module
 from gwcoal.sampling import UniformStream, campaign_streams, rng_for_run
 from gwcoal.tree import bt_fold, bt_min, bt_star, bt_update
 
@@ -483,6 +488,33 @@ class TestDeadDrawWalk:
             counts, attempts = per_draw_condition(env, ref)
             tree = condition_on_survival(env, new)
             assert (tree.counts, tree.attempts) == (counts, attempts)
+
+    @pytest.mark.parametrize("name", sorted(WALK_ENVS))
+    @pytest.mark.parametrize("block", [1, 3, 8192])
+    def test_max_width_bounds_each_draw(self, monkeypatch, name, block):
+        # MAX_WIDTH bounds the individuals of one draw, all its generations
+        # together: a draw of exactly that many is read as before, one more
+        # raises naming the draw's size, and rejected draws count apart
+        env = WALK_ENVS[name]
+        for run in range(15):
+            ref, _ = _streams(4, run, block)
+            sizes = []
+            while True:
+                counts, width = per_draw_counts(env, ref)
+                sizes.append(sum(map(len, counts)) + width)
+                if width:
+                    break
+            largest = max(sizes)
+            monkeypatch.setattr(sampling, "MAX_WIDTH", largest)
+            _, new = _streams(4, run, block)
+            assert condition_on_survival(env, new).counts == counts
+            if largest > 1:
+                monkeypatch.setattr(sampling, "MAX_WIDTH", largest - 1)
+                _, new = _streams(4, run, block)
+                with pytest.raises(EnumerationGuardError, match=(
+                        f"^a forward draw reached {largest} individuals, "
+                        f"more than {largest - 1}$")):
+                    condition_on_survival(env, new)
 
     @pytest.mark.parametrize("block", [3, 8, 32])
     def test_dead_draws_straddling_a_refill(self, block):

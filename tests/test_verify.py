@@ -24,6 +24,7 @@ from gwcoal import (
     factorization_gap,
     figure1_consistency,
     joint_first_two_times,
+    lf_a1_tail,
     lf_closed_form_checks,
     lf_iid_check,
     load_environment,
@@ -41,6 +42,7 @@ from gwcoal.errors import (
 )
 from gwcoal import verify
 from gwcoal.chains import dense
+from gwcoal.cli import EXIT_CHECK_FAILED, main
 from gwcoal.disttable import outcome_key, parse_outcome
 from gwcoal.environment import LevelTable
 from gwcoal.tree import cpp_and_marks, simulate_tree
@@ -227,25 +229,65 @@ class TestPopulationLaw:
 
 class TestReferenceTable:
     def test_rederives(self):
-        rep = figure1_consistency()
-        assert rep.passed
-        assert rep.mismatches == []
-        assert rep.derived_a == (1, 2, 1, 2, 1, 1, 4, 3, 5, 1, 4)
-        assert rep.derived_l == (1, 2, 2, 2, 2, 2, 4, 4, 5, 5, 5)
+        res = figure1_consistency()
+        assert res.passed
+        assert (res.name, res.metric, res.detail) == ("reference-table", 0.0, "all rows re-derived")
+        assert verify.REFERENCE_A == (1, 2, 1, 2, 1, 1, 4, 3, 5, 1, 4)
+        assert verify.REFERENCE_L == (1, 2, 2, 2, 2, 2, 4, 4, 5, 5, 5)
 
     def test_reduced_states_integer_equality(self):
-        rep = figure1_consistency()
-        assert rep.derived_btilde[0] == ((1, 1),)
-        assert rep.derived_btilde[2] == ((1, 1), (2, 1))
-        assert rep.derived_btilde[10] == ((4, 1),)
+        assert figure1_consistency().passed
+        assert verify.REFERENCE_BTILDE[0] == ((1, 1),)
+        assert verify.REFERENCE_BTILDE[2] == ((1, 1), (2, 1))
+        assert verify.REFERENCE_BTILDE[10] == ((4, 1),)
+
+    @pytest.mark.parametrize("name, index, value, clauses", [
+        # a time off the states' first levels also moves the running maxima,
+        # the transition rules and the reduced recursion
+        ("REFERENCE_A", 1, 3, ["coalescent times", "lengths", "structural transition rules",
+                               "reduced sequence"]),
+        ("REFERENCE_L", 1, 3, ["lengths"]),
+        # the second pair must be the first pair's star: (2, 2) is (2, 1) now
+        ("REFERENCE_B_ROWS", 2, (2, ((1, 1), (2, 2))), ["structural transition rules"]),
+        ("REFERENCE_BTILDE", 10, ((4, 2),), ["reduced sequence"]),
+    ])
+    def test_each_broken_row_fails(self, monkeypatch, capsys, name, index, value, clauses):
+        rows = list(getattr(verify, name))
+        rows[index] = value
+        monkeypatch.setattr(verify, name, tuple(rows))
+        res = figure1_consistency()
+        assert not res.passed
+        assert (res.metric, res.threshold) == (1.0, 0.0)
+        assert [clause.split(":")[0] for clause in res.detail.split("; ")] == clauses
+        assert main(["verify", "--figure1"]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().out == (
+            f"FAIL reference-table metric=1.000e+00 threshold=0.000e+00 {res.detail}\n")
 
 
 class TestIndependence:
     def test_lf_factorizes(self, lf_varying3):
-        rep = lf_iid_check(lf_varying3)
-        assert rep.passed
-        assert rep.tv_joint_vs_product < 1e-8 + rep.truncation_bound
-        assert rep.tv_marginal_vs_closed_form < 1e-8 + rep.truncation_bound
+        res = lf_iid_check(lf_varying3)
+        assert res.passed and res.name == "lf-independence"
+        # the larger of the joint and the marginal total variations
+        assert res.metric < res.threshold
+        assert res.threshold >= 1e-8
+
+    def test_non_factorizing_joint_fails(self, monkeypatch, binom2):
+        # binom2's joint law of the first two times, whose factorization gap
+        # is 12/25 by hand, and a diagonal law on the closed-form marginals,
+        # whose gap 2 c1 c2 is all that fails it
+        env = constant_environment(LinearFractionalLaw(0.5, 0.5), 2)
+        t1, t2 = lf_a1_tail(env, 1), lf_a1_tail(env, 2)
+        c1, c2 = (1 - t1) / (1 - t2), (t1 - t2) / (1 - t2)
+        cases = [(verify.joint_first_two_times(binom2)[0], 12 / 25),
+                 (DistTable({"1,1": c1, "2,2": c2}), 2 * c1 * c2)]
+        for joint, gap in cases:
+            monkeypatch.setattr(verify, "joint_first_two_times", lambda env: (joint, 0.0))
+            res = lf_iid_check(env)
+            assert not res.passed
+            assert res.metric == pytest.approx(gap, abs=1e-12)
+            assert res.threshold == 1e-8
+            assert res.detail.startswith(f"joint={gap:.3e} marginal=")
 
     def test_non_lf_control(self, binom2):
         # hand value: conditioned on three or more survivors the joint puts
