@@ -18,17 +18,6 @@ def outcome_key(k: int, a: Iterable[int] | str) -> str:
     return f"K={k};A=" + (a if isinstance(a, str) else ",".join(map(str, a)))
 
 
-def parse_outcome(key: str) -> tuple[int, tuple[int, ...]]:
-    try:
-        k_part, a_part = key.split(";")
-        k = int(k_part.removeprefix("K="))
-        body = a_part.removeprefix("A=")
-        a = tuple(int(x) for x in body.split(",")) if body else ()
-    except (ValueError, AttributeError):
-        raise DomainError(f"malformed outcome key {key!r}") from None
-    return k, a
-
-
 class DistTable(dict):
     """Probability table over canonical string keys.
 

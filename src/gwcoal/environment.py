@@ -67,6 +67,12 @@ class Environment:
     def is_finite_support(self) -> bool:
         return all(isinstance(law, FiniteSupportLaw) for law in self.laws)
 
+    @cached_property
+    def is_exact(self) -> bool:
+        """Every law has finite support and exact probabilities: the tables,
+        laws and checks of an exact environment are exact, of others float."""
+        return all(isinstance(law, FiniteSupportLaw) and law.is_exact for law in self.laws)
+
     def as_rational(self) -> "Environment":
         return Environment(tuple(law.as_rational() for law in self.laws))
 
@@ -161,8 +167,7 @@ class LevelTable:
     def __init__(self, laws: Sequence[OffspringLaw]):
         self.laws = tuple(laws)
         self.horizon = len(self.laws)
-        exact = all(isinstance(law, FiniteSupportLaw) and law.is_exact for law in self.laws)
-        self.zero: Number = Fraction(0) if exact else 0.0
+        self.zero: Number = Fraction(0) if Environment(self.laws).is_exact else 0.0
         self._rows: list[tuple] = [(self.zero, 1, math.nan, 1)]
         self._etas: list[EtaLaw] = []  # the eta laws of levels 1, 2, ...
 

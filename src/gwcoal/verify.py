@@ -28,6 +28,7 @@ from .chains import ChainRun, State, validate_b_run
 from .disttable import DistTable, outcome_key, tv_distance
 from .environment import TAIL_CUT, Environment, lf_a1_tail
 from .errors import (
+    ChainStateError,
     DegenerateEnvironmentError,
     EnumerationGuardError,
     NotLinearFractionalError,
@@ -79,11 +80,10 @@ class _LevelTable:
     zero: Number
 
 
-def _eta_tables(env: Environment, rational: bool = False) -> list[_LevelTable]:
-    base = env.as_rational() if rational else env
+def _eta_tables(env: Environment) -> list[_LevelTable]:
     out = []
-    for level in range(1, base.horizon + 1):
-        law = eta_law_at_depth(base, level).materialized()
+    for level in range(1, env.horizon + 1):
+        law = eta_law_at_depth(env, level).materialized()
         items = tuple(((level, k) if k else None, p) for k, p in enumerate(law.probs) if p > 0)
         out.append(_LevelTable(items=items, zero=law.probs[0]))
     return out
@@ -94,35 +94,27 @@ def _eta_tables(env: Environment, rational: bool = False) -> list[_LevelTable]:
 # ---------------------------------------------------------------------------
 
 
-def exact_tree_law(
-    env: Environment,
-    guard: int = 500_000,
-    rational: bool = False,
-) -> DistTable:
+def exact_tree_law(env: Environment, guard: int = 500_000) -> DistTable:
     """Law of (K, coalescent times) over all trees, conditioned on K >= 1.
 
     Works bottom-up: the genealogy pattern of a subtree is assembled from the
     patterns of its child subtrees, joined at the subtree's root level.  This
     visits exactly the information content of every tree; ``guard`` bounds
     the number of child-pattern combinations examined.  Outcomes are listed
-    by K, then by the text of their times.  In exact mode one ``Fraction``
-    per outcome is formed from the integer numerators.
+    by K, then by the text of their times.  An exact environment gives one
+    ``Fraction`` per outcome, formed from the integer numerators.
     """
-    patterns, dead, alive = _tree_numerators(env, guard, rational)
+    patterns, dead, alive = _tree_numerators(env, guard)
     table = DistTable({
-        outcome_key(k, a): Fraction(p, alive) if rational else p / alive
+        outcome_key(k, a): Fraction(p, alive) if env.is_exact else p / alive
         for k, a, p in sorted((t.count(",") + 1, t[:-1], p) for t, p in patterns.items())
     })
-    if not rational:  # exact supports are complete
+    if not env.is_exact:  # exact supports are complete
         table.truncated_mass = max(0.0, float(1 - dead - alive)) / float(alive)
     return table
 
 
-def _tree_numerators(
-    env: Environment,
-    guard: int,
-    rational: bool,
-) -> tuple[dict[str, Number], Number, Number]:
+def _tree_numerators(env: Environment, guard: int) -> tuple[dict[str, Number], Number, Number]:
     """The surviving patterns of ``exact_tree_law`` with their masses, the
     dead mass and the surviving mass ``alive``.
 
@@ -140,14 +132,14 @@ def _tree_numerators(
     depth, so that merging two patterns is an integer addition; a pattern's
     probability given survival is its numerator over ``alive``.
     """
-    base = env.as_rational() if rational else env
-    N = base.horizon
-    supports = [_offspring_support(law, guard) for law in base.laws]
+    exact = env.is_exact
+    N = env.horizon
+    supports = [_offspring_support(law, guard) for law in env.laws]
 
     # a pattern's mass is relative to ``total``, the mass of all subtrees
     # rooted at the current depth: 1, or in exact mode the common
     # denominator of the numerators
-    total: Number = 1 if rational else 1.0
+    total: Number = 1 if exact else 1.0
     patterns: dict[str | None, Number] = {"": total}
     work = 0
     for depth in range(N - 1, -1, -1):
@@ -158,7 +150,7 @@ def _tree_numerators(
             if work > guard:
                 raise EnumerationGuardError(
                     f"tree enumeration exceeded {guard} pattern combinations")
-        if rational:
+        if exact:
             # P(count) * prod(num_i / total) over total' = den * total**top
             den = math.lcm(*(p.denominator for _, p in items))
             top = items[-1][0]
@@ -193,7 +185,7 @@ def _tree_numerators(
 # ---------------------------------------------------------------------------
 
 
-def _transitions(state: State | None, tables: list[_LevelTable]):
+def _transitions(state: State | None, tables: list[_LevelTable], one: Number):
     """All transitions out of a chain state, with their probabilities.
 
     ``(0, ())`` is the start of the truncated (b) chain, ``None`` that of the
@@ -201,9 +193,9 @@ def _transitions(state: State | None, tables: list[_LevelTable]):
     and that level loses one.  A b state left without pairs draws the levels
     beyond its length until a nonzero value, and terminates (``None``) if
     none comes up to the horizon; a d start without pairs is yielded as it
-    is.  Probabilities sum to one minus the truncation leak of the tables.
+    is.  Probabilities sum to one minus the truncation leak of the tables,
+    and each is a product that starts from ``one``.
     """
-    one: Number = 1 if any(isinstance(t.zero, Fraction) for t in tables) else 1.0
     if state is None:
         length, below, fixed = len(tables), tables, ()
     else:
@@ -243,23 +235,23 @@ class _Sweep:
     and so does a d state without pairs).  ``work`` counts every
     transition examined once per history that reads it, so a state charges
     its number of transitions times its number of histories; more than
-    ``guard`` raises.
+    ``guard`` raises, and so does a state's list of transitions as it is
+    built past what the guard has left, every state having a history.
 
     Exact masses are integers: numerators over ``scale ** i`` after i steps,
     where ``scale`` is the product of the levels' common denominators, so
     that merging two masses is an integer addition.
     """
 
-    def __init__(self, env: Environment, process: str, guard: int, overflow: str,
-                 rational: bool = False):
+    def __init__(self, env: Environment, process: str, guard: int, overflow: str):
         if process not in ("b", "d"):
             raise ValueError("process must be 'b' or 'd'")
-        self.tables = _eta_tables(env, rational)
+        self.tables = _eta_tables(env)
         self.start = (0, ()) if process == "b" else None
-        self.rational = rational
-        self.one: Number = 1 if rational else 1.0
+        self.exact = env.is_exact
+        self.one: Number = 1 if self.exact else 1.0
         self.scale = math.prod(math.lcm(t.zero.denominator, *(q.denominator for _, q in t.items))
-                               for t in self.tables) if rational else 1
+                               for t in self.tables) if self.exact else 1
         self.guard = guard
         self.overflow = overflow
         self.work = 0
@@ -270,10 +262,18 @@ class _Sweep:
         transition out of ``state``."""
         out = self._memo.get(state)
         if out is None:
+            # each combination of the levels drawn afresh is a transition at
+            # least, so too many of them raise before any is built
+            room = self.guard - self.work
+            first = len(self.tables) + 1 if state is None else state[1][0][0] if state[1] else 1
+            if math.prod(len(t.items) for t in self.tables[: first - 1]) > room:
+                raise EnumerationGuardError(self.overflow)
             out = []
-            for nxt, p in _transitions(state, self.tables):
+            for nxt, p in _transitions(state, self.tables, self.one):
+                if len(out) == room:
+                    raise EnumerationGuardError(self.overflow)
                 a = nxt[1][0][0] if nxt and nxt[1] else None
-                if self.rational:
+                if self.exact:
                     p = p.numerator * (self.scale // p.denominator)
                 out.append((None if a is None else nxt, a, p))
             self._memo[state] = out
@@ -314,29 +314,24 @@ class _Sweep:
         return {state: hists for state, hists in new.items() if hists}, ended
 
 
-def exact_chain_law(
-    env: Environment,
-    guard: int = 2_000_000,
-    rational: bool = False,
-    process: str = "b",
-) -> DistTable:
+def exact_chain_law(env: Environment, guard: int = 2_000_000, process: str = "b") -> DistTable:
     """Law of (K, emitted coalescent times) of a backward chain, by exact
     forward sweep of its transition kernel from the initial state.  A float
     sweep stops once less than 1e-14 of the mass is still running."""
     done = DistTable()
-    for k, hist, mass, den in _chain_outcomes(env, process, guard, rational):
-        done[outcome_key(k, hist[:-1])] = Fraction(mass, den) if rational else mass
-    done.truncated_mass = max(0.0, 1.0 - float(done.total())) if not rational else 0.0
+    for k, hist, mass, den in _chain_outcomes(env, process, guard):
+        done[outcome_key(k, hist[:-1])] = Fraction(mass, den) if env.is_exact else mass
+    done.truncated_mass = 0.0 if env.is_exact else max(0.0, 1.0 - float(done.total()))
     return done
 
 
-def _chain_outcomes(env: Environment, process: str, guard: int, rational: bool):
+def _chain_outcomes(env: Environment, process: str, guard: int):
     """(K, history, mass, denominator) of every run of the chain sweep,
     yielded at the end of the step that ends it.  The history is the
     sweep's own text, each emitted time followed by a comma, which is also
     the tree's pattern key.  Exact masses are integers over ``scale ** K``;
     float masses are over 1."""
-    sweep = _Sweep(env, process, guard, f"chain sweep exceeded {guard} transitions", rational)
+    sweep = _Sweep(env, process, guard, f"chain sweep exceeded {guard} transitions")
     frontier = {sweep.start: {"": sweep.one}}
     steps = 0
     while frontier:
@@ -346,19 +341,19 @@ def _chain_outcomes(env: Environment, process: str, guard: int, rational: bool):
         den = sweep.scale**steps
         for hist, mass in ended.items():
             yield steps, hist, mass, den
-        if not rational and frontier and sum(
+        if not sweep.exact and frontier and sum(
                 mass for hists in frontier.values() for mass in hists.values()) < 1e-14:
             break
 
 
-def _tree_chain_gap(env: Environment, guard: int, rational: bool) -> tuple[Number, int, float]:
+def _tree_chain_gap(env: Environment, guard: int) -> tuple[Number, int, float]:
     """TV distance between the tree law and the b chain law, the number of
     tree outcomes and the truncation slack of the two laws, with no table of
     outcome keys on either side.
 
     The b chain's outcomes are compared as they end against the tree's
     numerators, which are popped by the sweep's history text as they are
-    matched.  In exact mode an
+    matched.  For an exact environment an
     outcome agrees when ``tree * den == chain * alive``, and only outcomes
     that disagree, or that one side lacks, add a ``Fraction`` to the gap, so
     that the gap equals ``tv_distance`` on the two public tables.  In float
@@ -369,20 +364,21 @@ def _tree_chain_gap(env: Environment, guard: int, rational: bool) -> tuple[Numbe
     tails are cut) the float slack is the tree's lost mass over ``alive``
     plus the mass that never ended in the chain sweep.
     """
-    tree, dead, alive = _tree_numerators(env, guard, rational)
+    exact = env.is_exact
+    tree, dead, alive = _tree_numerators(env, guard)
     outcomes = len(tree)
-    gap: Number = Fraction(0) if rational else 0.0
+    gap: Number = Fraction(0) if exact else 0.0
     ended = 0.0
-    for _, hist, mass, den in _chain_outcomes(env, "b", guard, rational):
+    for _, hist, mass, den in _chain_outcomes(env, "b", guard):
         num = tree.pop(hist, 0)
-        if rational:
+        if exact:
             if num * den != mass * alive:
                 gap += abs(Fraction(num, alive) - Fraction(mass, den))
         else:
             ended += mass
             if num / alive != mass:
                 gap += abs(num / alive - mass)
-    if rational:
+    if exact:
         return (gap + sum(Fraction(num, alive) for num in tree.values())) / 2, outcomes, 0.0
     for num in tree.values():
         gap += num / alive
@@ -484,7 +480,7 @@ def figure1_consistency() -> CheckResult:
     try:
         run = ChainRun(a_values=list(REFERENCE_A), states=list(REFERENCE_B_ROWS))
         validate_b_run(run, horizon=max(REFERENCE_L))
-    except Exception as exc:
+    except ChainStateError as exc:
         mismatches.append(f"structural transition rules: {exc}")
     marks = [pairs[0][1] for _, pairs in REFERENCE_B_ROWS]
     derived_btilde = bt_fold(REFERENCE_A, marks)
@@ -780,7 +776,7 @@ def exact_population_law(env: Environment, n: int, guard: int = 200_000) -> dict
     """Law of the population size n generations below the founder, by direct
     convolution (no generating functions involved)."""
     supports = [_offspring_support(law, guard) for law in env.laws[:n]]
-    exact = all(isinstance(law, FiniteSupportLaw) and law.is_exact for law in env.laws[:n])
+    exact = env.is_exact
     # numpy repays its per-call cost on wide supports, such as truncated
     # geometric tails; on a few items the loop's products are cheaper
     if not exact and max(map(len, supports)) > 8:
@@ -881,7 +877,7 @@ def a1_telescoping_check(env: Environment) -> CheckResult:
     for n in range(1, env.horizon + 1):
         closed = a1_tail(env, n)
         gap = max(gap, abs(closed - env.levels.column(n)[3]))
-    threshold = 0.0 if isinstance(closed, Fraction) else 1e-12
+    threshold = 0.0 if env.is_exact else 1e-12
     return CheckResult(
         name="a1-tail-telescoping",
         env_digest=env.digest(),
@@ -892,16 +888,12 @@ def a1_telescoping_check(env: Environment) -> CheckResult:
     )
 
 
-def tree_vs_chain_check(
-    env: Environment,
-    rational: bool = False,
-    guard: int = 2_000_000,
-) -> CheckResult:
+def tree_vs_chain_check(env: Environment, guard: int = 2_000_000) -> CheckResult:
     """Total variation between the tree law and the b chain law, streamed:
     each chain outcome is compared with the tree's numerator as it ends."""
-    gap, outcomes, extra = _tree_chain_gap(env, guard, rational)
+    gap, outcomes, extra = _tree_chain_gap(env, guard)
     passed = float(gap) <= 1e-10 + extra
-    mode = "rational" if rational else "float"
+    mode = "rational" if env.is_exact else "float"
     return CheckResult(
         name=f"tree-vs-chain-tv-{mode}",
         env_digest=env.digest(),
@@ -947,22 +939,24 @@ def run_verify_suite(
     seed: int = 0,
     guard: int = 2_000_000,
 ) -> list[CheckResult]:
-    """The default verification battery for one environment."""
+    """The default verification battery for one environment; ``rational``
+    also checks a short finite-support one in its exact form."""
     results = [figure1_consistency()]
     # distinct genealogies grow as g(n) = g(n-1) + g(n-1)^2 per generation,
     # so the exhaustive comparison is a short-horizon instrument; geometric
     # tails further cap the LF case at horizon one
-    rational_sweep = rational and env.is_finite_support and env.horizon <= 3
+    telescoped = env
     if (env.is_finite_support and env.horizon <= 3) or env.horizon == 1:
         results.append(tree_vs_chain_check(env, guard=guard))
-        if rational_sweep:
-            results.append(tree_vs_chain_check(env, rational=True, guard=guard))
+        if rational and env.is_finite_support and env.horizon <= 3:
+            # exact only where the rational sweep runs: exact values grow
+            # doubly exponentially in size with the depth
+            telescoped = env.as_rational()
+            results.append(tree_vs_chain_check(telescoped, guard=guard))
     for n in range(1, min(3, env.horizon) + 1):
         if env.is_finite_support or n <= 2:
             results.append(a1_identity_check(env, n))
-    # exact only where the rational sweep runs: exact values grow doubly
-    # exponentially in size with the depth
-    results.append(a1_telescoping_check(env.as_rational() if rational_sweep else env))
+    results.append(a1_telescoping_check(telescoped))
     if env.is_linear_fractional:
         results.extend(lf_closed_form_checks(env))
         # the joint sweep stays tractable only for short horizons: the fresh

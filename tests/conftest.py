@@ -330,14 +330,14 @@ def dense_validate_d_run(run, horizon):
 # ---------------------------------------------------------------------------
 
 
-def loop_tree_numerators(env, guard, rational):
+def loop_tree_numerators(env, guard):
     """``verify._tree_numerators`` as a loop over every combination's
     children, with its patterns keyed ``(K, times text)``; also returns the
     number of combinations examined, the smallest passing guard."""
-    base = env.as_rational() if rational else env
-    N = base.horizon
-    supports = [_offspring_support(law, guard) for law in base.laws]
-    total = 1 if rational else 1.0
+    exact = env.is_exact
+    N = env.horizon
+    supports = [_offspring_support(law, guard) for law in env.laws]
+    total = 1 if exact else 1.0
     patterns = {(1, ""): total}
     work = 0
     for depth in range(N - 1, -1, -1):
@@ -345,7 +345,7 @@ def loop_tree_numerators(env, guard, rational):
         pats = list(patterns.items())
         merged = {}
         items = supports[depth]
-        if rational:
+        if exact:
             den = math.lcm(*(p.denominator for _, p in items))
             top = items[-1][0]
             items = [(c, p.numerator * (den // p.denominator) * total ** (top - c))

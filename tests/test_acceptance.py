@@ -60,9 +60,9 @@ def test_tree_law_equals_chain_law():
     float_tv = 0.0
     for name in ("binom_n3", "varying_n3"):
         env = load_environment(env_path(name))
-        tree_r = exact_tree_law(env, rational=True)
+        tree_r = exact_tree_law(env.as_rational())
         for process in ("b", "d"):
-            chain_r = exact_chain_law(env, rational=True, process=process)
+            chain_r = exact_chain_law(env.as_rational(), process=process)
             rational_zero = rational_zero and tv_distance(tree_r, chain_r) == 0
         tree_f = exact_tree_law(env)
         chain_f = exact_chain_law(env)

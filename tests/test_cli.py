@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from gwcoal.environment import load_environment
 from gwcoal.sampling import campaign_streams
 
 from conftest import env_path, per_draw_condition
+from test_golden import LITERAL_ENVS
 
 
 @pytest.fixture
@@ -189,6 +191,16 @@ class TestExitCodes:
         assert code == EXIT_GUARD and out == ""
         assert err.startswith("error: a forward draw reached ") and err.count("\n") == 1
         assert err.endswith(" individuals, more than 1000000\n")
+
+    def test_deep_witness_sweep_stops_at_its_guard(self, capsys, tmp_path):
+        # the d chain's start has 2**40 transitions: the sweep raises before
+        # it builds them, not after filling memory
+        path = tmp_path / "deep_n40.json"
+        path.write_text(json.dumps(LITERAL_ENVS["deep_n40"]))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--env", str(path), "--witness")
+        assert time.perf_counter() - start < 2
+        assert (code, out, err) == (EXIT_GUARD, "", "error: witness sweep exceeded its budget\n")
 
     def test_lf_sampler_needs_lf_env(self, capsys):
         code, _, _ = run_cli(

@@ -1,3 +1,6 @@
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import gwcoal
@@ -75,3 +78,19 @@ def test_all_is_the_listed_surface():
 
 def test_every_export_is_named_in_the_readme():
     assert [name for name in EXPORTS if f"`{name}`" not in README] == []
+
+
+def test_only_the_suite_takes_rational():
+    # exact mode follows the environment's numbers; only the suite, which
+    # ``verify --rational`` drives, forms the exact environment itself
+    takers = []
+    for info in pkgutil.iter_modules(gwcoal.__path__):
+        module = importlib.import_module(f"gwcoal.{info.name}")
+        owners = [module] + [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                             if cls.__module__ == module.__name__]
+        for owner in owners:
+            for _, func in inspect.getmembers(owner, inspect.isfunction):
+                if func.__module__ == module.__name__ \
+                        and "rational" in inspect.signature(func).parameters:
+                    takers.append(f"{module.__name__}.{func.__qualname__}")
+    assert sorted(set(takers)) == ["gwcoal.verify.run_verify_suite"]

@@ -43,7 +43,7 @@ from gwcoal.errors import (
 from gwcoal import verify
 from gwcoal.chains import dense
 from gwcoal.cli import EXIT_CHECK_FAILED, main
-from gwcoal.disttable import outcome_key, parse_outcome
+from gwcoal.disttable import outcome_key
 from gwcoal.environment import LevelTable
 from gwcoal.tree import cpp_and_marks, simulate_tree
 from gwcoal.verify import (
@@ -77,10 +77,6 @@ class TestOutcomeKeys:
     def test_round_trip(self):
         assert outcome_key(3, (1, 2)) == "K=3;A=1,2"
         assert outcome_key(1, ()) == "K=1;A="
-        assert parse_outcome("K=3;A=1,2") == (3, (1, 2))
-        assert parse_outcome("K=1;A=") == (1, ())
-        with pytest.raises(DomainError):
-            parse_outcome("garbage")
 
     def test_dist_table(self):
         t = DistTable({"a": 0.25, "b": 0.75})
@@ -115,7 +111,7 @@ class TestOutcomeKeys:
 
 class TestExactTreeLaw:
     def test_hand_table(self, binom2_exact):
-        table = exact_tree_law(binom2_exact, rational=True)
+        table = exact_tree_law(binom2_exact)
         assert dict(table) == HAND_TABLE_N2
         assert table.truncated_mass == 0.0
 
@@ -125,11 +121,12 @@ class TestExactTreeLaw:
             assert table[key] == pytest.approx(float(frac), abs=1e-14)
 
     def test_dirac_tree(self):
+        # dirac laws hold Fractions: the environment is exact with no conversion
         env = constant_environment(dirac(2), 2)
-        table = exact_tree_law(env, rational=True)
+        table = exact_tree_law(env)
         assert table == {"K=4;A=1,2,1": 1}
         for process in ("b", "d"):
-            table = exact_chain_law(env, rational=True, process=process)
+            table = exact_chain_law(env, process=process)
             assert table == {"K=4;A=1,2,1": 1}
             assert isinstance(table["K=4;A=1,2,1"], Fraction)
 
@@ -146,9 +143,9 @@ class TestExactTreeLaw:
 class TestExactChainLaw:
     def test_matches_tree_law_exactly(self, binom3, varying3):
         for env in (binom3, varying3):
-            tree = exact_tree_law(env, rational=True)
+            tree = exact_tree_law(env.as_rational())
             for process in ("b", "d"):
-                chain = exact_chain_law(env, rational=True, process=process)
+                chain = exact_chain_law(env.as_rational(), process=process)
                 assert tv_distance(tree, chain) == 0
 
     def test_float_mode_close(self, varying3):
@@ -161,7 +158,7 @@ class TestExactChainLaw:
             exact_chain_law(binom3, process="x")
 
     def test_check_wrapper(self, varying3):
-        res = tree_vs_chain_check(varying3, rational=True)
+        res = tree_vs_chain_check(varying3.as_rational())
         assert res.passed
         assert res.metric == 0.0
         assert "exact_zero=True" in res.detail
@@ -371,6 +368,15 @@ class TestSuite:
             for res in results:
                 assert res.passed, f"{name}: {res.name}: {res.detail}"
 
+    def test_rational_forms_the_exact_environment_once(self, monkeypatch, varying3):
+        # the exact tree-vs-chain line and the exact telescoping check share it
+        calls = []
+        real = Environment.as_rational
+        monkeypatch.setattr(Environment, "as_rational", lambda env: calls.append(1) or real(env))
+        names = [r.name for r in run_verify_suite(varying3, rational=True)]
+        assert calls == [1]
+        assert "tree-vs-chain-tv-rational" in names and "a1-tail-telescoping" in names
+
     def test_check_result_serializes(self, varying3):
         res = tree_vs_chain_check(varying3)
         doc = json.loads(res.to_json())
@@ -407,11 +413,11 @@ EXACT_ENVS = {
 def exact_laws(request):
     """The rational tree law and the rational b and d chain laws of one env,
     as (K, A_1 or None, probability) rows."""
-    env = EXACT_ENVS[request.param]()
+    env = EXACT_ENVS[request.param]().as_rational()
     laws = {
-        "tree": exact_tree_law(env, rational=True),
-        "b": exact_chain_law(env, rational=True, process="b"),
-        "d": exact_chain_law(env, rational=True, process="d"),
+        "tree": exact_tree_law(env),
+        "b": exact_chain_law(env, process="b"),
+        "d": exact_chain_law(env, process="d"),
     }
 
     def first_time(key):
@@ -459,10 +465,12 @@ class TestExactArithmetic:
     @pytest.mark.parametrize("route, smallest", [("b", 89), ("d", 96), ("tree", 73)])
     def test_smallest_passing_guard(self, varying3, rational, route, smallest):
         # work counts every transition or combination examined
+        env = varying3.as_rational() if rational else varying3
+
         def run(guard):
             if route == "tree":
-                return exact_tree_law(varying3, guard=guard, rational=rational)
-            return exact_chain_law(varying3, guard=guard, rational=rational, process=route)
+                return exact_tree_law(env, guard=guard)
+            return exact_chain_law(env, guard=guard, process=route)
 
         run(smallest)
         with pytest.raises(EnumerationGuardError):
@@ -480,23 +488,42 @@ class TestExactArithmetic:
     def test_smallest_passing_tree_guard_on_full_support(self):
         # the count of the product loop that charged each combination as it
         # examined it, now charged per depth before any key is built
-        verify._tree_numerators(FULL_SUPPORT_N3_FLOAT, 65_730, False)
+        verify._tree_numerators(FULL_SUPPORT_N3_FLOAT, 65_730)
         with pytest.raises(EnumerationGuardError):
-            verify._tree_numerators(FULL_SUPPORT_N3_FLOAT, 65_729, False)
+            verify._tree_numerators(FULL_SUPPORT_N3_FLOAT, 65_729)
+
+    @pytest.mark.parametrize("process, horizon, guard", [
+        ("d", 12, 1000), ("d", 16, 1000), ("d", 18, 1000), ("b", 18, 5)])
+    def test_guard_stops_generating_transitions(self, monkeypatch, process, horizon, guard):
+        # the d start has 2**horizon transitions and the b start horizon + 1;
+        # a state raises before its list is built past the guard
+        real = verify._transitions
+        made = [0]
+
+        def counting(*args):
+            for move in real(*args):
+                made[0] += 1
+                yield move
+
+        monkeypatch.setattr(verify, "_transitions", counting)
+        env = constant_environment(FiniteSupportLaw((0.25, 0.5, 0.25)), horizon)
+        with pytest.raises(EnumerationGuardError, match=f"exceeded {guard} transitions"):
+            exact_chain_law(env, guard=guard, process=process)
+        assert made[0] <= guard + 1
 
     @pytest.mark.parametrize("process", ["b", "d"])
     def test_transitions_generated_once_per_state(self, monkeypatch, varying3, process):
         real = verify._transitions
         calls: dict = {}
 
-        def counting(state, tables):
+        def counting(state, tables, one):
             calls[state] = calls.get(state, 0) + 1
-            return real(state, tables)
+            return real(state, tables, one)
 
         monkeypatch.setattr(verify, "_transitions", counting)
-        for rational in (False, True):
+        for env in (varying3, varying3.as_rational()):
             calls.clear()
-            exact_chain_law(varying3, rational=rational, process=process)
+            exact_chain_law(env, process=process)
             assert calls and set(calls.values()) == {1}
         calls.clear()
         chain_step_laws(varying3, process=process, max_steps=5)
@@ -520,7 +547,7 @@ class TestExactArithmetic:
         while frontier:
             new: dict = {}
             for (a_seq, state), mass in frontier.items():
-                for nxt, p in verify._transitions(state, tables):
+                for nxt, p in verify._transitions(state, tables, 1.0):
                     mp = mass * p
                     a = nxt[1][0][0] if nxt and nxt[1] else None
                     if mp == 0:
@@ -545,12 +572,13 @@ class TestExactArithmetic:
         # its transitions under ``dense`` are the dense reference's, in the
         # same order and with bit-equal probabilities (LF laws have no
         # rational mode)
-        tables = verify._eta_tables(load_environment(env_path(name)), rational)
+        env = load_environment(env_path(name))
+        tables = verify._eta_tables(env.as_rational() if rational else env)
         start = (0, ()) if process == "b" else None
         seen, todo = {start}, [start]
         while todo:
             state = todo.pop(0)
-            sparse = list(verify._transitions(state, tables))
+            sparse = list(verify._transitions(state, tables, 1 if rational else 1.0))
             ref = dense_transitions(None if state is None else dense(state), tables)
             assert [(None if nxt is None else dense(nxt), repr(p)) for nxt, p in sparse] \
                 == [(nxt, repr(p)) for nxt, p in ref]
@@ -648,10 +676,10 @@ def _edit_outcomes(monkeypatch, edit):
 
 
 def _reference_check(env):
-    """``tree_vs_chain_check(rational=True)`` from the public Fraction
-    tables and ``tv_distance``, with the exact gap."""
-    tree_law = exact_tree_law(env, rational=True, guard=2_000_000)
-    chain_law = exact_chain_law(env, rational=True, guard=2_000_000)
+    """``tree_vs_chain_check`` of an exact environment from the public
+    Fraction tables and ``tv_distance``, with the exact gap."""
+    tree_law = exact_tree_law(env, guard=2_000_000)
+    chain_law = exact_chain_law(env, guard=2_000_000)
     gap = tv_distance(tree_law, chain_law)
     detail = f"outcomes={len(tree_law)} truncation={0.0:.3e} exact_zero={gap == 0}"
     return gap, (float(gap), float(gap) <= 1e-10, detail)
@@ -663,21 +691,22 @@ class TestIntegerCertificate:
 
     @pytest.mark.parametrize("name", sorted(EXACT_ENVS))
     def test_matches_fraction_tables(self, name):
-        env = EXACT_ENVS[name]()
+        env = EXACT_ENVS[name]().as_rational()
         gap, expected = _reference_check(env)
-        res = tree_vs_chain_check(env, rational=True)
+        res = tree_vs_chain_check(env)
         assert (res.metric, res.passed, res.detail) == expected
         assert res.name == "tree-vs-chain-tv-rational" and gap == 0
 
     @pytest.mark.parametrize("edit", ["perturb", "drop", "extra"])
     def test_disagreement_is_exact(self, monkeypatch, varying3, edit):
         _edit_outcomes(monkeypatch, edit)
-        gap, expected = _reference_check(varying3)
+        exact = varying3.as_rational()
+        gap, expected = _reference_check(exact)
         assert isinstance(gap, Fraction) and gap > 0
-        res = tree_vs_chain_check(varying3, rational=True)
+        res = tree_vs_chain_check(exact)
         assert (res.metric, res.passed, res.detail) == expected
         assert "exact_zero=False" in res.detail
-        assert verify._tree_chain_gap(varying3, 2_000_000, True)[0] == gap
+        assert verify._tree_chain_gap(exact, 2_000_000)[0] == gap
 
     def test_no_fraction_per_outcome(self, monkeypatch):
         # only the public tables form a Fraction for each outcome; what is
@@ -690,7 +719,7 @@ class TestIntegerCertificate:
             return real(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__new__", counting)
-        res = tree_vs_chain_check(FULL_SUPPORT_N3, rational=True)
+        res = tree_vs_chain_check(FULL_SUPPORT_N3)
         assert res.detail.startswith("outcomes=60879 ") and made[0] < 1000
 
 
@@ -763,8 +792,8 @@ class TestFloatCertificate:
             raise AssertionError("outcome_key called")
 
         monkeypatch.setattr(verify, "outcome_key", refuse)
-        for rational in (False, True):
-            res = tree_vs_chain_check(varying3, rational=rational)
+        for env in (varying3, varying3.as_rational()):
+            res = tree_vs_chain_check(env)
             assert res.passed, res.detail
 
 
@@ -786,10 +815,10 @@ LF_N1_ENVS = st.builds(lambda r, p: Environment((LinearFractionalLaw(r, p),)),
                        st.sampled_from([0.05, 0.3, 0.5, 0.9]))
 
 
-def _outcome_or_error(numerators, env, guard, rational):
+def _outcome_or_error(numerators, env, guard):
     try:
-        return numerators(env, guard, rational)
-    except (EnumerationGuardError, DegenerateEnvironmentError, EnvFormatError) as exc:
+        return numerators(env, guard)
+    except (EnumerationGuardError, DegenerateEnvironmentError) as exc:
         return type(exc)
 
 
@@ -802,13 +831,20 @@ def test_prefix_extension_matches_loop_reference(env):
     """The tree's patterns, built by prefix extension and keyed by history
     text, equal the product loop's: the same outcomes in the same order,
     bit-equal masses, dead and surviving mass, and the same smallest
-    passing guard (lf laws have no rational mode).  Dyadic masses multiply
-    exactly, so the order of each product shows only on the non-dyadic
-    example, whose rational mode is refused on both sides."""
-    for rational in (False, True) if env.is_finite_support else (False,):
+    passing guard, in floats and for the exact form of the environment
+    (lf laws have none).  Dyadic masses multiply exactly, so the order of
+    each product shows only on the non-dyadic example, which has no exact
+    form either."""
+    forms = [env]
+    if env.is_finite_support:
+        try:
+            forms.append(env.as_rational())
+        except EnvFormatError:  # the non-dyadic example
+            pass
+    for form in forms:
         # the full-support example needs more than 20 000 combinations
-        ref = _outcome_or_error(loop_tree_numerators, env, 20_000, rational)
-        new = _outcome_or_error(verify._tree_numerators, env, 20_000, rational)
+        ref = _outcome_or_error(loop_tree_numerators, form, 20_000)
+        new = _outcome_or_error(verify._tree_numerators, form, 20_000)
         if isinstance(ref, type):
             assert new is ref
             continue
@@ -817,9 +853,9 @@ def test_prefix_extension_matches_loop_reference(env):
         assert [((t.count(",") + 1, t[:-1]), repr(p)) for t, p in got.items()] \
             == [(key, repr(p)) for key, p in patterns.items()]
         assert (repr(got_dead), repr(got_alive)) == (repr(dead), repr(alive))
-        verify._tree_numerators(env, work, rational)
+        verify._tree_numerators(form, work)
         with pytest.raises(EnumerationGuardError):
-            verify._tree_numerators(env, work - 1, rational)
+            verify._tree_numerators(form, work - 1)
 
 
 class TestLfSupportGuard:
