@@ -36,10 +36,13 @@ class DistTable(dict):
         self[key] = self.get(key, 0) + mass
 
     def normalized(self) -> "DistTable":
+        """The table over its total; integer masses, the numerators of an
+        exact sweep, give ``Fraction`` values."""
         z = self.total()
         if z == 0:
             raise DomainError("cannot normalize an empty table")
-        out = DistTable({k: v / z for k, v in self.items()})
+        out = DistTable({k: Fraction(v, z) if isinstance(z, int) else v / z
+                         for k, v in self.items()})
         out.truncated_mass = float(self.truncated_mass) / float(z)
         return out
 

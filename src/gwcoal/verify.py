@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 
@@ -82,10 +83,10 @@ class _LevelTable:
 
 def _eta_tables(env: Environment) -> list[_LevelTable]:
     out = []
-    for level in range(1, env.horizon + 1):
-        law = eta_law_at_depth(env, level).materialized()
-        items = tuple(((level, k) if k else None, p) for k, p in enumerate(law.probs) if p > 0)
-        out.append(_LevelTable(items=items, zero=law.probs[0]))
+    for level, law in enumerate(env.levels.etas(), 1):
+        probs = law.materialized().probs
+        items = tuple(((level, k) if k else None, p) for k, p in enumerate(probs) if p > 0)
+        out.append(_LevelTable(items=items, zero=probs[0]))
     return out
 
 
@@ -228,19 +229,22 @@ class _Sweep:
     mass of reaching each state along each history.  The chain is Markov,
     so what leaves a state does not depend on how it was reached: a step
     fetches each state's transitions once and runs every one of them over
-    all of that state's histories in one inner loop.  A history is the text
-    of the emitted times, each followed by a comma, unless the caller keys
-    it otherwise.  Each distinct state's transitions are generated once per
-    sweep, with the first level of every next state (``None`` ends the run,
-    and so does a d state without pairs).  ``work`` counts every
-    transition examined once per history that reads it, so a state charges
-    its number of transitions times its number of histories; more than
-    ``guard`` raises, and so does a state's list of transitions as it is
-    built past what the guard has left, every state having a history.
+    all of that state's histories in one inner loop.  A history is a fold
+    of the run so far, which the caller chooses: the text of the emitted
+    times, the first time, the last reduced states.  Each distinct state's
+    transitions are generated once per sweep, with the first level of every
+    next state (``None`` ends the run, and so does a d state without pairs).
+    ``work`` counts every transition examined once per history that reads
+    it, so a state charges its number of transitions times its number of
+    histories; more than ``guard`` raises.  So does a state's list of
+    transitions as it is built past what the guard has left, every state
+    having a history, with each transition charged the pairs of its next
+    state, at least 1, as those pairs are what the list holds.
 
     Exact masses are integers: numerators over ``scale ** i`` after i steps,
     where ``scale`` is the product of the levels' common denominators, so
-    that merging two masses is an integer addition.
+    that merging two masses is an integer addition.  Every frontier starts
+    from ``one``.
     """
 
     def __init__(self, env: Environment, process: str, guard: int, overflow: str):
@@ -262,17 +266,23 @@ class _Sweep:
         transition out of ``state``."""
         out = self._memo.get(state)
         if out is None:
-            # each combination of the levels drawn afresh is a transition at
-            # least, so too many of them raise before any is built
+            # each combination of the levels drawn afresh gives a transition
+            # that holds its nonzero values and the state's fixed pairs, or
+            # one pair at least; so too many pairs raise before any is built
             room = self.guard - self.work
             first = len(self.tables) + 1 if state is None else state[1][0][0] if state[1] else 1
-            if math.prod(len(t.items) for t in self.tables[: first - 1]) > room:
+            combos, pairs = 1, len(bt_star(state[1])) if state else 0
+            for t in self.tables[: first - 1]:
+                pairs = pairs * len(t.items) + combos * (len(t.items) - (t.zero > 0))
+                combos *= len(t.items)
+            if max(combos, pairs) > room:
                 raise EnumerationGuardError(self.overflow)
             out = []
             for nxt, p in _transitions(state, self.tables, self.one):
-                if len(out) == room:
-                    raise EnumerationGuardError(self.overflow)
                 a = nxt[1][0][0] if nxt and nxt[1] else None
+                room -= len(nxt[1]) if a else 1
+                if room < 0:
+                    raise EnumerationGuardError(self.overflow)
                 if self.exact:
                     p = p.numerator * (self.scale // p.denominator)
                 out.append((None if a is None else nxt, a, p))
@@ -292,24 +302,27 @@ class _Sweep:
             for nxt, a, p in out:
                 yield nxt, a, p, hists
 
-    def step(self, frontier: dict) -> tuple[dict, dict]:
-        """The next frontier and the mass of the runs that ended, by history.
-        Moves of zero mass are dropped."""
+    def step(self, frontier: dict, fold) -> tuple[dict, dict]:
+        """The next frontier and the mass of the runs that ended, each
+        history replaced by its fold.  ``fold(histories, time, next state)``
+        gives the next keys of the histories that take one move, in their
+        order; the time is None for a run that ends.  It is called once per
+        move, which keeps a Python call out of the loop over histories.
+        Masses that fold to one key under one state merge, in the order of
+        the moves.  Moves of zero mass are dropped."""
         zero = 0 * self.one
         new: dict = {}
         ended: dict = {}
         for nxt, a, p, hists in self.moves(frontier):
             if a is None:
-                into, suffix = ended, ""
+                into = ended
             else:
                 into = new.get(nxt)
                 if into is None:
                     into = new[nxt] = {}
-                suffix = f"{a},"
-            for hist, mass in hists.items():
+            for key, mass in zip(fold(hists, a, nxt), hists.values()):
                 mp = mass * p
                 if mp:
-                    key = hist + suffix
                     into[key] = into.get(key, zero) + mp
         return {state: hists for state, hists in new.items() if hists}, ended
 
@@ -325,18 +338,27 @@ def exact_chain_law(env: Environment, guard: int = 2_000_000, process: str = "b"
     return done
 
 
+def _times_text(hists, a: int | None, _):
+    """History fold of the chain sweeps: the text of the emitted times, each
+    followed by a comma, which is also the tree's pattern key.  A run that
+    ends emits no time and keeps its text."""
+    if a is None:
+        return hists
+    suffix = f"{a},"
+    return [hist + suffix for hist in hists]
+
+
 def _chain_outcomes(env: Environment, process: str, guard: int):
     """(K, history, mass, denominator) of every run of the chain sweep,
-    yielded at the end of the step that ends it.  The history is the
-    sweep's own text, each emitted time followed by a comma, which is also
-    the tree's pattern key.  Exact masses are integers over ``scale ** K``;
-    float masses are over 1."""
+    yielded at the end of the step that ends it, the history folded by
+    ``_times_text``.  Exact masses are integers over ``scale ** K``; float
+    masses are over 1."""
     sweep = _Sweep(env, process, guard, f"chain sweep exceeded {guard} transitions")
     frontier = {sweep.start: {"": sweep.one}}
     steps = 0
     while frontier:
         steps += 1
-        frontier, ended = sweep.step(frontier)
+        frontier, ended = sweep.step(frontier, _times_text)
         # a run that ends at step K emitted K - 1 times
         den = sweep.scale**steps
         for hist, mass in ended.items():
@@ -386,41 +408,6 @@ def _tree_chain_gap(env: Environment, guard: int) -> tuple[Number, int, float]:
     if not env.is_finite_support:
         slack = max(0.0, float(1 - dead - alive)) / float(alive) + max(0.0, 1.0 - ended)
     return 0.5 * gap, outcomes, slack
-
-
-def chain_step_laws(
-    env: Environment,
-    process: str = "b",
-    max_steps: int = 6,
-) -> list[DistTable]:
-    """Per-step joint law of (emitted times so far, visible state).
-
-    For the fixed-length chain the visible state is its pairs up to the
-    running maximum of emitted times, with that maximum as its length, which
-    is exactly the truncated chain's state, so the two processes must produce
-    identical tables step by step.
-    """
-    sweep = _Sweep(env, process, 2_000_000, "step-law sweep exceeded its budget")
-    frontier: dict = {sweep.start: {"": 1.0}}
-    out: list[DistTable] = []
-    for _ in range(max_steps):
-        frontier, _ = sweep.step(frontier)
-        step_law = DistTable()
-        # the running maximum of each history's times, parsed once per step
-        peaks: dict[str, int] = {}
-        for state, hists in frontier.items():
-            for times, mass in hists.items():
-                visible = state
-                if process == "d":
-                    peak = peaks.get(times)
-                    if peak is None:
-                        peak = peaks[times] = max(map(int, times[:-1].split(",")))
-                    visible = (peak, tuple([pr for pr in state[1] if pr[0] <= peak]))
-                step_law.add(f"A={times[:-1]}|S={visible}", mass)
-        out.append(step_law)
-        if not frontier:
-            break
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -528,44 +515,41 @@ class Witness:
 def btilde_witness_search(env: Environment) -> Witness | None:
     """Exact search for a two-step history dependence of the reduced sequence.
 
-    Sweeps the fixed-length chain jointly with the last two reduced states.
-    At each step, histories (previous, current) sharing the same current
-    state are compared through their conditional laws of the next reduced
-    state (termination is an explicit outcome).  Returns the first pair whose
-    laws differ by more than ``WITNESS_TV`` in total variation, within ten
-    steps.
+    Sweeps the fixed-length chain, each history folded to the last two
+    reduced states and the next one, so that each step's output holds the
+    conditional laws.  At each step, histories (previous, current) sharing
+    the same current state are compared through their conditional laws of
+    the next reduced state (termination is an explicit outcome).  Returns
+    the first pair whose laws differ by more than ``WITNESS_TV`` in total
+    variation, within ten steps.
     """
     if not env.is_finite_support:
         raise EnumerationGuardError("witness search requires finite-support laws")
     sweep = _Sweep(env, "d", 5_000_000, "witness sweep exceeded its budget")
-    # the frontier's history is the last two reduced states
-    wave: dict[State | None, dict[tuple[BtState, BtState], float]] = {
-        sweep.start: {((), ()): 1.0}}
+
+    def fold(hists, a, nxt):
+        # the last two reduced states and the next one, None at the end
+        if a is None:
+            return [(x, y, None) for _, x, y in hists]
+        mark = nxt[1][0][1]
+        return [(x, y, bt_update(y, a, mark)) for _, x, y in hists]
+
+    frontier = {sweep.start: {((), (), ()): sweep.one}}
     for step in range(1, 11):
-        cond: dict[tuple[BtState, BtState], dict[str, float]] = {}
-        nxt_wave: dict[State, dict[tuple[BtState, BtState], float]] = {}
-        for d2, a2, p, hists in sweep.moves(wave):
-            for (x, y), mass in hists.items():
-                mp = mass * p
-                if not mp:
-                    continue
-                if a2 is None:
-                    z_key = TERM_KEY
-                else:
-                    z_state = bt_update(y, a2, d2[1][0][1])
-                    z_key = encode_bt(z_state)
-                    into = nxt_wave.setdefault(d2, {})
-                    into[(y, z_state)] = into.get((y, z_state), 0.0) + mp
-                bucket = cond.setdefault((x, y), {})
-                bucket[z_key] = bucket.get(z_key, 0.0) + mp
+        frontier, ended = sweep.step(frontier, fold)
+        # the conditional laws of the next reduced state given the last two
+        cond: dict[tuple[BtState, BtState], DistTable] = defaultdict(DistTable)
+        for hists in (*frontier.values(), ended):
+            for (x, y, z), mass in hists.items():
+                cond[(x, y)].add(TERM_KEY if z is None else encode_bt(z), mass)
         by_shared: dict[BtState, list[BtState]] = {}
         for x, y in cond:
             by_shared.setdefault(y, []).append(x)
         for y in sorted(by_shared):
             xs = sorted(by_shared[y])
             for i, j in itertools.combinations(range(len(xs)), 2):
-                law_a = DistTable(cond[(xs[i], y)]).normalized()
-                law_b = DistTable(cond[(xs[j], y)]).normalized()
+                law_a = cond[(xs[i], y)].normalized()
+                law_b = cond[(xs[j], y)].normalized()
                 gap = float(tv_distance(law_a, law_b))
                 if gap > WITNESS_TV:
                     return Witness(
@@ -578,8 +562,7 @@ def btilde_witness_search(env: Environment) -> Witness | None:
                         law_b=law_b,
                         tv=gap,
                     )
-        wave = nxt_wave
-        if not wave:
+        if not frontier:
             break
     return None
 
@@ -612,7 +595,7 @@ def mc_witness_check(
     z_key = max(
         keys, key=lambda k: (abs(witness.law_a.get(k, 0.0) - witness.law_b.get(k, 0.0)), k)
     )
-    dp_gap = witness.law_a.get(z_key, 0.0) - witness.law_b.get(z_key, 0.0)
+    dp_gap = float(witness.law_a.get(z_key, 0) - witness.law_b.get(z_key, 0))
     i = witness.step_index
     stream = as_stream(seed)
     hits = [0, 0]
@@ -661,22 +644,26 @@ def joint_first_two_times(env: Environment) -> tuple[DistTable, float]:
     finite-support environments).
     """
     sweep = _Sweep(env, "b", 5_000_000, "joint sweep exceeded its budget")
-    frontier, ended = sweep.step({sweep.start: {"": 1.0}})
-    accounted = ended.get("", 0.0)
+    # the history is the text of A_1; the frontier of the second step would
+    # never be stepped, so that step is read from its moves
+    frontier, ended = sweep.step({sweep.start: {"": sweep.one}}, _times_text)
+    # the mass lost to truncation is one less every mass swept, rounded once
+    # by fsum; read in floats only, as exact masses are over scale ** step
+    lost = [1.0, *(-mass for mass in ended.values())]
     joint = DistTable()
     for _, a2, p, hists in sweep.moves(frontier):
         for a1, mass in hists.items():
             mp = mass * p
             if mp:
-                accounted += mp
+                lost.append(-mp)
                 if a2 is not None:
                     joint.add(f"{a1}{a2}", mp)
-    total = float(joint.total())
+    total = joint.total()
     if total == 0:
         raise DegenerateEnvironmentError("three individuals have zero probability")
-    leak = max(0.0, 1.0 - accounted)
-    bound = 2.0 * leak / total
-    return joint.normalized(), bound
+    if sweep.exact:  # exact supports are complete
+        return joint.normalized(), 0.0
+    return joint.normalized(), 2.0 * max(0.0, math.fsum(lost)) / total
 
 
 def _product_of_marginals(joint: DistTable) -> tuple[DistTable, DistTable, DistTable]:

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from gwcoal import EtaSamplers, Environment, FiniteSupportLaw, LinearFractionalLaw, load_environment
+from gwcoal import (
+    DistTable, EtaSamplers, Environment, FiniteSupportLaw, LinearFractionalLaw, load_environment)
 from gwcoal.chains import dense
 from gwcoal.environment import _NO_SURVIVAL, EtaLaw
 from gwcoal.errors import (
@@ -18,7 +19,7 @@ from gwcoal.errors import (
     HorizonError,
 )
 from gwcoal.sampling import cumulative, draw_count, geometric_from_uniform
-from gwcoal.verify import _offspring_support
+from gwcoal.verify import _Sweep, _offspring_support
 
 ENVS = Path(__file__).resolve().parent.parent / "envs"
 
@@ -379,3 +380,43 @@ def loop_tree_numerators(env, guard):
     if alive == 0:
         raise DegenerateEnvironmentError("no surviving tree has positive probability")
     return patterns, dead, alive, work
+
+
+# ---------------------------------------------------------------------------
+# Per-step laws of the two chains, swept with the verify driver.
+# ---------------------------------------------------------------------------
+
+
+def _times_and_peak(hists, a, _):
+    """History fold: the emitted times' text, each followed by a comma, and
+    their running maximum."""
+    if a is None:
+        return hists
+    return [(f"{times}{a},", max(peak, a)) for times, peak in hists]
+
+
+def chain_step_laws(env, process="b", max_steps=6):
+    """Per-step joint law of (emitted times so far, visible state), on a
+    float environment.
+
+    For the fixed-length chain the visible state is its pairs up to the
+    running maximum of emitted times, with that maximum as its length, which
+    is exactly the truncated chain's state, so the two processes must produce
+    identical tables step by step.
+    """
+    sweep = _Sweep(env, process, 2_000_000, "step-law sweep exceeded its budget")
+    frontier = {sweep.start: {("", 0): sweep.one}}
+    out = []
+    for _ in range(max_steps):
+        frontier, _ = sweep.step(frontier, _times_and_peak)
+        step_law = DistTable()
+        for state, hists in frontier.items():
+            for (times, peak), mass in hists.items():
+                visible = state
+                if process == "d":
+                    visible = (peak, tuple([pr for pr in state[1] if pr[0] <= peak]))
+                step_law.add(f"A={times[:-1]}|S={visible}", mass)
+        out.append(step_law)
+        if not frontier:
+            break
+    return out

@@ -27,7 +27,7 @@ from gwcoal.environment import load_environment
 from gwcoal.sampling import campaign_streams
 
 from conftest import env_path, per_draw_condition
-from test_golden import LITERAL_ENVS
+from test_golden import DEEP_N22, LITERAL_ENVS
 
 
 @pytest.fixture
@@ -200,6 +200,17 @@ class TestExitCodes:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", "--env", str(path), "--witness")
         assert time.perf_counter() - start < 2
+        assert (code, out, err) == (EXIT_GUARD, "", "error: witness sweep exceeded its budget\n")
+
+    def test_witness_sweep_charges_the_pairs_it_builds(self, capsys, tmp_path):
+        # the d chain's 2**22 start transitions fit the witness budget, but
+        # the pairs of their states do not: the sweep raises before it
+        # builds them, not after filling memory
+        path = tmp_path / "deep_n22.json"
+        path.write_text(json.dumps(DEEP_N22))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--env", str(path), "--witness")
+        assert time.perf_counter() - start < 1
         assert (code, out, err) == (EXIT_GUARD, "", "error: witness sweep exceeded its budget\n")
 
     def test_lf_sampler_needs_lf_env(self, capsys):

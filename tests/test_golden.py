@@ -50,6 +50,10 @@ LITERAL_ENVS = {
 }
 # literal environments whose chains are pinned, plain and traced
 LITERAL_CHAIN_ENVS = ("deep_n40",)
+# deep_n40's law over 22 generations, pinned by no digest: the d chain's
+# start has 2**22 transitions, under the witness search's budget, and their
+# states hold 22 * 2**21 pairs, over it
+DEEP_N22 = {"horizon": 22, "laws": [{"type": "pmf", "p": [0.25, 0.5, 0.25]}] * 22}
 
 
 def commands() -> dict[str, list[str]]:

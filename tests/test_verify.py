@@ -50,11 +50,10 @@ from gwcoal.verify import (
     TERM_KEY,
     McWitnessReport,
     a1_telescoping_check,
-    chain_step_laws,
     encode_bt,
 )
 
-from conftest import ENVS, dense_transitions, env_path, loop_tree_numerators
+from conftest import ENVS, chain_step_laws, dense_transitions, env_path, loop_tree_numerators
 
 # conditioned genealogy law of the two-generation three-point environment,
 # derived by enumerating all surviving shapes by hand before any code ran
@@ -294,6 +293,34 @@ class TestIndependence:
         assert gap == pytest.approx(12 / 25, abs=1e-12)
         assert gap > 0.001
 
+    def test_leak_is_the_rounded_exact_remainder(self, lf_varying3, lf_half_n1):
+        # the bound is twice the mass no swept run accounts for, over the
+        # joint's total: one less every mass of the first two steps, each the
+        # float product of its moves, summed exactly and rounded once
+        for env in (lf_varying3, lf_half_n1):
+            tables = verify._eta_tables(env)
+            lost, total = Fraction(1), 0.0
+            for first, mass in verify._transitions((0, ()), tables, 1.0):
+                if first is None:
+                    lost -= Fraction(mass)
+                    continue
+                for second, p in verify._transitions(first, tables, 1.0):
+                    lost -= Fraction(mass * p)
+                    total += mass * p if second else 0.0
+            _, bound = joint_first_two_times(env)
+            assert bound == pytest.approx(2 * float(lost) / total, rel=1e-12, abs=0)
+
+    def test_exact_joint(self, varying3):
+        # an exact environment seeds its sweep with an integer mass: the
+        # joint law comes out in Fractions, with nothing lost to truncation
+        exact, bound = joint_first_two_times(varying3.as_rational())
+        floats, _ = joint_first_two_times(varying3)
+        assert bound == 0.0 and sum(exact.values()) == 1
+        assert all(isinstance(p, Fraction) for p in exact.values())
+        assert exact.keys() == floats.keys()
+        for key, p in floats.items():
+            assert float(exact[key]) == pytest.approx(p, rel=1e-12, abs=0)
+
     def test_joint_requires_survivors(self):
         env = constant_environment(dirac(1), 2)
         with pytest.raises(DegenerateEnvironmentError):
@@ -348,6 +375,19 @@ class TestWitness:
         rep = mc_witness_check(env, w, samples=60_000, seed=17)
         assert rep.hits_a > 100 and rep.hits_b > 100
         assert rep.same_direction
+
+    def test_exact_env_gives_the_float_witness(self, varying3):
+        # the sweep seeds an exact environment's start with an integer mass,
+        # so its conditional laws are Fractions and its TV the float one's
+        w = btilde_witness_search(varying3)
+        exact = btilde_witness_search(varying3.as_rational())
+        assert (exact.step_index, exact.shared_state, exact.history_a, exact.history_b) == (
+            w.step_index, w.shared_state, w.history_a, w.history_b)
+        assert all(isinstance(p, Fraction) for p in (*exact.law_a.values(), *exact.law_b.values()))
+        assert exact.tv == pytest.approx(w.tv, rel=1e-12, abs=0)
+        dp_gap = mc_witness_check(varying3, w, samples=2_000, seed=7).dp_gap
+        rep = mc_witness_check(varying3.as_rational(), exact, samples=2_000, seed=7)
+        assert rep.dp_gap == pytest.approx(dp_gap, rel=1e-12, abs=0)
 
     def test_requires_finite_support(self, lf_half_n6):
         with pytest.raises(EnumerationGuardError):
@@ -528,6 +568,10 @@ class TestExactArithmetic:
         calls.clear()
         chain_step_laws(varying3, process=process, max_steps=5)
         assert calls and set(calls.values()) == {1}
+        if process == "b":
+            calls.clear()
+            joint_first_two_times(load_environment(env_path("lf_varying_n3")))
+            assert calls and set(calls.values()) == {1}
         if process == "d":
             calls.clear()
             btilde_witness_search(load_environment(env_path("binom_n5")))
