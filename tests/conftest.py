@@ -383,7 +383,7 @@ def loop_tree_numerators(env, guard):
 
 
 # ---------------------------------------------------------------------------
-# Per-step laws of the two chains, swept with the verify driver.
+# Per-step laws of the two chains, swept by `verify._Sweep.step`.
 # ---------------------------------------------------------------------------
 
 
