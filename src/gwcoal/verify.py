@@ -75,10 +75,13 @@ def _offspring_support(law, guard: int) -> list[tuple[int, Number]]:
 @dataclass(frozen=True)
 class _LevelTable:
     """Spine-sibling law at one ancestor level, as explicit support items:
-    the (level, value) pair of each value, None for 0, with its probability."""
+    the (level, value) pair of each value, None for 0, with its probability.
+    ``nonzero`` is the sum of the items' probabilities past 0, which falls
+    short of ``1 - zero`` by the mass a truncated table leaves out."""
 
     items: tuple[tuple[tuple[int, int] | None, Number], ...]
     zero: Number
+    nonzero: Number
 
 
 def _eta_tables(env: Environment) -> list[_LevelTable]:
@@ -86,7 +89,8 @@ def _eta_tables(env: Environment) -> list[_LevelTable]:
     for level, law in enumerate(env.levels.etas(), 1):
         probs = law.materialized().probs
         items = tuple(((level, k) if k else None, p) for k, p in enumerate(probs) if p > 0)
-        out.append(_LevelTable(items=items, zero=probs[0]))
+        out.append(_LevelTable(items=items, zero=probs[0],
+                               nonzero=sum(p for pr, p in items if pr)))
     return out
 
 
@@ -239,7 +243,8 @@ class _Sweep:
     histories; more than ``guard`` raises.  So does a state's list of
     transitions as it is built past what the guard has left, every state
     having a history, with each transition charged the pairs of its next
-    state, at least 1, as those pairs are what the list holds.
+    state, at least 1, as those pairs are what the list holds.  A caller
+    that needs only the next time reads ``time_law``, charged the same way.
 
     Exact masses are integers: numerators over ``scale ** i`` after i steps,
     where ``scale`` is the product of the levels' common denominators, so
@@ -260,6 +265,7 @@ class _Sweep:
         self.overflow = overflow
         self.work = 0
         self._memo: dict = {}
+        self._laws: dict = {}
 
     def transitions(self, state) -> list[tuple[State | None, int | None, Number]]:
         """(next state or None, its first level, probability) of every
@@ -289,6 +295,50 @@ class _Sweep:
             self._memo[state] = out
         return out
 
+    def time_law(self, state) -> list[tuple[int | None, Number]]:
+        """(next coalescent time or None, probability) out of a b state:
+        its ``transitions`` summed by first level, read off the tables
+        without building them.
+
+        The first nonzero value among the levels drawn afresh below the
+        state's first level f is at level j with probability z_1 ... z_{j-1}
+        s_j, z being a table's ``zero`` and s its ``nonzero``; the levels
+        above j are left undrawn, so their truncation leaks nothing.  If
+        all of them are 0, the time is the first level of the state's fixed
+        pairs, or, without any, the first nonzero level past the state's
+        length, as in the extension of ``_transitions``; it ends at the
+        horizon or where a product reaches 0.  Products start from ``one``;
+        exact ones are numerators over ``scale``, as in ``transitions``."""
+        law = self._laws.get(state)
+        if law is None:
+            length, pairs = state
+            fixed = bt_star(pairs)
+            first = pairs[0][0] if pairs else 1
+            levels = list(range(1, first))
+            if not fixed:
+                levels += range(length + 1, len(self.tables) + 1)
+            law = []
+            p = self.one
+            for level in levels:
+                t = self.tables[level - 1]
+                if t.nonzero:
+                    law.append((level, p * t.nonzero))
+                p = p * t.zero
+                if p == 0:
+                    break
+            else:
+                law.append((fixed[0][0] if fixed else None, p))
+            if self.exact:
+                law = [(a, p.numerator * (self.scale // p.denominator)) for a, p in law]
+            self._laws[state] = law
+        return law
+
+    def charge(self, units: int) -> None:
+        """Add ``units`` to ``work``; past the guard, raise."""
+        self.work += units
+        if self.work > self.guard:
+            raise EnumerationGuardError(self.overflow)
+
     def moves(self, frontier: dict):
         """(next state or None, its first level or None, probability, the
         histories that take it) of every transition out of the frontier's
@@ -296,9 +346,7 @@ class _Sweep:
         the move."""
         for state, hists in frontier.items():
             out = self.transitions(state)
-            self.work += len(out) * len(hists)
-            if self.work > self.guard:
-                raise EnumerationGuardError(self.overflow)
+            self.charge(len(out) * len(hists))
             for nxt, a, p in out:
                 yield nxt, a, p, hists
 
@@ -639,25 +687,31 @@ def mc_witness_check(
 def joint_first_two_times(env: Environment) -> tuple[DistTable, float]:
     """Exact-to-truncation law of (A_1, A_2) given at least three individuals.
 
-    Returns the normalized joint table keyed 'a1,a2' and a bound on the
-    normalized mass lost to truncating geometric spine-sibling laws (zero for
-    finite-support environments).
+    A_1 comes from one step of the b chain's sweep, each state keyed by its
+    first time; A_2 from the state's ``_Sweep.time_law``, read off the eta
+    tables, so the second step builds no transitions.  Returns the
+    normalized joint table keyed 'a1,a2' and a bound on the normalized mass
+    lost to truncating geometric spine-sibling laws: twice one less every
+    mass swept, over the joint's total (zero for an exact environment).
     """
     sweep = _Sweep(env, "b", 5_000_000, "joint sweep exceeded its budget")
-    # the history is the text of A_1; the frontier of the second step would
-    # never be stepped, so that step is read from its moves
+    # the history is the text of A_1; the second step needs only the law of
+    # each state's next time, not its transitions
     frontier, ended = sweep.step({sweep.start: {"": sweep.one}}, _times_text)
     # the mass lost to truncation is one less every mass swept, rounded once
     # by fsum; read in floats only, as exact masses are over scale ** step
     lost = [1.0, *(-mass for mass in ended.values())]
     joint = DistTable()
-    for _, a2, p, hists in sweep.moves(frontier):
-        for a1, mass in hists.items():
-            mp = mass * p
-            if mp:
-                lost.append(-mp)
-                if a2 is not None:
-                    joint.add(f"{a1}{a2}", mp)
+    for state, hists in frontier.items():
+        law = sweep.time_law(state)
+        sweep.charge(len(law) * len(hists))
+        for a2, p in law:
+            for a1, mass in hists.items():
+                mp = mass * p
+                if mp:
+                    lost.append(-mp)
+                    if a2 is not None:
+                        joint.add(f"{a1}{a2}", mp)
     total = joint.total()
     if total == 0:
         raise DegenerateEnvironmentError("three individuals have zero probability")
@@ -946,8 +1000,9 @@ def run_verify_suite(
     results.append(a1_telescoping_check(telescoped))
     if env.is_linear_fractional:
         results.extend(lf_closed_form_checks(env))
-        # the joint sweep stays tractable only for short horizons: the fresh
-        # geometric draws below the coalescent level multiply combinatorially
+        # the joint's first step has a state per level and nonzero table
+        # item, about N times the geometric support length; lifting this
+        # gate needs a budget rule for such long supports
         if env.horizon <= 3:
             results.append(lf_iid_check(env))
     if witness:

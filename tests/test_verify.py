@@ -295,20 +295,33 @@ class TestIndependence:
 
     def test_leak_is_the_rounded_exact_remainder(self, lf_varying3, lf_half_n1):
         # the bound is twice the mass no swept run accounts for, over the
-        # joint's total: one less every mass of the first two steps, each the
-        # float product of its moves, summed exactly and rounded once
+        # joint's total: one less the masses of the runs that end at the
+        # first step and every mass times the probability of its next time,
+        # each a float product, summed exactly and rounded once
         for env in (lf_varying3, lf_half_n1):
             tables = verify._eta_tables(env)
+            sweep = verify._Sweep(env, "b", 5_000_000, "joint sweep exceeded its budget")
             lost, total = Fraction(1), 0.0
             for first, mass in verify._transitions((0, ()), tables, 1.0):
                 if first is None:
                     lost -= Fraction(mass)
                     continue
-                for second, p in verify._transitions(first, tables, 1.0):
+                for second, p in sweep.time_law(first):
                     lost -= Fraction(mass * p)
                     total += mass * p if second else 0.0
             _, bound = joint_first_two_times(env)
             assert bound == pytest.approx(2 * float(lost) / total, rel=1e-12, abs=0)
+
+    def test_joint_reaches_horizon_six(self, lf_half_n6):
+        # the second step's transitions below a high first level number the
+        # product of up to five geometric tables, past the joint's budget;
+        # the law of the next time is read off the tables instead
+        joint, bound = joint_first_two_times(lf_half_n6)
+        assert sum(joint.values()) == pytest.approx(1, abs=1e-12)
+        assert {key.split(",")[0] for key in joint} == {str(n) for n in range(1, 7)}
+        assert 0 < bound < 1e-11
+        res = lf_iid_check(lf_half_n6)
+        assert res.passed, res.detail
 
     def test_exact_joint(self, varying3):
         # an exact environment seeds its sweep with an integer mass: the
@@ -569,13 +582,46 @@ class TestExactArithmetic:
         chain_step_laws(varying3, process=process, max_steps=5)
         assert calls and set(calls.values()) == {1}
         if process == "b":
+            # the joint reads its second step off the tables, so only the
+            # start's transitions are built
             calls.clear()
             joint_first_two_times(load_environment(env_path("lf_varying_n3")))
-            assert calls and set(calls.values()) == {1}
+            assert calls == {(0, ()): 1}
         if process == "d":
             calls.clear()
             btilde_witness_search(load_environment(env_path("binom_n5")))
             assert calls and set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("name, rational", [
+        ("binom_n3", False), ("binom_n3", True), ("varying_n3", False), ("varying_n3", True),
+        ("lf_half_n1", False), ("lf_varying_n3", False)])
+    def test_time_law_sums_the_transitions(self, name, rational):
+        # the law of a state's next time against its transitions summed by
+        # the first level of their next state.  The law leaves the fresh
+        # levels above that first level undrawn, so the reference puts back
+        # what those tables leave out (nothing on a finite support); exact
+        # numerators are equal, float sums agree to rounding
+        env = load_environment(env_path(name))
+        sweep = verify._Sweep(env.as_rational() if rational else env, "b", 10**9, "unbounded")
+        states = [nxt for nxt, a, _ in sweep.transitions(sweep.start) if a is not None]
+        assert states
+        for state in states:
+            summed: dict = {}
+            for _, a, p in sweep.transitions(state):
+                summed.setdefault(a, []).append(p)
+            first = state[1][0][0]
+            law = {}
+            for a, p in sweep.time_law(state):
+                assert isinstance(p, int if rational else float)
+                if a is not None and a < first:
+                    p *= math.prod(t.zero + t.nonzero for t in sweep.tables[a:first - 1])
+                law[a] = p
+            assert law.keys() == summed.keys(), state
+            for a, p in law.items():
+                if rational:
+                    assert p == sum(summed[a]), (state, a)
+                else:
+                    assert p == pytest.approx(math.fsum(summed[a]), rel=0, abs=1e-15), (state, a)
 
     @pytest.mark.parametrize("process", ["b", "d"])
     @pytest.mark.parametrize("name", ["binom_n3", "varying_n3", "lf_half_n1"])
