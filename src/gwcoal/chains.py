@@ -225,14 +225,13 @@ def lf_run(env: Environment, rng, max_individuals: int = 1_000_000) -> ChainRun:
     N = env.horizon
     cum = env.levels.lf_cumulative
     uniform = as_stream(rng).next
-    run = ChainRun()
-    while len(run.a_values) < max_individuals:
+    a_values = []
+    while len(a_values) < max_individuals:
         idx = bisect_right(cum, uniform())
         if idx >= N:
-            run.terminated = True
-            return run
-        run.a_values.append(idx + 1)
-    return run
+            return ChainRun(a_values, terminated=True)
+        a_values.append(idx + 1)
+    return ChainRun(a_values)
 
 
 # ---------------------------------------------------------------------------

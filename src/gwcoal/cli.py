@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import sys
+from typing import Sequence
 
 from .chains import EtaSamplers, b_run, d_run, dense, lf_run, validate_b_run, validate_d_run
 from .environment import TAIL_CUT, Environment, load_environment
@@ -208,20 +208,18 @@ def _emit(args, text: str) -> None:
             fh.write(text)
 
 
-def _rows_to_csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(str(x) for x in row) + "\n")
-    return buf.getvalue()
+def _rows_to_csv(header: list[str], rows: Sequence[Sequence]) -> str:
+    # one %s per column formats a cell as str() does
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join([line % tuple(row) for row in rows])
 
 
-def _rows_to_json(header: list[str], rows: list[list]) -> str:
+def _rows_to_json(header: list[str], rows: Sequence[Sequence]) -> str:
     docs = [dict(zip(header, row)) for row in rows]
     return json.dumps(docs, sort_keys=True, indent=2) + "\n"
 
 
-def _write_rows(args, header: list[str], rows: list[list]) -> None:
+def _write_rows(args, header: list[str], rows: Sequence[Sequence]) -> None:
     if args.format == "csv":
         _emit(args, _rows_to_csv(header, rows))
     else:
@@ -238,25 +236,21 @@ def cmd_simulate(args) -> int:
     env = _load_env(args)
     _check_campaign(args)
 
-    attempts = 0
-
-    def one(run_id: int, stream):
-        nonlocal attempts
+    N = env.horizon
+    # runs per first coalescent time; K = 1 puts it beyond every level (N + 1)
+    first = [0] * (N + 2)
+    attempts = total_k = 0
+    rows = []
+    for run_id, stream in enumerate(campaign_streams(args.seed, args.samples)):
         tree = condition_on_survival(env, stream, max_attempts=args.max_attempts)
         attempts += tree.attempts
         cpp = coalescent_times(tree)
-        return [run_id, cpp.k, ";".join(str(a) for a in cpp.a)]
-
-    rows = [one(run_id, stream)
-            for run_id, stream in enumerate(campaign_streams(args.seed, args.samples))]
+        k, a = cpp.k, cpp.a
+        total_k += k
+        first[a[0] if a else N + 1] += 1
+        rows.append((run_id, k, ";".join(map(str, a))))
     _write_rows(args, ["run_id", "K", "A"], rows)
-    ks = [row[1] for row in rows]
-    mean_k = sum(ks) / len(ks)
-    # runs per first coalescent time; K = 1 puts it beyond every level (N + 1)
-    N = env.horizon
-    first = [0] * (N + 2)
-    for row in rows:
-        first[N + 1 if row[1] == 1 else int(row[2].split(";", 1)[0])] += 1
+    mean_k = total_k / len(rows)
     tails = []
     hits = len(rows)
     for n in range(1, N + 1):
@@ -300,10 +294,8 @@ def cmd_chain(args) -> int:
             rows.append([step, a, state])
         _write_rows(args, ["step", "A", "state"], rows)
     else:
-        rows = []
-        for run_id, run in enumerate(runs):
-            k = run.k if run.terminated else ""
-            rows.append([run_id, k, ";".join(str(a) for a in run.a_values)])
+        rows = [(run_id, run.k if run.terminated else "", ";".join(map(str, run.a_values)))
+                for run_id, run in enumerate(runs)]
         _write_rows(args, ["run_id", "K", "A"], rows)
     unfinished = sum(1 for r in runs if not r.terminated)
     print(f"runs={len(runs)} unfinished={unfinished}", file=sys.stderr)

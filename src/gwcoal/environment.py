@@ -256,8 +256,11 @@ class LevelTable:
     @cached_property
     def lf_cumulative(self) -> tuple[float, ...]:
         """Cumulative law of the first coalescent time over levels 1..N of an
-        LF environment; the rest of the mass lies past the horizon."""
+        LF environment; the rest of the mass lies past the horizon.  A level
+        with r = 0 has no children, so nothing survives and there is no law."""
         tails = [1.0 / (1.0 + s) for s in self.lf_column(self.horizon)]
+        if any(law.r == 0 for law in self.laws):
+            raise DegenerateEnvironmentError(_NO_SURVIVAL)
         return cumulative([tails[k - 1] - tails[k] for k in range(1, self.horizon + 1)])
 
 

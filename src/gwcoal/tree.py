@@ -28,7 +28,6 @@ from .errors import (
     DomainError,
     HorizonError,
 )
-from .pgf import survival_prob
 from .sampling import as_stream, draw_forward
 
 
@@ -38,10 +37,10 @@ class Tree:
     ``counts[d][j]`` is the child count of the j-th node (left to right) at
     depth d, for 0 <= d < N.  Depth-N nodes are the present individuals.
     ``parents`` is built with the tree; ``child_start``, ``alive`` and
-    ``max_rank`` are built together on first read.
+    ``max_rank`` are built together on first read.  ``horizon`` is N.
     """
 
-    __slots__ = ("env", "counts", "parents", "attempts", "_ranks")
+    __slots__ = ("env", "horizon", "counts", "parents", "attempts", "_ranks")
 
     def __init__(self, env: Environment, counts: list[list[int]]):
         N = env.horizon
@@ -50,6 +49,7 @@ class Tree:
         if len(counts[0]) != 1:
             raise DomainError("exactly one founder expected")
         self.env = env
+        self.horizon = N
         self.counts = counts
         self.attempts = 1
         self._ranks = None
@@ -60,11 +60,14 @@ class Tree:
         for d, row in enumerate(counts):
             if len(row) != width:
                 raise DomainError(f"depth {d} has {len(row)} counts but {width} nodes")
-            parent_row: list[int] = []
-            extend = parent_row.extend
-            for j, c in enumerate(row):
-                if c:
-                    extend([j] * c)
+            if width == 1:  # the founder's row, or a generation of one node
+                parent_row = [0] * row[0]
+            else:
+                parent_row = []
+                extend = parent_row.extend
+                for j, c in enumerate(row):
+                    if c:
+                        extend([j] * c)
             parents.append(parent_row)
             width = len(parent_row)
         self.parents = parents
@@ -111,13 +114,9 @@ class Tree:
         return (self._ranks or self._build_ranks())[2]
 
     @property
-    def horizon(self) -> int:
-        return self.env.horizon
-
-    @property
     def k(self) -> int:
         """Number of present individuals."""
-        return len(self.parents[self.horizon])
+        return len(self.parents[-1])
 
     def n_nodes(self, depth: int) -> int:
         if not 0 <= depth <= self.horizon:
@@ -157,7 +156,8 @@ def condition_on_survival(env: Environment, rng, max_attempts: int = 100_000) ->
     is built into a ``Tree``, whose ``attempts`` counts every draw read,
     itself included.
     """
-    if survival_prob(env, env.horizon) == 0:
+    levels = env.levels
+    if levels.column(levels.horizon)[0] == 1:  # u_N = 1: no line reaches the present
         raise DegenerateEnvironmentError(
             "environment cannot produce survivors; conditioning is undefined"
         )
@@ -221,7 +221,8 @@ def coalescent_times(tree: Tree) -> Cpp:
     """Levels at which consecutive present individuals first share an ancestor."""
     N = tree.horizon
     parents = tree.parents
-    return Cpp(k=tree.k, a=tuple([N - _meet(parents, N, i)[0] for i in range(1, tree.k)]))
+    k = len(parents[N])
+    return Cpp(k=k, a=tuple([N - _meet(parents, N, i)[0] for i in range(1, k)]))
 
 
 def extract_D(tree: Tree, i: int, n: int) -> int:

@@ -251,6 +251,18 @@ class TestClosedFormSampler:
             se = math.sqrt(p * (1 - p) / n)
             assert abs(hits - p) < 4 * se
 
+    @pytest.mark.parametrize("dead", [0, 1], ids=["oldest", "newest"])
+    def test_no_survival_is_degenerate(self, dead):
+        # a law with r = 0 has no children, so there is no genealogy to sample
+        laws = [LinearFractionalLaw(0.5, 0.5)] * 2
+        laws[dead] = LinearFractionalLaw(0.0, 0.5)
+        env = Environment(tuple(laws))
+        with pytest.raises(DegenerateEnvironmentError):
+            lf_run(env, stream_for_run(0, 0))
+        if dead == 0:
+            # the newest law alone survives
+            assert lf_run(env.shift(1), stream_for_run(0, 0)).terminated
+
     def test_run_terminates_on_overflow(self, lf_half_n6):
         run = lf_run(lf_half_n6, stream_for_run(5, 0))
         assert run.terminated

@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gwcoal.chains
 import gwcoal.cli
@@ -19,6 +20,7 @@ from gwcoal.cli import (
     EXIT_DEGENERATE,
     EXIT_GUARD,
     EXIT_OK,
+    _rows_to_csv,
     build_parser,
     main,
 )
@@ -240,6 +242,24 @@ class TestExitCodes:
     def test_degenerate(self, capsys, dirac0_env):
         code, _, _ = run_cli(capsys, "simulate", "--env", dirac0_env)
         assert code == EXIT_DEGENERATE
+
+    @pytest.mark.parametrize("dead", [0, 1], ids=["oldest", "newest"])
+    def test_lf_sampler_without_survival(self, capsys, tmp_path, dead):
+        # a law with r = 0 has no children, so no line survives it: the
+        # closed form has no genealogy to sample, as the b chain has none
+        laws = [{"type": "lf", "r": 0.5, "p": 0.5}] * 2
+        laws[dead] = {"type": "lf", "r": 0.0, "p": 0.5}
+        path = tmp_path / "lf_dead.json"
+        path.write_text(json.dumps({"laws": laws}))
+        code, out, err = run_cli(capsys, "chain", "--env", str(path), "--process", "lf")
+        assert (code, out) == (EXIT_DEGENERATE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert run_cli(capsys, "chain", "--env", str(path), "--process", "b") == (code, out, err)
+        if dead == 0:
+            # the newest law alone survives
+            code, out, _ = run_cli(capsys, "chain", "--env", str(path), "--process", "lf",
+                                   "--horizon", "1")
+            assert code == EXIT_OK and out.startswith("run_id,K,A\n")
 
     def test_guard(self, capsys):
         code, _, _ = run_cli(
@@ -720,6 +740,57 @@ class TestChain:
         for line in out.strip().splitlines()[1:]:
             assert line.split(",")[1] == ""
         assert "unfinished=10" in err
+
+
+class TestRowWriters:
+    @staticmethod
+    def per_cell(header, rows):
+        """The CSV text as it was once written, one ``str`` per cell."""
+        return "".join(",".join(str(x) for x in row) + "\n" for row in [header, *rows])
+
+    @pytest.mark.parametrize("header, rows", [
+        (["n", "tail"], [[1, repr(5e-324)], [2, repr(float("nan"))], [3, 5e-324],
+                         [4, float("nan")], [5, 0.1], [6, "1e+300"]]),
+        (["run_id", "K", "A"], [(0, 1, ""), (1, "", "1;2"), (2, "", ""), (3, 4, "1;2;1"),
+                                [4, 2, "200"]]),
+        (["step", "A", "state"], [[1, 1, ""], [2, 3, "0;0;1"]]),
+        (["status", "name", "metric", "threshold", "detail"],
+         [["PASS", "a1-tail", repr(1e-17), repr(0.0), "n=3 max_gap=1e-17 %s %d"]]),
+        (["run_id", "K", "A"], []),
+    ], ids=["two-columns", "runs", "trace", "verify", "no-rows"])
+    def test_csv_matches_per_cell_reference(self, header, rows):
+        assert _rows_to_csv(header, rows) == self.per_cell(header, rows)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 5).flatmap(lambda width: st.lists(st.lists(
+        st.one_of(st.integers(), st.floats(), st.text()), min_size=width, max_size=width))
+        .map(lambda rows: ([f"c{i}" for i in range(width)], rows))))
+    def test_csv_matches_per_cell_reference_on_any_cells(self, table):
+        header, rows = table
+        assert _rows_to_csv(header, rows) == self.per_cell(header, rows)
+
+    @pytest.mark.parametrize("env, argv", [
+        ("binom_n3", ["simulate"]),
+        ("binom_n3", ["chain", "--process", "b"]),
+        ("binom_n3", ["chain", "--process", "d"]),
+        ("lf_half_n6", ["chain", "--process", "lf"]),
+        ("binom_n3", ["chain", "--process", "b", "--max-individuals", "1"]),
+    ], ids=["simulate", "chain-b", "chain-d", "chain-lf", "chain-unfinished"])
+    def test_json_rows_equal_csv_rows(self, capsys, env, argv):
+        argv = [*argv, "--env", env_path(env), "--seed", "7", "--samples", "200"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        header, *lines = out.splitlines()
+        assert header == "run_id,K,A" and len(lines) == 200
+        code, out, json_err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, json_err) == (EXIT_OK, err)
+        docs = json.loads(out)
+        assert [",".join(str(doc[h]) for h in header.split(",")) for doc in docs] == lines
+        assert all(set(doc) == {"run_id", "K", "A"} for doc in docs)
+        # an unfinished run has an empty K, a finished one an integer
+        ks = [doc["K"] for doc in docs]
+        assert all(type(k) is int for k in ks if k != "")
+        assert (ks.count("") > 0) == ("--max-individuals" in argv)
 
 
 class TestVerify:
