@@ -20,7 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress
+from itertools import accumulate, compress
 from operator import le
 
 from .environment import Environment
@@ -42,11 +42,14 @@ class EtaSamplers:
     ``draw`` reads one level's value from the stream: the per-level
     reference, kept for the tests and the benchmark tracer.  The chains call
     ``fresh`` and ``extend``, which read the same values, in the same order,
-    through one table of per-level maps from a uniform to a value, and keep
-    the nonzero ones.  A uniform below its level's floor gives 0 without a
-    call to the map: the floor is ``cum[0]`` for a finite law, as
-    ``bisect_right(cum, u) == 0`` exactly when ``u < cum[0]``, and 0.0 for a
-    geometric law.
+    through one index of the levels that read a uniform: their level
+    numbers, their maps from a uniform to a value and their floors, with the
+    count of such levels below each level.  A uniform below its level's
+    floor gives 0 without a call to the map: the floor is ``cum[0]`` for a
+    finite law, as ``bisect_right(cum, u) == 0`` exactly when ``u < cum[0]``,
+    and 0.0 for a geometric law.  Only a geometric level whose success
+    probability rounds to 1 reads no uniform: it is always 0, and the index
+    leaves it out.
     """
 
     def __init__(self, env: Environment):
@@ -60,7 +63,11 @@ class EtaSamplers:
                       if law.geom < 1.0 else None
                       for law, cum in zip(self._laws, self._cum)]
         self._floors = [0.0 if cum is None else cum[0] for cum in self._cum]
-        self._one_each = None not in self._maps
+        self._read_levels = list(compress(range(1, self.horizon + 1), self._maps))
+        self._read_maps = list(filter(None, self._maps))
+        self._read_floors = list(compress(self._floors, self._maps))
+        # _reads_below[k]: the levels among 1..k that read a uniform
+        self._reads_below = list(accumulate(map(bool, self._maps), initial=0))
 
     def law(self, level: int) -> EtaLaw:
         return self._laws[level - 1]
@@ -74,32 +81,24 @@ class EtaSamplers:
     def fresh(self, count: int, stream: UniformStream) -> list[tuple[int, int]]:
         """(level, value) of the nonzero values at levels 1..count, those of
         ``draw`` level by level."""
-        maps = self._maps
+        levels, maps = self._read_levels, self._read_maps
+        n = self._reads_below[count]
+        us = stream.take(n)
         out = []
-        if self._one_each:
-            us = stream.take(count)
-            for i in compress(range(count), map(le, self._floors, us)):
-                if v := maps[i](us[i]):
-                    out.append((i + 1, v))
-            return out
-        for level, f, floor in zip(range(1, count + 1), maps, self._floors):
-            if f and (u := stream.next()) >= floor and (v := f(u)):
-                out.append((level, v))
+        for j in compress(range(n), map(le, self._read_floors, us)):
+            if v := maps[j](us[j]):
+                out.append((levels[j], v))
         return out
 
     def extend(self, length: int, stream: UniformStream) -> tuple[int, int] | None:
         """(level, value) of the first nonzero value at the levels after
         ``length``, read in level order; None when the horizon comes first."""
-        if self._one_each:
-            while (hit := stream.first_reaching(self._floors[length:])) is not None:
-                length += hit[0] + 1
-                if v := self._maps[length - 1](hit[1]):
-                    return length, v
-            return None
-        for level, f, floor in zip(range(length + 1, self.horizon + 1),
-                                   self._maps[length:], self._floors[length:]):
-            if f and (u := stream.next()) >= floor and (v := f(u)):
-                return level, v
+        j = self._reads_below[length]
+        while (hit := stream.first_reaching(self._read_floors[j:])) is not None:
+            j += hit[0]
+            if v := self._read_maps[j](hit[1]):
+                return self._read_levels[j], v
+            j += 1
         return None
 
 

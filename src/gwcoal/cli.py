@@ -280,25 +280,24 @@ def cmd_chain(args) -> int:
         # the spine-sibling samplers depend on the environment only
         chain_run = functools.partial(b_run if args.process == "b" else d_run,
                                       samplers=EtaSamplers(env))
-    runs = [chain_run(env, stream, args.max_individuals)
-            for stream in campaign_streams(args.seed, args.samples)]
-    if args.validate:
-        validate = validate_b_run if args.process == "b" else validate_d_run
-        for run in runs:
+    validate = args.validate and (validate_b_run if args.process == "b" else validate_d_run)
+    rows = []
+    unfinished = 0
+    for run_id, stream in enumerate(campaign_streams(args.seed, args.samples)):
+        run = chain_run(env, stream, args.max_individuals)
+        if validate:
             validate(run, env.horizon)
+        unfinished += not run.terminated
+        rows.append((run_id, run.k if run.terminated else "", ";".join(map(str, run.a_values))))
     if args.trace:
-        run = runs[0]
-        rows = []
-        for step, a in enumerate(run.a_values, start=1):
-            state = "" if args.process == "lf" else ";".join(map(str, dense(run.states[step - 1])))
-            rows.append([step, a, state])
+        # the campaign's single run; an lf run has no states
+        lf = args.process == "lf"
+        rows = [[step, a, "" if lf else ";".join(map(str, dense(run.states[step - 1])))]
+                for step, a in enumerate(run.a_values, start=1)]
         _write_rows(args, ["step", "A", "state"], rows)
     else:
-        rows = [(run_id, run.k if run.terminated else "", ";".join(map(str, run.a_values)))
-                for run_id, run in enumerate(runs)]
         _write_rows(args, ["run_id", "K", "A"], rows)
-    unfinished = sum(1 for r in runs if not r.terminated)
-    print(f"runs={len(runs)} unfinished={unfinished}", file=sys.stderr)
+    print(f"runs={args.samples} unfinished={unfinished}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -25,9 +25,7 @@ class DistTable(dict):
     to be missing from the table (zero for fully exact computations).
     """
 
-    def __init__(self, *args, truncated_mass: float = 0.0, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.truncated_mass = truncated_mass
+    truncated_mass = 0.0
 
     def total(self):
         return sum(self.values())

@@ -40,7 +40,7 @@ class Tree:
     ``max_rank`` are built together on first read.  ``horizon`` is N.
     """
 
-    __slots__ = ("env", "horizon", "counts", "parents", "attempts", "_ranks")
+    __slots__ = ("horizon", "counts", "parents", "attempts", "_ranks")
 
     def __init__(self, env: Environment, counts: list[list[int]]):
         N = env.horizon
@@ -48,7 +48,6 @@ class Tree:
             raise DomainError(f"need {N} generations of child counts, got {len(counts)}")
         if len(counts[0]) != 1:
             raise DomainError("exactly one founder expected")
-        self.env = env
         self.horizon = N
         self.counts = counts
         self.attempts = 1

@@ -339,17 +339,6 @@ class _Sweep:
         if self.work > self.guard:
             raise EnumerationGuardError(self.overflow)
 
-    def moves(self, frontier: dict):
-        """(next state or None, its first level or None, probability, the
-        histories that take it) of every transition out of the frontier's
-        states, in frontier order; the histories map to the masses before
-        the move."""
-        for state, hists in frontier.items():
-            out = self.transitions(state)
-            self.charge(len(out) * len(hists))
-            for nxt, a, p in out:
-                yield nxt, a, p, hists
-
     def step(self, frontier: dict, fold) -> tuple[dict, dict]:
         """The next frontier and the mass of the runs that ended, each
         history replaced by its fold.  ``fold(histories, time, next state)``
@@ -357,21 +346,25 @@ class _Sweep:
         order; the time is None for a run that ends.  It is called once per
         move, which keeps a Python call out of the loop over histories.
         Masses that fold to one key under one state merge, in the order of
-        the moves.  Moves of zero mass are dropped."""
+        the moves.  Moves of zero mass are dropped.  Each state charges its
+        transitions times its histories before its moves are taken."""
         zero = 0 * self.one
         new: dict = {}
         ended: dict = {}
-        for nxt, a, p, hists in self.moves(frontier):
-            if a is None:
-                into = ended
-            else:
-                into = new.get(nxt)
-                if into is None:
-                    into = new[nxt] = {}
-            for key, mass in zip(fold(hists, a, nxt), hists.values()):
-                mp = mass * p
-                if mp:
-                    into[key] = into.get(key, zero) + mp
+        for state, hists in frontier.items():
+            out = self.transitions(state)
+            self.charge(len(out) * len(hists))
+            for nxt, a, p in out:
+                if a is None:
+                    into = ended
+                else:
+                    into = new.get(nxt)
+                    if into is None:
+                        into = new[nxt] = {}
+                for key, mass in zip(fold(hists, a, nxt), hists.values()):
+                    mp = mass * p
+                    if mp:
+                        into[key] = into.get(key, zero) + mp
         return {state: hists for state, hists in new.items() if hists}, ended
 
 

@@ -13,7 +13,7 @@ import gwcoal.cli
 import gwcoal.environment
 import gwcoal.tree
 import gwcoal.verify
-from gwcoal.chains import EtaSamplers, dense
+from gwcoal.chains import ChainRun, EtaSamplers, dense
 from gwcoal.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -303,6 +303,24 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert err.startswith("error: laws[0]: ") and err.count("\n") == 1
         assert "2**-54" in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["eta"], ["chain", "--process", "b", "--validate"], ["chain", "--process", "d", "--validate"],
+        ["simulate"], ["tail"], ["verify"],
+    ], ids=["eta", "chain-b", "chain-d", "simulate", "tail", "verify"])
+    def test_lf_p_just_below_one_runs(self, capsys, tmp_path, argv):
+        # p = 1 - 2**-53 at level 2 rounds its geometric eta law's success
+        # probability to 1: the level is always 0 and the samplers read no
+        # uniform for it
+        env = tmp_path / "lf_edge.json"
+        env.write_text(json.dumps({"laws": [{"type": "pmf", "p": [0.25, 0.5, 0.25]},
+                                            {"type": "lf", "r": 0.5, "p": 1 - 2 ** -53},
+                                            {"type": "lf", "r": 0.4, "p": 0.5}]}))
+        extra = ["--samples", "50"] if argv[0] in ("chain", "simulate") else []
+        code, out, err = run_cli(capsys, *argv, *extra, "--env", str(env))
+        assert code == EXIT_OK and "Traceback" not in err
+        if argv == ["eta"]:
+            assert [row for row in out.splitlines() if row.startswith("2,")] == ["2,0,1.0"]
 
     @staticmethod
     def wide_env(tmp_path, width, horizon=2):
@@ -723,6 +741,23 @@ class TestChain:
         assert code == EXIT_CONFIG
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_validation_failure_exit(self, capsys, monkeypatch):
+        # run 3 comes back with a state whose first level is not its emitted
+        # time; the campaign stops there and writes no rows
+        real, calls = gwcoal.cli.b_run, []
+
+        def corrupt_run_3(env, stream, max_individuals, samplers):
+            calls.append(None)
+            run = real(env, stream, max_individuals, samplers=samplers)
+            return ChainRun([2], [(2, ((1, 1),))], True) if len(calls) == 4 else run
+
+        monkeypatch.setattr(gwcoal.cli, "b_run", corrupt_run_3)
+        code, out, err = run_cli(capsys, "chain", "--env", env_path("binom_n3"),
+                                 "--validate", "--samples", "5")
+        assert code == EXIT_CHECK_FAILED and len(calls) == 4
+        assert err == "validation failure: emitted 2 but the first level is 1\n"
+        assert out == ""
+
     def test_unfinished_runs_have_empty_k(self, capsys, dirac2_env):
         # every run of the all-twins tree emits three times, so a cap of one
         # leaves each of them unfinished
@@ -775,7 +810,9 @@ class TestRowWriters:
         ("binom_n3", ["chain", "--process", "d"]),
         ("lf_half_n6", ["chain", "--process", "lf"]),
         ("binom_n3", ["chain", "--process", "b", "--max-individuals", "1"]),
-    ], ids=["simulate", "chain-b", "chain-d", "chain-lf", "chain-unfinished"])
+        ("lf_half_n6", ["chain", "--process", "lf", "--max-individuals", "1"]),
+    ], ids=["simulate", "chain-b", "chain-d", "chain-lf", "chain-unfinished",
+            "chain-lf-unfinished"])
     def test_json_rows_equal_csv_rows(self, capsys, env, argv):
         argv = [*argv, "--env", env_path(env), "--seed", "7", "--samples", "200"]
         code, out, err = run_cli(capsys, *argv)
