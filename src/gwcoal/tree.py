@@ -6,6 +6,10 @@ given depth are ordered left to right across the whole tree, so lineages
 never cross.  The present individuals (depth N) are ranked 1..K in that
 planar order.
 
+A ``Tree`` keeps its child counts.  The coalescent times are read off them
+by one walk from the present upward over the ancestors of the present
+individuals; each node's parent is built only when something reads it.
+
 Extraction functions recover, for each present individual i:
 
 * its ancestor's rank at every level (``ancestor_index``),
@@ -17,7 +21,9 @@ Extraction functions recover, for each present individual i:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress, islice
 
 import numpy as np
 
@@ -35,12 +41,14 @@ class Tree:
     """Planar branching tree over a fixed number of generations.
 
     ``counts[d][j]`` is the child count of the j-th node (left to right) at
-    depth d, for 0 <= d < N.  Depth-N nodes are the present individuals.
-    ``parents`` is built with the tree; ``child_start``, ``alive`` and
-    ``max_rank`` are built together on first read.  ``horizon`` is N.
+    depth d, for 0 <= d < N.  Depth-N nodes are the present individuals,
+    ``k`` of them.  The tree checks each row's width against the row above
+    and keeps the counts.  ``parents`` is built on first read;
+    ``child_start``, ``alive`` and ``max_rank`` are built together on first
+    read.  ``horizon`` is N.
     """
 
-    __slots__ = ("horizon", "counts", "parents", "attempts", "_ranks")
+    __slots__ = ("horizon", "counts", "k", "attempts", "_parents", "_ranks")
 
     def __init__(self, env: Environment, counts: list[list[int]]):
         N = env.horizon
@@ -48,28 +56,36 @@ class Tree:
             raise DomainError(f"need {N} generations of child counts, got {len(counts)}")
         if len(counts[0]) != 1:
             raise DomainError("exactly one founder expected")
-        self.horizon = N
-        self.counts = counts
-        self.attempts = 1
-        self._ranks = None
-
-        # children of node j at depth d occupy a contiguous block at depth d+1
-        parents: list[list[int]] = [[-1]]
         width = 1
         for d, row in enumerate(counts):
             if len(row) != width:
                 raise DomainError(f"depth {d} has {len(row)} counts but {width} nodes")
-            if width == 1:  # the founder's row, or a generation of one node
-                parent_row = [0] * row[0]
-            else:
-                parent_row = []
-                extend = parent_row.extend
-                for j, c in enumerate(row):
-                    if c:
-                        extend([j] * c)
-            parents.append(parent_row)
-            width = len(parent_row)
-        self.parents = parents
+            width = sum(row)
+        self.horizon = N
+        self.counts = counts
+        self.k = width
+        self.attempts = 1
+        self._parents = None
+        self._ranks = None
+
+    @property
+    def parents(self) -> list[list[int]]:
+        """Position of each node's parent in the generation above; the
+        founder's is -1.  Children of one node occupy a contiguous block."""
+        if self._parents is None:
+            parents: list[list[int]] = [[-1]]
+            for row in self.counts:
+                if len(row) == 1:  # the founder's row, or a generation of one node
+                    parent_row = [0] * row[0]
+                else:
+                    parent_row = []
+                    extend = parent_row.extend
+                    for j, c in enumerate(row):
+                        if c:
+                            extend([j] * c)
+                parents.append(parent_row)
+            self._parents = parents
+        return self._parents
 
     def _build_ranks(self) -> tuple[list[list[int]], list[list[bool]], list[list[int]]]:
         N = self.horizon
@@ -112,15 +128,10 @@ class Tree:
         """Largest rank of each node's present descendants, 0 when none."""
         return (self._ranks or self._build_ranks())[2]
 
-    @property
-    def k(self) -> int:
-        """Number of present individuals."""
-        return len(self.parents[-1])
-
     def n_nodes(self, depth: int) -> int:
         if not 0 <= depth <= self.horizon:
             raise HorizonError(f"depth {depth} outside [0, {self.horizon}]")
-        return len(self.parents[depth])
+        return len(self.counts[depth]) if depth < self.horizon else self.k
 
     def label(self, depth: int, pos: int) -> tuple[int, ...]:
         """Ulam-Harris label: 1-based child positions from the founder down."""
@@ -184,7 +195,7 @@ def ancestor_index(tree: Tree, i: int, n: int) -> int:
     return pos + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cpp:
     """Coalescent point process of one tree: K and the consecutive-pair
     coalescent times A_1..A_{K-1}."""
@@ -197,15 +208,57 @@ class Cpp:
             raise DomainError(f"need exactly {max(self.k - 1, 0)} times for k={self.k}")
 
 
-def _meet(parents: list[list[int]], N: int, i: int) -> tuple[int, int]:
-    """Depth and position of the node where individuals i and i + 1 first meet."""
-    left, right = i - 1, i
-    d = N
-    while left != right:
-        left = parents[d][left]
-        right = parents[d][right]
+def _meeting_levels(tree: Tree, upto: int) -> list[int]:
+    """Times A_1..A_m of the pairs that have met once pairs 1..upto have.
+
+    One walk over the child counts from the present upward keeps the
+    distinct ancestor positions of the present individuals that are still
+    apart, left to right, and the pair that separates each neighbouring two.
+    In the generation just above the present these are the nodes with
+    children, and a node's running child count names the pair after its
+    last child; every other pair meets at level 1.  Above it, a generation
+    maps the positions to their parents through the running sums of its
+    row; neighbours with one parent at depth d meet there, at level N - d.
+    A one-node generation, or one parent for all, is every open pair's
+    meeting and ends the walk.  Otherwise the walk stops at the level where
+    the last of pairs 1..upto meets; m is the first pair still apart there,
+    which meets higher than every pair before it, or K - 1.
+    """
+    k = tree.k
+    if k < 2:
+        return []
+    counts = tree.counts
+    N = len(counts)
+    d = N - 1
+    row = counts[d]
+    times = [1] * k  # times[i] is A_i; times[0] is not a pair
+    # between[g] is the pair that separates apart[g] and apart[g + 1]
+    apart = list(compress(range(len(row)), row))
+    between = list(compress(accumulate(row), row))
+    between.pop()
+    while between and between[0] <= upto:
         d -= 1
-    return d, left
+        row = counts[d]
+        if len(row) > 1:
+            ends = list(accumulate(row))
+            ups = [bisect_right(ends, pos) for pos in apart]
+        if len(row) == 1 or ups[0] == ups[-1]:  # every open pair meets here
+            for i in between:
+                times[i] = N - d
+            return times[1:]
+        if len(set(ups)) == len(ups):  # no pair meets here
+            apart = ups
+            continue
+        apart = [ups[0]]
+        left = []
+        for i, up in zip(between, islice(ups, 1, None)):
+            if up == apart[-1]:
+                times[i] = N - d
+            else:
+                apart.append(up)
+                left.append(i)
+        between = left
+    return times[1:between[0]] if between else times[1:]
 
 
 def _mark(tree: Tree, depth: int, pos: int, i: int) -> int:
@@ -218,10 +271,7 @@ def _mark(tree: Tree, depth: int, pos: int, i: int) -> int:
 
 def coalescent_times(tree: Tree) -> Cpp:
     """Levels at which consecutive present individuals first share an ancestor."""
-    N = tree.horizon
-    parents = tree.parents
-    k = len(parents[N])
-    return Cpp(k=k, a=tuple([N - _meet(parents, N, i)[0] for i in range(1, k)]))
+    return Cpp(tree.k, tuple(_meeting_levels(tree, tree.k - 1)))
 
 
 def extract_D(tree: Tree, i: int, n: int) -> int:
@@ -306,20 +356,13 @@ def cpp_and_marks(tree: Tree, upto: int | None = None) -> tuple[list[int], list[
     i and i + 1 meet that lead to ranks >= i are separated by the pairs
     j >= i with A_j = A_i, up to the first j with A_j > A_i, where the walk
     leaves that node.  So D_i(A_i) counts those j.  ``upto`` limits the
-    number of pairs returned; the pairs after it are walked only until one
-    meets above every returned pair.
+    number of pairs returned; the walk stops where the last of them meets,
+    and the first pair still apart there ends the scan as a higher meeting.
     """
-    N = tree.horizon
-    parents = tree.parents
     pairs = tree.k - 1 if upto is None else min(upto, tree.k - 1)
     if pairs <= 0:
         return [], []
-    scan = [N - _meet(parents, N, i)[0] for i in range(1, pairs + 1)]
-    top = max(scan)
-    for i in range(pairs + 1, tree.k):
-        scan.append(N - _meet(parents, N, i)[0])
-        if scan[-1] > top:
-            break
+    scan = _meeting_levels(tree, pairs)
     # right to left, a stack of (level, pairs at that level so far) with
     # levels rising from its top down
     marks = [0] * len(scan)
@@ -358,16 +401,17 @@ def dump_tree(tree: Tree) -> str:
     lines = []
     alive = tree.alive
     child_start = tree.child_start
-
-    def visit(depth: int, pos: int, label: tuple[int, ...]) -> None:
-        count = tree.counts[depth][pos] if depth < tree.horizon else 0
+    N = tree.horizon
+    stack = [(0, 0, ())]
+    while stack:
+        depth, pos, label = stack.pop()
+        count = tree.counts[depth][pos] if depth < N else 0
         name = ".".join(str(x) for x in label) if label else "-"
         flag = 1 if alive[depth][pos] else 0
         lines.append(f"{name} {count} {flag}")
-        if depth < tree.horizon:
+        if count:
             start = child_start[depth][pos]
-            for c in range(count):
-                visit(depth + 1, start + c, label + (c + 1,))
-
-    visit(0, 0, ())
+            # the last child goes on first, so the first comes off first
+            stack.extend((depth + 1, start + c, label + (c + 1,))
+                         for c in range(count - 1, -1, -1))
     return "\n".join(lines) + "\n"

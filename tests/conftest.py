@@ -148,6 +148,70 @@ def per_draw_chain(process, env, stream, max_individuals=1_000_000):
 
 
 # ---------------------------------------------------------------------------
+# Parent-table references of the tree readers: each pair of neighbours climbs
+# the parent rows to the node where the two meet, and the dump recurses once
+# per generation.
+# ---------------------------------------------------------------------------
+
+
+def parent_walk_meet(parents, N, i):
+    """Depth of the node where individuals i and i + 1 first meet."""
+    left, right = i - 1, i
+    d = N
+    while left != right:
+        left = parents[d][left]
+        right = parents[d][right]
+        d -= 1
+    return d
+
+
+def parent_walk_cpp_and_marks(tree, upto=None):
+    """``cpp_and_marks`` off the parent rows: pairs 1..upto climb the
+    parents, then the pairs after them until one meets above all of those;
+    the marks come from one right-to-left stack over the times walked."""
+    N = tree.horizon
+    parents = tree.parents
+    pairs = tree.k - 1 if upto is None else min(upto, tree.k - 1)
+    if pairs <= 0:
+        return [], []
+    scan = [N - parent_walk_meet(parents, N, i) for i in range(1, pairs + 1)]
+    top = max(scan)
+    for i in range(pairs + 1, tree.k):
+        scan.append(N - parent_walk_meet(parents, N, i))
+        if scan[-1] > top:
+            break
+    marks = [0] * len(scan)
+    stack = []
+    for j in range(len(scan) - 1, -1, -1):
+        a = scan[j]
+        while stack and stack[-1][0] < a:
+            stack.pop()
+        if stack and stack[-1][0] == a:
+            stack[-1][1] += 1
+        else:
+            stack.append([a, 1])
+        marks[j] = stack[-1][1]
+    return scan[:pairs], marks[:pairs]
+
+
+def recursive_dump_tree(tree):
+    """``dump_tree`` as one recursive call per node."""
+    lines = []
+
+    def visit(depth, pos, label):
+        count = tree.counts[depth][pos] if depth < tree.horizon else 0
+        name = ".".join(str(x) for x in label) if label else "-"
+        lines.append(f"{name} {count} {1 if tree.alive[depth][pos] else 0}")
+        if depth < tree.horizon:
+            start = tree.child_start[depth][pos]
+            for c in range(count):
+                visit(depth + 1, start + c, label + (c + 1,))
+
+    visit(0, 0, ())
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # Per-level reference of the level table and the spine-sibling samplers: one
 # checked ``pgf``/``pgf_deriv`` call per level and per derivative order, and
 # one ``eta`` call per level, in the order the one-pass table must reproduce

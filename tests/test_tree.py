@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gwcoal import (
     ChainRun,
@@ -30,11 +31,17 @@ from gwcoal.errors import (
     DomainError,
     EnumerationGuardError,
 )
-from gwcoal import sampling, tree as tree_module
+from gwcoal import sampling
 from gwcoal.sampling import UniformStream, campaign_streams, rng_for_run
 from gwcoal.tree import bt_fold, bt_min, bt_star, bt_update
 
-from conftest import env_path, per_draw_condition, per_draw_counts
+from conftest import (
+    env_path,
+    parent_walk_cpp_and_marks,
+    per_draw_condition,
+    per_draw_counts,
+    recursive_dump_tree,
+)
 
 
 @pytest.fixture
@@ -75,6 +82,12 @@ class TestTreeStructure:
         lines = text.strip().split("\n")
         assert lines[0].startswith("-")
         assert len(lines) == 6
+
+    def test_dump_deeper_than_the_recursion_limit(self):
+        N = 1200
+        tree = Tree(constant_environment(FiniteSupportLaw((0.5, 0.5)), N), [[1]] * N)
+        lines = ["- 1 1"] + [f"{'.'.join(['1'] * d)} {int(d < N)} 1" for d in range(1, N + 1)]
+        assert dump_tree(tree) == "\n".join(lines) + "\n"
 
 
 class TestCoalescentTimes:
@@ -165,26 +178,100 @@ class TestMarks:
             assert tree._ranks is None
             assert marks == [extract_D(tree, i, a) for i, a in enumerate(a_vals, 1)]
 
-    def test_upto_walks_until_a_higher_meeting(self, monkeypatch):
+    def test_upto_walks_until_a_higher_meeting(self):
         # root -> 3 daughters with 2, 1 and 3 leaves: pairs meet at levels
         # 1, 2, 2, 1, 1.  The mark of pair 1 reads up to pair 2, the first
-        # to meet higher; pairs that meet at level 2 read to the end
+        # to meet higher, so the walk stops at level 1; pairs that meet at
+        # level 2 read to the end
         env = constant_environment(FiniteSupportLaw((0.25,) * 4), 2)
-        tree = Tree(env, [[3], [2, 1, 3]])
-        walked = []
-        real = tree_module._meet
-
-        def counting(parents, N, i):
-            walked.append(i)
-            return real(parents, N, i)
-
-        monkeypatch.setattr(tree_module, "_meet", counting)
+        rows = _ReadRows([[3], [2, 1, 3]])
+        tree = Tree(env, rows)
+        rows.read.clear()
         assert cpp_and_marks(tree) == ([1, 2, 2, 1, 1], [1, 2, 1, 2, 1])
-        for upto, pairs in [(0, []), (1, [1, 2]), (2, [1, 2, 3, 4, 5])]:
-            walked.clear()
+        for upto, depths in [(0, []), (1, [1]), (2, [1, 0])]:
+            rows.read.clear()
             assert cpp_and_marks(tree, upto=upto) == ([1, 2, 2, 1, 1][:upto],
                                                       [1, 2, 1, 2, 1][:upto])
-            assert walked == pairs, upto
+            assert rows.read == depths, upto
+
+
+class _ReadRows(list):
+    """Count rows that record the depth of each row read by index."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = []
+
+    def __getitem__(self, depth):
+        self.read.append(depth)
+        return super().__getitem__(depth)
+
+
+def _check_walk(tree):
+    """The count walk against the parent-table reference, for the whole
+    genealogy and for every ``upto``, with no parent row built."""
+    cpp = coalescent_times(tree)
+    whole = cpp_and_marks(tree)
+    prefixes = [cpp_and_marks(tree, upto=upto) for upto in range(tree.k + 1)]
+    assert tree._parents is None
+    times, marks = parent_walk_cpp_and_marks(tree)
+    assert cpp == Cpp(tree.k, tuple(times))
+    assert whole == (times, marks)
+    for upto, got in enumerate(prefixes):
+        assert got == parent_walk_cpp_and_marks(tree, upto) == (times[:upto], marks[:upto])
+
+
+@st.composite
+def _count_rows(draw):
+    """Child-count rows of up to 8 generations, at most 12 nodes wide.  A
+    squeezed generation leaves one child in all, so the next one has a
+    single node; zero counts fall between nonzero ones; a dead generation
+    leaves an extinct tail of empty rows."""
+    horizon = draw(st.integers(1, 8))
+    rows, width = [], 1
+    for _ in range(horizon):
+        if not width:
+            row = []
+        elif draw(st.integers(0, 4)) == 0:
+            row = [0] * width
+            row[draw(st.integers(0, width - 1))] = 1
+        else:
+            row = draw(st.lists(st.integers(0, min(3, 12 // width)),
+                                min_size=width, max_size=width))
+        rows.append(row)
+        width = sum(row)
+    return rows
+
+
+class TestCountWalk:
+    """The walk over the child counts against the parent-table walk."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_count_rows())
+    @example([[3], [2, 0, 3], [1, 0, 1, 0, 2]])  # zero counts between survivors
+    @example([[2], [1, 2], [0, 1, 0], [3], [2, 0, 1]])  # a one-node generation inside
+    @example([[2], [0, 1], [0], [], []])  # extinct tail, K = 0
+    @example([[2], [0, 1], [1]])  # K = 1
+    @example([[2], [1, 1], [1, 1]])  # K = 2, meeting at the founder
+    @example([[1], [2], [0, 2]])  # K = 2, meeting at level 1
+    def test_matches_parent_walk(self, rows):
+        law = FiniteSupportLaw((0.25,) * 4)
+        _check_walk(Tree(constant_environment(law, len(rows)), rows))
+
+    def test_near_critical_horizon_200(self):
+        # laws (a + d, 128 - 2a, a - d) / 128 whose drifts d cancel over
+        # the window, so the product of means stays near one
+        rng = np.random.default_rng(200)
+        half = rng.integers(-1, 2, size=100)
+        drift = rng.permutation(np.concatenate([half, -half]))
+        spread = rng.integers(8, 25, size=200)
+        env = _pmf_env([(a + d, 128 - 2 * a, a - d) for a, d in zip(spread, drift)], 128)
+        sizes = set()
+        for run in range(50):
+            tree = condition_on_survival(env, stream_for_run(200, run))
+            sizes.add(tree.k)
+            _check_walk(tree)
+        assert max(sizes) > 10
 
 
 class TestReducedSequence:
@@ -221,7 +308,7 @@ class TestReducedSequence:
 
 
 class TestSharedWalk:
-    """The one pair walk against definitions that do not use it."""
+    """The count walk against definitions that do not use it."""
 
     @pytest.mark.parametrize("name", ["binom_n3", "varying_n3", "binom_n6"])
     def test_walk_matches_ancestor_definitions(self, name):
@@ -380,7 +467,8 @@ class TestRejectionOnCounts:
             assert tree.child_start == ref.child_start
             assert tree.alive == ref.alive
             assert tree.max_rank == ref.max_rank
-            assert dump_tree(tree) == dump_tree(ref)
+            assert [tree.n_nodes(d) for d in range(env.horizon + 1)] == list(map(len, ref.parents))
+            assert dump_tree(tree) == dump_tree(ref) == recursive_dump_tree(ref)
             assert cpp_and_marks(tree) == cpp_and_marks(ref)
             for i in range(1, tree.k + 1):
                 for n in range(1, env.horizon + 1):
@@ -388,10 +476,17 @@ class TestRejectionOnCounts:
 
     def test_tables_not_built_for_coalescent_times(self, binom3):
         tree = condition_on_survival(binom3, stream_for_run(4, 0))
+        assert tree._parents is None
         coalescent_times(tree)
+        cpp_and_marks(tree)
+        cpp_and_marks(tree, upto=1)
+        assert tree._parents is None
         assert tree._ranks is None
         assert tree.max_rank[tree.horizon] == list(range(1, tree.k + 1))
         assert tree._ranks is not None
+        assert tree._parents is None
+        assert len(tree.parents[tree.horizon]) == tree.k
+        assert tree._parents is not None
 
     def test_shape_checks_kept(self, binom2):
         with pytest.raises(DomainError):
