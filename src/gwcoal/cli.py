@@ -346,6 +346,7 @@ def cmd_eta(args) -> int:
     # also rejects nan and inf
     _require(0 < args.tol < 1, f"--tol must be in (0, 1), got {args.tol}")
     env = _load_env(args)
+    env.levels.fill(etas=True)
     rows = []
     for level in range(1, env.horizon + 1):
         law = eta_law_at_depth(env, level).materialized(args.tol)
@@ -357,6 +358,7 @@ def cmd_eta(args) -> int:
 
 def cmd_tail(args) -> int:
     env = _load_env(args)
+    env.levels.fill()
     rows = []
     for n in range(1, env.horizon + 1):
         rows.append([n, repr(float(a1_tail(env, n)))])

@@ -197,6 +197,16 @@ class LevelTable:
             self._fill(self.horizon, True)
         return list(self._etas)
 
+    def fill(self, etas: bool = False) -> None:
+        """Fill levels 1..N, and with ``etas`` their eta laws, in one loop,
+        for a caller about to read every level in turn.  A level that fails
+        stops the loop and raises again when it is read, so such a caller
+        meets each failure where it did without the fill."""
+        try:
+            self._fill(self.horizon, etas)
+        except GwcoalError:
+            pass
+
     def _fill(self, k: int, etas: bool) -> None:
         """The rows up to level k and, with ``etas``, the eta laws too, in
         one loop over the levels.  Each value is formed by the expressions,

@@ -43,15 +43,18 @@ MAX_WIDTH = 1_000_000
 
 class UniformStream:
     """Uniforms in [0, 1) from a numpy generator, in blocks of 32 doubling up
-    to ``block``: a float64 uniform takes one 64-bit output, so the values
-    read are those of one ``rng.random(n)`` call whatever the block sizes.
-    A block never exceeds ``MAX_WIDTH``, so ``draw_forward``, which checks
-    its size guard where a row crosses a block's end, reads at most one
-    block past the guard."""
+    to ``block``, at least 1: a float64 uniform takes one 64-bit output, so
+    the values read are those of one ``rng.random(n)`` call whatever the
+    block sizes.  A block never exceeds ``MAX_WIDTH``, so ``draw_forward``,
+    which checks its size guard where a row crosses a block's end, reads at
+    most one block past the guard."""
 
     __slots__ = ("_rng", "_block", "_buf", "_pos", "_lease")
 
     def __init__(self, rng: np.random.Generator | int, block: int = 8192):
+        if block < 1:
+            # an empty refill would leave take() and first_reaching() reading forever
+            raise DomainError(f"block must be >= 1, got {block}")
         if isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(np.random.SeedSequence(_check_seed(rng)))
         self._rng = rng
@@ -192,7 +195,8 @@ def campaign_streams(seed: int, n: int) -> Iterator[UniformStream]:
     """
     seed = _check_seed(seed)
     if not 0 <= n <= _MASK32 + 1:
-        raise DomainError(f"run ids must fit 32 bits, got {n} runs")
+        raise DomainError(f"run count must be in [0, 2**32] so that run ids fit 32 bits, "
+                          f"got {n}")
     return _campaign(seed, n)
 
 

@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -516,7 +516,7 @@ def figure1_consistency() -> CheckResult:
         mismatches.append(f"reduced sequence: derived {derived_btilde}")
     return CheckResult(
         name="reference-table",
-        env_digest="-",
+        env=None,
         metric=1.0 if mismatches else 0.0,
         threshold=0.0,
         passed=not mismatches,
@@ -541,9 +541,11 @@ class Witness:
     given the states at steps ``step_index - 1`` and ``step_index`` were
     ``history_a`` and ``shared_state``; likewise ``law_b``.  A positive total
     variation gap shows the reduced sequence is not a Markov chain.
+    ``env`` is the environment searched; ``env_digest`` is computed from it
+    when first read.
     """
 
-    env_digest: str
+    env: Environment
     step_index: int
     shared_state: BtState
     history_a: BtState
@@ -551,6 +553,10 @@ class Witness:
     law_a: DistTable
     law_b: DistTable
     tv: float
+
+    @property
+    def env_digest(self) -> str:
+        return self.env.digest()
 
 
 def btilde_witness_search(env: Environment) -> Witness | None:
@@ -594,7 +600,7 @@ def btilde_witness_search(env: Environment) -> Witness | None:
                 gap = float(tv_distance(law_a, law_b))
                 if gap > WITNESS_TV:
                     return Witness(
-                        env_digest=env.digest(),
+                        env=env,
                         step_index=step - 1,
                         shared_state=y,
                         history_a=xs[i],
@@ -745,7 +751,7 @@ def lf_iid_check(env: Environment) -> CheckResult:
     threshold = 1e-8 + bound
     return CheckResult(
         name="lf-independence",
-        env_digest=env.digest(),
+        env=env,
         metric=max(tv_joint, tv_marg),
         threshold=threshold,
         passed=tv_joint <= threshold and tv_marg <= threshold,
@@ -783,7 +789,7 @@ def lf_closed_form_checks(env: Environment) -> list[CheckResult]:
     return [
         CheckResult(
             name="lf-tail-two-routes",
-            env_digest=env.digest(),
+            env=env,
             metric=tail_gap,
             threshold=1e-12,
             passed=tail_gap <= 1e-12,
@@ -791,7 +797,7 @@ def lf_closed_form_checks(env: Environment) -> list[CheckResult]:
         ),
         CheckResult(
             name="lf-eta-geometric",
-            env_digest=env.digest(),
+            env=env,
             metric=eta_gap,
             threshold=1e-10,
             passed=eta_gap <= 1e-10,
@@ -868,15 +874,26 @@ def _population_law_float(supports: list[list[tuple[int, Number]]], guard: int) 
 
 @dataclass
 class CheckResult:
+    """One verify line.  ``env`` is the environment checked, None for the
+    ``reference-table`` line; ``env_digest`` is computed from it when first
+    read (``"-"`` without one), so only JSON output pays for the digest."""
+
     name: str
-    env_digest: str
+    env: Environment | None
     metric: float
     threshold: float
     passed: bool
     detail: str = ""
 
+    @property
+    def env_digest(self) -> str:
+        return "-" if self.env is None else self.env.digest()
+
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        # field by field: asdict would copy the environment
+        return json.dumps({"name": self.name, "env_digest": self.env_digest,
+                           "metric": self.metric, "threshold": self.threshold,
+                           "passed": self.passed, "detail": self.detail}, sort_keys=True)
 
 
 def a1_identity_check(env: Environment, n: int) -> CheckResult:
@@ -895,7 +912,7 @@ def a1_identity_check(env: Environment, n: int) -> CheckResult:
     gap = abs(closed - by_enum)
     return CheckResult(
         name=f"first-time-tail-identities-n{n}",
-        env_digest=env.digest(),
+        env=env,
         metric=gap,
         threshold=1e-10,
         passed=gap <= 1e-10,
@@ -908,13 +925,14 @@ def a1_telescoping_check(env: Environment) -> CheckResult:
     product of P(0) of the spine-sibling laws, at every level 1..N: within
     1e-12 in floats, identically in exact arithmetic."""
     gap: Number = 0
+    env.levels.fill()
     for n in range(1, env.horizon + 1):
         closed = a1_tail(env, n)
         gap = max(gap, abs(closed - env.levels.column(n)[3]))
     threshold = 0.0 if env.is_exact else 1e-12
     return CheckResult(
         name="a1-tail-telescoping",
-        env_digest=env.digest(),
+        env=env,
         metric=float(gap),
         threshold=threshold,
         passed=gap <= threshold,
@@ -930,7 +948,7 @@ def tree_vs_chain_check(env: Environment, guard: int = 2_000_000) -> CheckResult
     mode = "rational" if env.is_exact else "float"
     return CheckResult(
         name=f"tree-vs-chain-tv-{mode}",
-        env_digest=env.digest(),
+        env=env,
         metric=float(gap),
         threshold=1e-10,
         passed=passed,
@@ -957,7 +975,7 @@ def witness_check(env: Environment, mc_samples: int, seed: int) -> CheckResult:
             detail += f" mc_gap={mc.mc_gap:.4f} dp_gap={mc.dp_gap:.4f}"
     return CheckResult(
         name="reduced-sequence-witness",
-        env_digest=env.digest(),
+        env=env,
         metric=metric,
         threshold=WITNESS_TV,
         passed=passed,

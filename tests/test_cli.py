@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ import gwcoal.cli
 import gwcoal.environment
 import gwcoal.tree
 import gwcoal.verify
+from gwcoal import Environment
 from gwcoal.chains import ChainRun, EtaSamplers, dense
 from gwcoal.cli import (
     EXIT_CHECK_FAILED,
@@ -28,7 +30,7 @@ from gwcoal.cli import (
 from gwcoal.environment import load_environment
 from gwcoal.sampling import campaign_streams
 
-from conftest import env_path, per_draw_condition
+from conftest import ENVS, env_path, per_draw_condition
 from test_golden import DEEP_N22, LITERAL_ENVS
 
 
@@ -50,6 +52,21 @@ def dirac0_env(tmp_path):
     doc = {"laws": [{"type": "pmf", "p": [1.0]}]}
     path = tmp_path / "dirac0.json"
     path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture
+def near_critical_n200(tmp_path):
+    # seeded pmf laws (a + d, 128 - 2a, a - d) / 128 whose drifts d cancel
+    # over the 200 levels
+    rng = np.random.default_rng(200)
+    half = rng.integers(-1, 2, size=100)
+    drift = rng.permutation(np.concatenate([half, -half]))
+    spread = rng.integers(8, 25, size=200)
+    laws = [{"type": "pmf", "p": [(a + d) / 128, (128 - 2 * a) / 128, (a - d) / 128]}
+            for a, d in zip(spread.tolist(), drift.tolist())]
+    path = tmp_path / "near_critical_n200.json"
+    path.write_text(json.dumps({"laws": laws}))
     return str(path)
 
 
@@ -893,6 +910,29 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("name", sorted(p.stem for p in ENVS.glob("*.json"))
+                             + ["near_critical_n200"])
+    def test_digest_computed_only_for_json(self, capsys, monkeypatch, tmp_path,
+                                           near_critical_n200, name):
+        # the digest serializes every law; stdout and CSV lines do not print it
+        path = near_critical_n200 if name == "near_critical_n200" else env_path(name)
+        calls = []
+        real = Environment.to_dict
+        monkeypatch.setattr(Environment, "to_dict", lambda env: calls.append(1) or real(env))
+        code, out, _ = run_cli(capsys, "verify", "--env", path)
+        assert code == EXIT_OK and out.startswith("PASS reference-table")
+        code, _, _ = run_cli(capsys, "verify", "--env", path, "--out", str(tmp_path / "v.csv"))
+        assert code == EXIT_OK
+        assert calls == []
+        target = tmp_path / "v.json"
+        code, _, _ = run_cli(capsys, "verify", "--env", path, "--out", str(target),
+                             "--format", "json")
+        assert code == EXIT_OK
+        assert calls == [1]  # once per environment, however many lines carry it
+        doc = json.loads(target.read_text())
+        digest = load_environment(path).digest()
+        assert [row["env_digest"] for row in doc] == ["-"] + [digest] * (len(doc) - 1)
+
 
 class TestTables:
     def test_eta_values(self, capsys):
@@ -924,3 +964,31 @@ class TestTables:
         for row in lines:
             n, p = row.split(",")
             assert float(p) == pytest.approx(1 / (int(n) + 1), abs=1e-12)
+
+    @pytest.mark.parametrize("command, etas", [("tail", False), ("eta", True)])
+    def test_full_depth_commands_fill_the_table_once(self, capsys, monkeypatch,
+                                                     near_critical_n200, command, etas):
+        calls = []
+        real = gwcoal.environment.LevelTable._fill
+        monkeypatch.setattr(gwcoal.environment.LevelTable, "_fill",
+                            lambda self, k, e: calls.append((k, e)) or real(self, k, e))
+        code, out, _ = run_cli(capsys, command, "--env", near_critical_n200)
+        assert code == EXIT_OK and len(out.splitlines()) > 200
+        assert calls == [(200, etas)]
+
+    @pytest.mark.parametrize("command, laws, expected", [
+        # level 1's geometric table trips the guard before level 2, which dies out
+        ("eta", [{"type": "pmf", "p": [1.0]}, {"type": "lf", "r": 1, "p": 1e-5}], EXIT_GUARD),
+        # level 1 dies out; level 3 is then read past 1, as the second law
+        # sums to just above 1
+        ("tail", [{"type": "pmf", "p": [0.25, 0.5, 0.25]}, {"type": "pmf", "p": [0.5, 0.5 + 1e-13]},
+                  {"type": "pmf", "p": [1.0]}], EXIT_DEGENERATE),
+    ], ids=["eta", "tail"])
+    def test_first_failing_level_reports(self, capsys, tmp_path, command, laws, expected):
+        # the one fill before the loop leaves a failing level to its read,
+        # so a lower level's failure is still the one reported
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps({"laws": laws}))
+        code, out, err = run_cli(capsys, command, "--env", str(path))
+        assert code == expected
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1

@@ -236,6 +236,36 @@ class TestLevelTable:
         assert [levels.column(k) for k in range(N, -1, -1)][::-1] == expected
         assert len(levels._rows) == N + 1
 
+    @pytest.mark.parametrize("etas", [False, True])
+    def test_fill_is_one_loop(self, monkeypatch, etas):
+        law = FiniteSupportLaw((0.25, 0.5, 0.25))
+        N = 200
+        expected = [LevelTable((law,) * N).column(k) for k in range(N + 1)]
+        levels = constant_environment(law, N).levels
+        calls = []
+        real = LevelTable._fill
+        monkeypatch.setattr(LevelTable, "_fill",
+                            lambda self, k, e: calls.append((k, e)) or real(self, k, e))
+        levels.fill(etas)
+        assert [levels.column(k) for k in range(N + 1)] == expected
+        assert len(levels._etas) == (N if etas else 0)
+        assert calls == [(N, etas)]
+
+    def test_fill_leaves_a_failing_level_to_its_read(self):
+        # level 4 dies out; the fill keeps levels 1..3 and does not raise,
+        # and a read of level 4 raises as it would without the fill
+        doc = {"laws": [{"type": "pmf", "p": [1.0]}] + [{"type": "pmf", "p": [0.25, 0.5, 0.25]}] * 3}
+        env, reference = environment_from_dict(doc), environment_from_dict(doc)
+        env.levels.fill(etas=True)
+        assert len(env.levels._etas) == 3
+        for k in (1, 2, 3):
+            assert env.levels.eta(k) == reference.levels.eta(k)
+            assert a1_tail(env, k) == a1_tail(reference, k)
+        with pytest.raises(DegenerateEnvironmentError):
+            eta_law_at_depth(env, 4)
+        with pytest.raises(DegenerateEnvironmentError):
+            a1_tail(env, 4)
+
 
 # ---------------------------------------------------------------------------
 # The one-pass level table against the per-level route, bit for bit.

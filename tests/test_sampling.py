@@ -132,6 +132,18 @@ class TestStreams:
         assert UniformStream(0, block=10 * MAX_WIDTH)._block == MAX_WIDTH
         assert UniformStream(0, block=64)._block == 64
 
+    @pytest.mark.parametrize("block", [0, -5])
+    def test_block_below_one_rejected(self, block):
+        # an empty block refills to nothing, so take() would never return;
+        # a negative one reached numpy; both are refused when the stream is made
+        for rng in (np.random.default_rng(0), 0):
+            with pytest.raises(DomainError, match=rf"block must be >= 1, got {block}$"):
+                UniformStream(rng, block=block)
+
+    def test_smallest_block_accepted(self):
+        stream = UniformStream(np.random.default_rng(3), block=1)
+        assert stream.take(40) == np.random.default_rng(3).random(40).tolist()
+
     @pytest.mark.parametrize("module", ["tree", "chains", "verify"])
     def test_block_format_stays_in_sampling(self, module):
         # only sampling.py reads or refills a stream's block
@@ -190,6 +202,11 @@ class TestCampaignStreams:
         assert first.take(40) == stream_for_run(0, 0).take(40)
         with pytest.raises(DomainError, match=r"2\*\*64"):
             campaign_streams(2 ** 64, 1)
+
+    @pytest.mark.parametrize("runs", [-1, 2 ** 32 + 1])
+    def test_run_count_message_names_its_range(self, runs):
+        with pytest.raises(DomainError, match=rf"run count must be in \[0, 2\*\*32\].* got {runs}$"):
+            campaign_streams(0, runs)
 
     def test_empty_campaign(self):
         assert list(campaign_streams(0, 0)) == []

@@ -435,6 +435,36 @@ class TestSuite:
         doc = json.loads(res.to_json())
         assert doc["name"] == "tree-vs-chain-tv-float"
         assert doc["passed"] is True
+        assert doc["env_digest"] == res.env_digest == varying3.digest()
+        assert sorted(doc) == ["detail", "env_digest", "metric", "name", "passed", "threshold"]
+
+    @pytest.mark.parametrize("name, flags", [
+        ("varying_n3", {"rational": True, "witness": True}),
+        ("lf_varying_n3", {}),
+        ("lf_half_n1", {}),
+    ])
+    def test_digest_read_from_the_environment(self, monkeypatch, name, flags):
+        # no check computes the digest; each line reads it from its environment
+        env = load_environment(env_path(name))
+        digest = load_environment(env_path(name)).digest()
+        calls = []
+        real = Environment.digest
+        monkeypatch.setattr(Environment, "digest", lambda e: calls.append(1) or real(e))
+        results = run_verify_suite(env, **flags)
+        assert calls == []
+        assert [r.env_digest for r in results] == ["-"] + [digest] * (len(results) - 1)
+        if flags:
+            found = btilde_witness_search(env)
+            assert found.env is env and found.env_digest == digest
+
+    def test_telescoping_fills_the_table_once(self, monkeypatch):
+        env = constant_environment(FiniteSupportLaw((0.25, 0.5, 0.25)), 200)
+        calls = []
+        real = LevelTable._fill
+        monkeypatch.setattr(LevelTable, "_fill",
+                            lambda self, k, e: calls.append((k, e)) or real(self, k, e))
+        assert a1_telescoping_check(env).passed
+        assert calls == [(200, False)]
 
     def test_witness_reported_in_suite(self):
         env = load_environment(env_path("binom_n5"))
