@@ -5,7 +5,11 @@ Run ``r`` of seed ``s`` reads the PCG64 stream of ``SeedSequence((s, r))``
 in order, so each run's output depends on its own pair only.
 ``stream_for_run`` builds that stream for one run; ``campaign_streams``
 builds it for runs ``0..n-1`` on one generator, hashing every run's seed
-sequence at once.
+sequence at once.  A campaign of at least ``_LONG`` runs also computes its
+runs' first blocks of uniforms in numpy, from PCG64's LCG jumped ahead and
+its XSL-RR output, so a run that reads no further never sets the
+generator's state.  The uniforms read, and the rule that a stream is read
+to its end before the next one is made, are the same either way.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ def rng_for_run(seed: int, run_id: int) -> np.random.Generator:
 
 # Most individuals one forward draw may hold, all its generations together.
 MAX_WIDTH = 1_000_000
+# The size of a stream's first block.
+_FIRST = 32
 
 
 class UniformStream:
@@ -68,7 +74,7 @@ class UniformStream:
     def _refill(self) -> list[float]:
         if self._lease is not None and not self._lease[0]:
             raise RuntimeError("a campaign stream was read after the next run's stream was made")
-        size = min(self._block, max(32, 2 * len(self._buf)))
+        size = min(self._block, max(_FIRST, 2 * len(self._buf)))
         self._buf = self._rng.random(size).tolist()
         self._pos = 0
         return self._buf
@@ -84,9 +90,12 @@ class UniformStream:
         """The next n uniforms, the values of n calls to ``next``."""
         buf, pos = self._buf, self._pos
         end = pos + n
-        if end <= len(buf):
+        if pos <= end <= len(buf):
             self._pos = end
             return buf[pos:end]
+        if n < 0:
+            # a negative count would move the read position back
+            raise DomainError(f"cannot take a negative number of uniforms, got {n}")
         out = buf[pos:]
         while True:
             buf = self._refill()
@@ -129,8 +138,17 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _CHUNK = 4096
+# A campaign of at least _LONG runs computes its runs' first blocks in
+# numpy, _SUB runs at a time.  A run that reads past its block pays more
+# than one seated as its stream is made, and blocks computed for fewer runs
+# pay more of the numpy calls' fixed cost, so a shorter campaign seats
+# every run, and a long one stops computing blocks once most of its runs
+# read past them.
+_LONG = 128
+_SUB = 256
 
 
 def _words(n: int) -> list[int]:
@@ -177,21 +195,153 @@ def _seed_states(seed: int, run_ids: np.ndarray) -> list[np.ndarray]:
     return [words[i] | (words[i + 1] << 32) for i in range(0, 2 * _POOL, 2)]
 
 
-def _pcg64_states(seed: int, start: int, stop: int) -> Iterator[tuple[int, int]]:
-    """PCG64 (state, inc) seeded by ``SeedSequence((seed, r))``, r in [start, stop)."""
-    columns = _seed_states(seed, np.arange(start, stop, dtype=np.uint32))
-    for hi_state, lo_state, hi_seq, lo_seq in zip(*(c.tolist() for c in columns)):
-        # PCG's set_seed: two LCG steps from state 0, adding initstate between
-        inc = (hi_seq << 65 | lo_seq << 1 | 1) & _MASK128
-        yield ((hi_state << 64 | lo_state) + inc) * _PCG_MULT + inc & _MASK128, inc
+# PCG64's LCG jumped ahead (Brown 1994).  Seeding leaves the state
+# M·t + inc, t = initstate + inc, and j draws later it is A_j·t + G_j·inc
+# mod 2**128, A_j = M**(j+1), G_j = M**j + ... + M + 1.
+def _lcg_jumps(draws: int) -> list[tuple[int, int]]:
+    """(A_j, G_j) for j = 0..draws."""
+    jumps = [(_PCG_MULT, 1)]
+    for _ in range(draws):
+        a, g = jumps[-1]
+        jumps.append((a * _PCG_MULT & _MASK128, (g * _PCG_MULT + 1) & _MASK128))
+    return jumps
+
+
+_LCG_JUMPS = _lcg_jumps(_FIRST)
+
+
+def _pcg64_state(words: list[list[int]], run: int, draws: int) -> tuple[int, int]:
+    """PCG64 (state, inc) seeded by the ``SeedSequence`` words of ``run``
+    (``_seed_states`` as lists), ``draws`` draws later."""
+    hi_states, lo_states, hi_seqs, lo_seqs = words
+    hi_state, lo_state, hi_seq, lo_seq = hi_states[run], lo_states[run], hi_seqs[run], lo_seqs[run]
+    a, g = _LCG_JUMPS[draws]
+    inc = (hi_seq << 65 | lo_seq << 1 | 1) & _MASK128
+    return ((hi_state << 64 | lo_state) + inc) * a + inc * g & _MASK128, inc
+
+
+def _limbs(values: list[int]) -> list[np.ndarray]:
+    """The high and low words of 128-bit ints, then the 32-bit halves of the
+    low word, each as a uint64 column."""
+    low = [v & _MASK64 for v in values]
+    return [np.array(col, dtype=np.uint64)[:, None]
+            for col in ([v >> 64 for v in values], low, [v & _MASK32 for v in low],
+                        [v >> 32 for v in low])]
+
+
+# the (A_j, G_j) of the states after 1.._FIRST draws, as limbs
+_A_HI, _A_LO, _A0, _A1 = _limbs([a for a, _ in _LCG_JUMPS[1:]])
+_G_HI, _G_LO, _G0, _G1 = _limbs([g for _, g in _LCG_JUMPS[1:]])
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
+_M32 = np.uint64(_MASK32)
+
+
+def _add_mul_hi(acc: np.ndarray, c0: np.ndarray, c1: np.ndarray, x: np.ndarray) -> None:
+    """Add to ``acc`` the high word of c·x, for c = c1·2**32 + c0 per row and
+    x per column, taken on 32-bit halves so that no product overflows."""
+    x0, x1 = x & _M32, x >> _U32
+    cross = c0 * x1
+    low = c0 * x0
+    low >>= _U32
+    cross += low
+    np.bitwise_and(cross, _M32, out=low)
+    cross >>= _U32
+    acc += cross
+    np.multiply(c1, x0, out=cross)
+    low += cross
+    low >>= _U32
+    acc += low
+    np.multiply(c1, x1, out=cross)
+    acc += cross
+
+
+def _first_blocks(columns: list[np.ndarray]) -> np.ndarray:
+    """The first ``_FIRST`` uniforms of the runs with the seed words
+    ``columns`` (see ``_seed_states``), one row per run."""
+    hi_state, lo_state, hi_seq, lo_seq = columns
+    inc_hi = hi_seq << _U1 | lo_seq >> _U63
+    inc_lo = lo_seq << _U1 | _U1
+    t_lo = lo_state + inc_lo
+    t_hi = hi_state + inc_hi + (t_lo < inc_lo)
+    # A_j·t + G_j·inc on 64-bit words, one row per j, with at most three
+    # (rows, runs) arrays alive at once
+    hi = _A_HI * t_lo
+    hi += _A_LO * t_hi
+    hi += _G_HI * inc_lo
+    hi += _G_LO * inc_hi
+    _add_mul_hi(hi, _A0, _A1, t_lo)
+    _add_mul_hi(hi, _G0, _G1, inc_lo)
+    lo = _A_LO * t_lo
+    term = _G_LO * inc_lo
+    lo += term
+    hi += lo < term
+    # XSL-RR: the two words xor-ed, rotated right by the state's top 6 bits;
+    # random() keeps the top 53 bits of that output
+    rot = np.right_shift(hi, _U58, out=term)
+    hi ^= lo
+    np.right_shift(hi, rot, out=lo)
+    np.subtract(_U64, rot, out=rot)
+    rot &= _U63
+    hi <<= rot
+    hi |= lo
+    hi >>= _U11
+    return (hi * 2.0 ** -53).T
+
+
+class _CampaignRng:
+    """The generator slot of one campaign, the ``_rng`` of every stream whose
+    first block the campaign computed.
+
+    It stands for the current run: ``block``, that first block, and ``run``,
+    the run's index in the seed words ``seeds`` while the shared PCG64 is
+    not yet at the run's state past the block.  The run's first ``random``
+    call returns the block; the next one seats the PCG64, counts the run in
+    ``past`` and draws.  A stream calls ``random`` only while its lease
+    holds, so every call is the current run's.
+    """
+
+    __slots__ = ("bitgen", "rng", "draws", "seeds", "run", "block", "past")
+
+    def __init__(self):
+        self.bitgen = np.random.PCG64(0)
+        self.rng = np.random.Generator(self.bitgen)
+        self.draws = 0  # the size of the current run's block, 0 for none
+        self.seeds: list[list[int]] = []
+        self.run = -1
+        self.block: np.ndarray | None = None
+        self.past = 0
+
+    def seat(self, run: int) -> None:
+        """Set the shared PCG64 to the state of ``run`` past its block."""
+        state, inc = _pcg64_state(self.seeds, run, self.draws)
+        self.bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
+
+    def random(self, size: int) -> np.ndarray:
+        block = self.block
+        if block is not None:
+            # a campaign stream's first refill, of _FIRST uniforms
+            self.block = None
+            return block
+        if self.run >= 0:
+            self.seat(self.run)
+            self.run = -1
+            self.past += 1
+        return self.rng.random(size)
 
 
 def campaign_streams(seed: int, n: int) -> Iterator[UniformStream]:
     """The streams of ``stream_for_run(seed, r)`` for r = 0..n-1, in order.
 
-    They share one generator, whose state is set when each stream is made, so
-    a stream must be read to its end before the next one is taken: a stream
-    that needs more uniforms after that raises ``RuntimeError``.
+    They share one generator, so a stream must be read to its end before
+    the next one is taken: a stream that needs more uniforms after that
+    raises ``RuntimeError``, even one that has read none.  A campaign of at
+    least ``_LONG`` runs computes its runs' first blocks in numpy, ``_SUB``
+    runs at a time, and sets the generator to a run's state only when the
+    run reads past its block.  After ``_SUB`` runs of which more than half
+    read past their blocks it stops, and from then on sets the generator as
+    each stream is made, as a shorter campaign does throughout.  The
+    uniforms read are those of ``stream_for_run`` either way.
     """
     seed = _check_seed(seed)
     if not 0 <= n <= _MASK32 + 1:
@@ -201,18 +351,33 @@ def campaign_streams(seed: int, n: int) -> Iterator[UniformStream]:
 
 
 def _campaign(seed: int, n: int) -> Iterator[UniformStream]:
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
+    slot = _CampaignRng()
+    blocks = n >= _LONG
     lease = [False]
     for start in range(0, n, _CHUNK):
-        for state, inc in _pcg64_states(seed, start, min(n, start + _CHUNK)):
-            lease[0] = False
-            lease = [True]
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            stream = UniformStream(rng)
-            stream._lease = lease
-            yield stream
+        columns = _seed_states(seed, np.arange(start, min(n, start + _CHUNK), dtype=np.uint32))
+        slot.seeds = [c.tolist() for c in columns]
+        runs = len(columns[0])
+        for sub in range(0, runs, _SUB):
+            # a block pays for itself only in a run that reads no further
+            blocks = blocks and 2 * slot.past <= _SUB
+            slot.draws, slot.past = (_FIRST if blocks else 0), 0
+            if blocks:
+                part = _first_blocks([c[sub:sub + _SUB] for c in columns])
+            else:
+                part = repeat(None, min(_SUB, runs - sub))
+            for run, block in enumerate(part, sub):
+                lease[0] = False
+                lease = [True]
+                if block is None:
+                    # seated now, the stream draws from the generator itself
+                    slot.seat(run)
+                    stream = UniformStream(slot.rng)
+                else:
+                    slot.run, slot.block = run, block
+                    stream = UniformStream(slot)
+                stream._lease = lease
+                yield stream
 
 
 def as_stream(source: UniformStream | np.random.Generator | int) -> UniformStream:

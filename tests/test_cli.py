@@ -28,6 +28,7 @@ from gwcoal.cli import (
 )
 
 from gwcoal.environment import load_environment
+from gwcoal import sampling
 from gwcoal.sampling import campaign_streams
 
 from conftest import ENVS, env_path, per_draw_condition
@@ -792,6 +793,33 @@ class TestChain:
         for line in out.strip().splitlines()[1:]:
             assert line.split(",")[1] == ""
         assert "unfinished=10" in err
+
+
+CAMPAIGNS = {
+    "simulate": ["simulate"],
+    "chain-b": ["chain", "--process", "b"],
+    "chain-d": ["chain", "--process", "d"],
+    "chain-lf": ["chain", "--process", "lf"],
+}
+
+
+@pytest.mark.parametrize("env_name, command", [
+    ("binom_n6", "simulate"), ("binom_n6", "chain-b"), ("binom_n6", "chain-d"),
+    ("lf_half_n6", "simulate"), ("lf_half_n6", "chain-lf"),
+])
+def test_rows_do_not_depend_on_the_campaign_length(tmp_path, env_name, command):
+    # a campaign below _LONG runs seats each run's generator; from _LONG on,
+    # numpy computes every run's first block
+    argv = CAMPAIGNS[command]
+    outs = []
+    for runs in (sampling._LONG - 1, 3 * sampling._LONG):
+        path = tmp_path / f"{runs}.csv"
+        assert main(argv + ["--env", env_path(env_name), "--samples", str(runs),
+                            "--seed", "9", "--out", str(path)]) == EXIT_OK
+        outs.append(path.read_bytes().splitlines(keepends=True))
+    short, long = outs
+    assert len(short) == sampling._LONG and len(long) == 3 * sampling._LONG + 1
+    assert long[:len(short)] == short
 
 
 class TestRowWriters:

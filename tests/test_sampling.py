@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gwcoal
+from gwcoal import sampling
 from gwcoal import FiniteSupportLaw, LinearFractionalLaw, stream_for_run
 from gwcoal.errors import DomainError
 from gwcoal.sampling import (
     MAX_WIDTH,
     UniformStream,
-    _pcg64_states,
+    _pcg64_state,
     _seed_states,
     as_stream,
     campaign_streams,
@@ -120,6 +121,14 @@ class TestStreams:
             s.next()
         assert a.random() == b.random()
 
+    def test_take_negative_count_rejected(self):
+        stream = stream_for_run(3, 0)
+        head = stream.take(3)
+        with pytest.raises(DomainError, match="negative"):
+            stream.take(-2)
+        # the read position did not move back
+        assert head + stream.take(2) == stream_for_run(3, 0).take(5)
+
     def test_first_block_is_small(self):
         # a run that reads one uniform generates 32, not a full block
         rng = np.random.default_rng(5)
@@ -153,6 +162,29 @@ class TestStreams:
         assert not touched & {"_buf", "_pos", "_refill"}
 
 
+def _read_mixed(stream: UniformStream, run: int, total: int) -> list[float | None]:
+    """``total`` uniforms of ``stream`` read in pieces of 1 to 45 through
+    ``take``, ``next`` and ``first_reaching`` in turn, the first piece's
+    reader picked by ``run``.  A ``first_reaching`` piece shows only its
+    last uniform; the others stand as None."""
+    out: list[float | None] = []
+    step = 0
+    while len(out) < total:
+        size = min(1 + (run + 7 * step) % 45, total - len(out))
+        reader = (run + step) % 3
+        if reader == 0:
+            out += stream.take(size)
+        elif reader == 1:
+            out += [stream.next() for _ in range(size)]
+        else:
+            # no uniform reaches a floor of 1.0, every one reaches 0.0
+            hit = stream.first_reaching([1.0] * (size - 1) + [0.0])
+            assert hit is not None and hit[0] == size - 1
+            out += [None] * (size - 1) + [hit[1]]
+        step += 1
+    return out
+
+
 class TestCampaignStreams:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -165,9 +197,16 @@ class TestCampaignStreams:
             ss = np.random.SeedSequence((seed, run))
             assert [c[j] for c in columns] == ss.generate_state(4, np.uint64).tolist()
         start = min(runs[0], 2 ** 32 - 3)
-        for run, (state, inc) in zip(range(start, start + 3), _pcg64_states(seed, start, start + 3)):
-            reference = np.random.PCG64(np.random.SeedSequence((seed, run))).state["state"]
-            assert reference == {"state": state, "inc": inc}
+        words = [c.tolist() for c in _seed_states(seed, np.arange(start, start + 3,
+                                                                 dtype=np.uint32))]
+        for index, run in enumerate(range(start, start + 3)):
+            reference = np.random.PCG64(np.random.SeedSequence((seed, run)))
+            state, inc = _pcg64_state(words, index, 0)
+            assert reference.state["state"] == {"state": state, "inc": inc}
+            # the state a long campaign seats past a run's first block
+            reference.random_raw(32)
+            state, inc = _pcg64_state(words, index, 32)
+            assert reference.state["state"] == {"state": state, "inc": inc}
 
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
     @pytest.mark.parametrize("size", [1, 33, 100, 9000])
@@ -177,21 +216,66 @@ class TestCampaignStreams:
             assert stream.take(size) == reference.take(size)
             assert [stream.next() for _ in range(size)] == [reference.next() for _ in range(size)]
 
+    # a short campaign seats each run's generator as its stream is made; a
+    # long one hands each run a precomputed first block
+    LEASE_RUNS = (3, sampling._LONG)
+
     def test_stale_stream_refill_raises(self):
-        streams = campaign_streams(4, 3)
-        first = next(streams)
-        head = first.take(32)
-        second = next(streams)
-        with pytest.raises(RuntimeError, match="next run"):
-            first.next()
-        assert head == stream_for_run(4, 0).take(32)
-        assert second.take(40) == stream_for_run(4, 1).take(40)
+        for runs in self.LEASE_RUNS:
+            streams = campaign_streams(4, runs)
+            first = next(streams)
+            head = first.take(32)
+            second = next(streams)
+            with pytest.raises(RuntimeError, match="next run"):
+                first.next()
+            assert head == stream_for_run(4, 0).take(32)
+            assert second.take(40) == stream_for_run(4, 1).take(40)
 
     def test_last_stream_outlives_its_campaign(self):
-        streams = list(campaign_streams(4, 2))
-        with pytest.raises(RuntimeError):
-            streams[0].next()
-        assert streams[1].take(100) == stream_for_run(4, 1).take(100)
+        for runs in self.LEASE_RUNS:
+            streams = list(campaign_streams(4, runs))
+            # its first read would fall in its own first block, and still raises
+            with pytest.raises(RuntimeError, match="next run"):
+                streams[0].next()
+            with pytest.raises(RuntimeError, match="next run"):
+                streams[-2].take(1)
+            assert streams[-1].take(100) == stream_for_run(4, runs - 1).take(100)
+
+    # three sub-chunks of first blocks, the last one partial
+    LONG_RUNS = 2 * sampling._SUB + sampling._SUB // 2 + 1
+
+    @pytest.mark.parametrize("deep_every", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32, 2 ** 32 + 1, 2 ** 64 - 1])
+    def test_long_campaign_reads_are_those_of_stream_for_run(self, seed, deep_every):
+        # every run, or every third, reads 1 000 uniforms, the others stay
+        # inside their first blocks: the campaign stops computing blocks
+        # after the first sub-chunk, or computes them throughout
+        assert self.LONG_RUNS >= sampling._LONG
+        for run, stream in enumerate(campaign_streams(seed, self.LONG_RUNS)):
+            total = 1000 if run % deep_every == 0 else 1 + run % 32
+            expected = stream_for_run(seed, run).take(total)
+            read = _read_mixed(stream, run, total)
+            assert len(read) == total
+            assert all(u is None or u == v for u, v in zip(read, expected)), run
+
+    @pytest.mark.parametrize("deep_every, sub_chunks", [(1, 1), (2, 3), (3, 3)])
+    def test_blocks_stop_once_most_runs_read_past_them(self, monkeypatch, deep_every,
+                                                        sub_chunks):
+        computed = []
+
+        def counted(columns):
+            computed.append(len(columns[0]))
+            return first_blocks(columns)
+
+        first_blocks = sampling._first_blocks
+        monkeypatch.setattr(sampling, "_first_blocks", counted)
+        for run, stream in enumerate(campaign_streams(2, self.LONG_RUNS)):
+            stream.take(33 if run % deep_every == 0 else 32)
+        assert len(computed) == sub_chunks
+        # a campaign below _LONG runs computes none
+        for stream in campaign_streams(2, sampling._LONG - 1):
+            stream.take(1)
+        assert len(computed) == sub_chunks
 
     def test_run_ids_past_32_bits_rejected(self):
         # raised before any run id is hashed

@@ -64,3 +64,57 @@ def test_traced_campaign_counts(tracer, tmp_path, capsys):
     assert metrics["chains.b_steps"] > 20 and metrics["chains.d_steps"] > 20
     assert 0 < metrics["sampling.uniforms_used"] <= metrics["sampling.uniforms_generated"]
     assert metrics["sampling.streams"] == 60
+
+
+def test_traced_long_campaign_counts(tracer, tmp_path, capsys, monkeypatch):
+    # a campaign of _LONG runs or more reads its first blocks off numpy: the
+    # tracer still counts each run's stream and the uniforms it reads
+    from gwcoal import cli, sampling
+    from gwcoal.sampling import UniformStream, rng_for_run
+
+    runs = sampling._LONG
+    env = str(Path(__file__).resolve().parent.parent / "envs" / "lf_half_n6.json")
+    commands = (["simulate"], ["chain", "--process", "b"], ["chain", "--process", "lf"])
+
+    def outputs() -> list[bytes]:
+        out = []
+        for i, argv in enumerate(commands):
+            path = tmp_path / f"{i}.csv"
+            assert cli.main(argv + ["--env", env, "--samples", str(runs), "--seed", "3",
+                                    "--out", str(path)]) == 0
+            out.append(path.read_bytes())
+        return out
+
+    t = tracer.Tracer()
+    try:
+        t.install()
+        traced = outputs()
+    finally:
+        t.uninstall()
+    metrics = t.metrics()
+
+    # the same runs on stream_for_run's streams, their draws counted here
+    class Counting:
+        def __init__(self, rng):
+            self.rng, self.generated = rng, 0
+
+        def random(self, size):
+            self.generated += size
+            return self.rng.random(size)
+
+    streams = []
+
+    def reference_streams(seed, n):
+        for run in range(n):
+            streams.append(UniformStream(Counting(rng_for_run(seed, run))))
+            yield streams[-1]
+
+    monkeypatch.setattr(cli, "campaign_streams", reference_streams)
+    assert outputs() == traced
+    assert len(streams) == len(commands) * runs
+    used = sum(s._rng.generated - (len(s._buf) - s._pos) for s in streams)
+    # simulate's runs read past their first block, b's stay inside it
+    assert any(s._rng.generated > 32 for s in streams)
+    assert metrics["sampling.streams"] == len(streams)
+    assert metrics["sampling.uniforms_used"] == used
+    assert metrics["sampling.uniforms_generated"] == sum(s._rng.generated for s in streams)
