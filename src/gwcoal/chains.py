@@ -22,6 +22,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, compress
 from operator import le
+from typing import Iterator
+
+import numpy as np
 
 from .environment import Environment
 from .errors import ChainStateError
@@ -29,6 +32,7 @@ from .pgf import EtaLaw
 from .sampling import (
     UniformStream,
     as_stream,
+    campaign_blocks,
     cumulative,
     draw_from_cumulative,
     geometric_failures,
@@ -220,7 +224,14 @@ def d_run(env: Environment, rng, max_individuals: int = 1_000_000,
 
 def lf_run(env: Environment, rng, max_individuals: int = 1_000_000) -> ChainRun:
     """Genealogy sampled from the LF closed form: independent coalescent
-    times drawn until one falls past the horizon."""
+    times drawn until one falls past the horizon.
+
+    The paper shows that when every offspring law is linear fractional the
+    coalescent times are i.i.d., so the i-th time is the i-th uniform read
+    through ``lf_cumulative`` and nothing else.  ``lf_campaign`` reads most
+    runs of a long campaign that way off a matrix of uniforms, and calls
+    this for the rest.
+    """
     N = env.horizon
     cum = env.levels.lf_cumulative
     uniform = as_stream(rng).next
@@ -231,6 +242,49 @@ def lf_run(env: Environment, rng, max_individuals: int = 1_000_000) -> ChainRun:
             return ChainRun(a_values, terminated=True)
         a_values.append(idx + 1)
     return ChainRun(a_values)
+
+
+def lf_campaign(env: Environment, seed: int, n: int,
+                max_individuals: int = 1_000_000) -> Iterator[ChainRun]:
+    """The runs ``lf_run(env, stream, max_individuals)`` on the streams of
+    ``campaign_streams(seed, n)``, in order: the same runs, read off the
+    same uniforms.
+
+    The times of an LF environment being i.i.d. (the paper's LF theorem),
+    the first blocks of a sub-chunk's runs map to times in one
+    ``searchsorted`` over ``lf_cumulative``.  A run ends at the first
+    uniform of its row that falls past the horizon, or is left unfinished
+    after ``max_individuals`` times; a run decided within its row makes no
+    stream.  ``lf_run`` reads the others on their own streams: a run whose
+    row holds no end while the cap lets it read further, and every run of
+    a sub-chunk without blocks (a campaign of fewer than ``_LONG`` runs, or
+    the rest of one whose runs mostly read past their blocks).
+    """
+    cum = np.array(env.levels.lf_cumulative)
+    for blocks, size, stream in campaign_blocks(seed, n):
+        if blocks is None:
+            for i in range(size):
+                yield lf_run(env, stream(i), max_individuals)
+            continue
+        width = blocks.shape[1]
+        # bisect_right(cum, u) is N, past the horizon, exactly when u >= cum[-1]
+        past = blocks >= cum[-1]
+        ends = np.where(past.any(axis=1), past.argmax(axis=1), width)
+        # the times a run reads off its row: those before its end, at most
+        # the cap, in one search over the rows' leading uniforms
+        counts = np.minimum(ends, max_individuals)
+        times = np.searchsorted(cum, blocks[np.arange(width) < counts[:, None]], side="right")
+        times += 1
+        times = times.tolist()
+        capped = max_individuals <= width
+        start = 0
+        for i, (end, count) in enumerate(zip(ends.tolist(), counts.tolist())):
+            if end < width or capped:
+                yield ChainRun(times[start:start + count], terminated=end < max_individuals)
+            else:
+                # no end in the row, and the run may read further
+                yield lf_run(env, stream(i), max_individuals)
+            start += count
 
 
 # ---------------------------------------------------------------------------

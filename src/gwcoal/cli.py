@@ -24,9 +24,10 @@ import argparse
 import functools
 import json
 import sys
+from itertools import repeat
 from typing import Sequence
 
-from .chains import EtaSamplers, b_run, d_run, dense, lf_run, validate_b_run, validate_d_run
+from .chains import EtaSamplers, b_run, d_run, dense, lf_campaign, validate_b_run, validate_d_run
 from .environment import TAIL_CUT, Environment, load_environment
 from .errors import (
     AttemptCapError,
@@ -275,16 +276,17 @@ def cmd_chain(args) -> int:
             raise NotLinearFractionalError(
                 "--process lf requires every law in the environment to be linear fractional"
             )
-        chain_run = lf_run
+        runs = lf_campaign(env, args.seed, args.samples, args.max_individuals)
     else:
         # the spine-sibling samplers depend on the environment only
         chain_run = functools.partial(b_run if args.process == "b" else d_run,
                                       samplers=EtaSamplers(env))
+        runs = map(chain_run, repeat(env), campaign_streams(args.seed, args.samples),
+                   repeat(args.max_individuals))
     validate = args.validate and (validate_b_run if args.process == "b" else validate_d_run)
     rows = []
     unfinished = 0
-    for run_id, stream in enumerate(campaign_streams(args.seed, args.samples)):
-        run = chain_run(env, stream, args.max_individuals)
+    for run_id, run in enumerate(runs):
         if validate:
             validate(run, env.horizon)
         unfinished += not run.terminated

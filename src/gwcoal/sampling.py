@@ -8,8 +8,11 @@ builds it for runs ``0..n-1`` on one generator, hashing every run's seed
 sequence at once.  A campaign of at least ``_LONG`` runs also computes its
 runs' first blocks of uniforms in numpy, from PCG64's LCG jumped ahead and
 its XSL-RR output, so a run that reads no further never sets the
-generator's state.  The uniforms read, and the rule that a stream is read
-to its end before the next one is made, are the same either way.
+generator's state.  ``campaign_blocks`` hands out those blocks a sub-chunk
+of runs at a time, with each run's stream made on demand, so a caller
+that reads a run's values off its block makes no stream for it.  The
+uniforms read, and the rule that a stream is read to its end before the
+next one is made, are the same either way.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import le
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -330,30 +333,57 @@ class _CampaignRng:
         return self.rng.random(size)
 
 
-def campaign_streams(seed: int, n: int) -> Iterator[UniformStream]:
-    """The streams of ``stream_for_run(seed, r)`` for r = 0..n-1, in order.
+SubChunk = tuple[np.ndarray | None, int, Callable[[int], UniformStream]]
 
-    They share one generator, so a stream must be read to its end before
-    the next one is taken: a stream that needs more uniforms after that
-    raises ``RuntimeError``, even one that has read none.  A campaign of at
-    least ``_LONG`` runs computes its runs' first blocks in numpy, ``_SUB``
-    runs at a time, and sets the generator to a run's state only when the
-    run reads past its block.  After ``_SUB`` runs of which more than half
+
+def campaign_blocks(seed: int, n: int) -> Iterator[SubChunk]:
+    """The runs 0..n-1 of seed ``seed``, a sub-chunk of runs at a time, as
+    ``(blocks, size, stream)``.
+
+    ``size`` counts the sub-chunk's runs.  ``blocks`` holds their first
+    ``_FIRST`` uniforms, one row per run, or is None where the campaign
+    computes none.  ``stream(i)`` makes the stream of the sub-chunk's i-th
+    run, which reads the uniforms of ``stream_for_run``; a caller that reads
+    a run's values off its row makes no stream for it.  The streams share
+    one generator, so they are made in run order, each read to its end
+    before the next is made, and a sub-chunk's before the next sub-chunk is
+    taken: a stream that needs more uniforms after that raises
+    ``RuntimeError``, even one that has read none.
+
+    A campaign of at least ``_LONG`` runs computes blocks, ``_SUB`` runs at
+    a time, and sets the generator to a run's state only when the run reads
+    past its block.  After a sub-chunk of which more than half the runs
     read past their blocks it stops, and from then on sets the generator as
-    each stream is made, as a shorter campaign does throughout.  The
-    uniforms read are those of ``stream_for_run`` either way.
+    each stream is made, as a shorter campaign does throughout.
     """
     seed = _check_seed(seed)
     if not 0 <= n <= _MASK32 + 1:
         raise DomainError(f"run count must be in [0, 2**32] so that run ids fit 32 bits, "
                           f"got {n}")
-    return _campaign(seed, n)
+    return _sub_chunks(seed, n)
 
 
-def _campaign(seed: int, n: int) -> Iterator[UniformStream]:
+def _sub_chunks(seed: int, n: int) -> Iterator[SubChunk]:
     slot = _CampaignRng()
     blocks = n >= _LONG
     lease = [False]
+    sub, part = 0, None
+
+    def stream(i: int) -> UniformStream:
+        # run sub + i of the chunk; the lease of the stream made before it ends
+        nonlocal lease
+        lease[0] = False
+        lease = [True]
+        if part is None:
+            # seated now, the stream draws from the generator itself
+            slot.seat(sub + i)
+            out = UniformStream(slot.rng)
+        else:
+            slot.run, slot.block = sub + i, part[i]
+            out = UniformStream(slot)
+        out._lease = lease
+        return out
+
     for start in range(0, n, _CHUNK):
         columns = _seed_states(seed, np.arange(start, min(n, start + _CHUNK), dtype=np.uint32))
         slot.seeds = [c.tolist() for c in columns]
@@ -362,22 +392,15 @@ def _campaign(seed: int, n: int) -> Iterator[UniformStream]:
             # a block pays for itself only in a run that reads no further
             blocks = blocks and 2 * slot.past <= _SUB
             slot.draws, slot.past = (_FIRST if blocks else 0), 0
-            if blocks:
-                part = _first_blocks([c[sub:sub + _SUB] for c in columns])
-            else:
-                part = repeat(None, min(_SUB, runs - sub))
-            for run, block in enumerate(part, sub):
-                lease[0] = False
-                lease = [True]
-                if block is None:
-                    # seated now, the stream draws from the generator itself
-                    slot.seat(run)
-                    stream = UniformStream(slot.rng)
-                else:
-                    slot.run, slot.block = run, block
-                    stream = UniformStream(slot)
-                stream._lease = lease
-                yield stream
+            part = _first_blocks([c[sub:sub + _SUB] for c in columns]) if blocks else None
+            yield part, min(_SUB, runs - sub), stream
+
+
+def campaign_streams(seed: int, n: int) -> Iterator[UniformStream]:
+    """The streams of ``stream_for_run(seed, r)`` for r = 0..n-1, in order:
+    every stream of ``campaign_blocks(seed, n)``, made as it is taken.  A
+    stream must be read to its end before the next one is taken."""
+    return (stream(i) for _, size, stream in campaign_blocks(seed, n) for i in range(size))
 
 
 def as_stream(source: UniformStream | np.random.Generator | int) -> UniformStream:

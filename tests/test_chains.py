@@ -1,5 +1,7 @@
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -21,9 +23,11 @@ from gwcoal import (
     validate_d_run,
 )
 import gwcoal.chains
-from gwcoal.chains import b_step, d_step, dense
+from gwcoal import sampling
+from gwcoal.chains import b_step, d_step, dense, lf_campaign
+from gwcoal.cli import EXIT_DEGENERATE, main
 from gwcoal.errors import ChainStateError, DegenerateEnvironmentError, NotLinearFractionalError
-from gwcoal.sampling import draw_from_cumulative
+from gwcoal.sampling import UniformStream, draw_from_cumulative
 
 from conftest import dense_validate_b_run, dense_validate_d_run, env_path, per_draw_chain
 
@@ -281,6 +285,151 @@ class TestClosedFormSampler:
             hits = sum(1 for v in firsts if v > depth) / n_runs
             se = math.sqrt(p * (1 - p) / n_runs)
             assert abs(hits - p) < 4 * se
+
+
+def critical_lf_n200():
+    """Horizon 200, seeded LF laws with r = p: a time passes the horizon
+    with probability about 1/200, so most runs read past their first
+    blocks and a long campaign stops computing them."""
+    rng = np.random.default_rng(17)
+    return Environment(tuple(LinearFractionalLaw(p, p) for p in rng.uniform(0.4, 0.6, 200)))
+
+
+LF_CAMPAIGN_ENVS = {
+    "lf_half_n6": lambda: load_environment(env_path("lf_half_n6")),
+    "lf_varying_n3": lambda: load_environment(env_path("lf_varying_n3")),
+    "critical_lf_n200": critical_lf_n200,
+}
+DEFAULT_CAP = 1_000_000
+
+
+def fields(run):
+    return run.k, run.a_values, run.terminated
+
+
+class TestLfCampaign:
+    """``lf_campaign`` reads most runs of a long campaign off the first-block
+    matrix; every run must be ``lf_run``'s on ``stream_for_run``'s stream."""
+
+    # 641 ends in a partial sub-chunk
+    LENGTHS = (127, 128, 300, 641)
+    SEEDS = (0, 1, 2 ** 32, 2 ** 64 - 1)
+    CAPS = (1, 31, 32, 33, DEFAULT_CAP)
+
+    @pytest.fixture(scope="class", params=list(LF_CAMPAIGN_ENVS))
+    def lf_env(self, request):
+        return LF_CAMPAIGN_ENVS[request.param]()
+
+    @staticmethod
+    def reference(env, seed, n, cap):
+        return [fields(lf_run(env, stream_for_run(seed, run), cap)) for run in range(n)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_runs_are_those_of_lf_run(self, lf_env, seed, cap):
+        # the first n runs of a campaign do not depend on n
+        expected = self.reference(lf_env, seed, max(self.LENGTHS), cap)
+        for n in self.LENGTHS:
+            got = [fields(run) for run in lf_campaign(lf_env, seed, n, cap)]
+            assert got == expected[:n], (n, cap)
+
+    @staticmethod
+    def fallback_runs(env, seed, n):
+        """The runs the block rule leaves to ``lf_run`` at the default cap:
+        those that read past their first block while blocks are computed,
+        and every run once they are not."""
+        blocks = n >= sampling._LONG
+        fallback = 0
+        for sub in range(0, n, sampling._SUB):
+            size = min(sampling._SUB, n - sub)
+            if not blocks:
+                fallback += size
+                continue
+            past = sum(len(lf_run(env, stream_for_run(seed, run)).a_values) + 1 > sampling._FIRST
+                       for run in range(sub, sub + size))
+            fallback += past
+            blocks = 2 * past <= sampling._SUB
+        return fallback
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_only_fallback_runs_call_lf_run(self, monkeypatch, lf_env, n):
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return lf_run(*args)
+
+        monkeypatch.setattr(gwcoal.chains, "lf_run", counting)
+        runs = list(lf_campaign(lf_env, 5, n))
+        assert len(runs) == n
+        assert len(calls) == self.fallback_runs(lf_env, 5, n)
+        if n >= sampling._LONG and lf_env.horizon <= 6:
+            assert len(calls) < n // 10
+        # a run capped within its block reads no further, so none falls back
+        calls.clear()
+        list(lf_campaign(lf_env, 5, n, sampling._FIRST))
+        assert len(calls) == (0 if n >= sampling._LONG else n)
+
+    def test_blocks_stop_when_most_runs_read_past_them(self, monkeypatch):
+        computed = []
+        first_blocks = sampling._first_blocks
+
+        def counted(columns):
+            computed.append(len(columns[0]))
+            return first_blocks(columns)
+
+        monkeypatch.setattr(sampling, "_first_blocks", counted)
+        deep, short = critical_lf_n200(), load_environment(env_path("lf_half_n6"))
+        list(lf_campaign(deep, 3, 641))
+        assert computed == [sampling._SUB]
+        computed.clear()
+        list(lf_campaign(short, 3, 641))
+        assert computed == [sampling._SUB, sampling._SUB, 641 - 2 * sampling._SUB]
+
+    @pytest.mark.parametrize("cap", [1, 32, 33, DEFAULT_CAP])
+    def test_uniforms_on_the_cumulative_values(self, monkeypatch, lf_half_n6, cap):
+        # rows of uniforms equal to the law's cumulative values, or one ulp
+        # off them: a uniform at cum[-1] falls past the horizon, one below
+        # it does not
+        cum = lf_half_n6.levels.lf_cumulative
+        pool = [0.0] + [v for c in cum for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
+        weights = np.array([1.0] * (len(pool) - 2) + [0.2, 0.2])
+        rng = np.random.default_rng(8)
+        rows = rng.choice(pool, size=(sampling._SUB, sampling._FIRST), p=weights / weights.sum())
+        rows[::7] = np.minimum(rows[::7], np.nextafter(cum[-1], 0.0))  # rows with no end
+
+        class Script:
+            """A row, then uniforms off the pool."""
+
+            def __init__(self, row):
+                self.row, self.rng = row, np.random.default_rng(9)
+
+            def random(self, size):
+                row, self.row = self.row, None
+                return row if row is not None else self.rng.choice(pool, size)
+
+        def blocks(seed, n):
+            yield rows.T.copy().T, len(rows), lambda i: UniformStream(Script(rows[i]))
+
+        monkeypatch.setattr(gwcoal.chains, "campaign_blocks", blocks)
+        got = [fields(run) for run in lf_campaign(lf_half_n6, 0, len(rows), cap)]
+        expected = [fields(lf_run(lf_half_n6, UniformStream(Script(row)), cap)) for row in rows]
+        assert got == expected
+        # terminated runs, and unfinished ones under a cap
+        assert {k is None for k, _, _ in got} == {False, cap < DEFAULT_CAP}
+
+    @pytest.mark.parametrize("dead", [0, 1], ids=["oldest", "newest"])
+    def test_no_survival_writes_no_row(self, tmp_path, capsys, dead):
+        # a law with r = 0 leaves no genealogy to sample: exit 3 before a row
+        laws = [{"type": "lf", "r": 0.5, "p": 0.5}] * 6
+        laws[dead] = {"type": "lf", "r": 0.0, "p": 0.5}
+        path, out = tmp_path / "lf_dead.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({"laws": laws}))
+        code = main(["chain", "--process", "lf", "--env", str(path), "--samples",
+                     str(2 * sampling._SUB), "--out", str(out)])
+        assert code == EXIT_DEGENERATE
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
 
 
 class TestEtaSamplers:

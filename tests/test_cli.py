@@ -753,7 +753,8 @@ class TestChain:
 
     def test_lf_validate_is_rejected_before_any_run(self, capsys, monkeypatch):
         # lf runs carry no chain states, so there is nothing to validate
-        monkeypatch.setattr("gwcoal.cli.lf_run", lambda *a: pytest.fail("an lf run started"))
+        monkeypatch.setattr("gwcoal.cli.lf_campaign", lambda *a: pytest.fail("an lf run started"))
+        monkeypatch.setattr("gwcoal.chains.lf_run", lambda *a: pytest.fail("an lf run started"))
         code, out, err = run_cli(capsys, "chain", "--env", env_path("lf_half_n6"),
                                  "--process", "lf", "--validate")
         assert code == EXIT_CONFIG

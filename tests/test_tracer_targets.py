@@ -68,8 +68,12 @@ def test_traced_campaign_counts(tracer, tmp_path, capsys):
 
 def test_traced_long_campaign_counts(tracer, tmp_path, capsys, monkeypatch):
     # a campaign of _LONG runs or more reads its first blocks off numpy: the
-    # tracer still counts each run's stream and the uniforms it reads
+    # tracer still counts each run's stream and the uniforms it reads.  An
+    # lf run decided within its first block is read off the block matrix
+    # and makes no stream, so only the lf runs that read past their blocks
+    # are counted, as streams and as lf_run calls
     from gwcoal import cli, sampling
+    from gwcoal.chains import lf_run
     from gwcoal.sampling import UniformStream, rng_for_run
 
     runs = sampling._LONG
@@ -102,19 +106,28 @@ def test_traced_long_campaign_counts(tracer, tmp_path, capsys, monkeypatch):
             self.generated += size
             return self.rng.random(size)
 
-    streams = []
+    streams, lf_streams = [], []
 
-    def reference_streams(seed, n):
+    def reference_streams(seed, n, made=streams):
         for run in range(n):
-            streams.append(UniformStream(Counting(rng_for_run(seed, run))))
-            yield streams[-1]
+            made.append(UniformStream(Counting(rng_for_run(seed, run))))
+            yield made[-1]
+
+    def reference_lf_campaign(env, seed, n, max_individuals):
+        for stream in reference_streams(seed, n, lf_streams):
+            yield lf_run(env, stream, max_individuals)
 
     monkeypatch.setattr(cli, "campaign_streams", reference_streams)
+    monkeypatch.setattr(cli, "lf_campaign", reference_lf_campaign)
     assert outputs() == traced
-    assert len(streams) == len(commands) * runs
-    used = sum(s._rng.generated - (len(s._buf) - s._pos) for s in streams)
+    assert len(streams) == 2 * runs and len(lf_streams) == runs
     # simulate's runs read past their first block, b's stay inside it
     assert any(s._rng.generated > 32 for s in streams)
-    assert metrics["sampling.streams"] == len(streams)
+    # the lf runs with no end among their first 32 uniforms
+    past = [s for s in lf_streams if s._rng.generated > 32]
+    counted = streams + past
+    used = sum(s._rng.generated - (len(s._buf) - s._pos) for s in counted)
+    assert metrics["sampling.streams"] == len(counted)
+    assert t.calls["chains.lf_run"] == len(past)
     assert metrics["sampling.uniforms_used"] == used
-    assert metrics["sampling.uniforms_generated"] == sum(s._rng.generated for s in streams)
+    assert metrics["sampling.uniforms_generated"] == sum(s._rng.generated for s in counted)
