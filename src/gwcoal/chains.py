@@ -20,9 +20,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from operator import le
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .sampling import (
     geometric_failures,
     geometric_from_uniform,
 )
-from .tree import BtState, bt_star
+from .tree import BtState, b_states, bt_star, state_pairs
 
 class EtaSamplers:
     """Per-level samplers of the spine-sibling law, levels 1..N.
@@ -310,45 +310,49 @@ def _check_state(state: State, a: int) -> BtState:
     return pairs
 
 
-def _check_step(prev: BtState, pairs: BtState) -> None:
-    """Same-length step: the entry at the previous first level dropped by one,
-    the pairs above it were copied."""
-    pa = prev[0][0]
-    if tuple([pr for pr in pairs if pr[0] >= pa]) != bt_star(prev):
-        raise ChainStateError("the step did not decrement the previous time and copy above it")
+def _validate(run: ChainRun, horizon: int, lengths: Iterable[int],
+              exact: Callable[[list[int]], list[State]]) -> None:
+    """``validate_b_run`` with state j of length ``lengths[j]``, terminated
+    runs checked against ``exact(run.a_values)``."""
+    if len(run.states) != len(run.a_values):
+        raise ChainStateError(f"{len(run.states)} states for {len(run.a_values)} times")
+    prev: State | None = None
+    for state, a, length in zip(run.states, run.a_values, lengths):
+        pairs = _check_state(state, a)
+        if state[0] != length:
+            raise ChainStateError(f"state length {state[0]}, expected {length}")
+        if length > horizon:
+            raise ChainStateError(f"length {length} exceeds horizon {horizon}")
+        # a same-length step drops the entry at the previous first level by
+        # one and copies the pairs above it
+        if prev is not None and length == prev[0]:
+            above = tuple([pr for pr in pairs if pr[0] >= prev[1][0][0]])
+            if above != bt_star(prev[1]):
+                raise ChainStateError("the step did not decrement the previous time and copy above it")
+        prev = state
+    if run.terminated:
+        for j, (state, want) in enumerate(zip(run.states, exact(run.a_values)), 1):
+            if state != want:
+                raise ChainStateError(f"state {j} is {state}, but the times give {want}")
 
 
 def validate_b_run(run: ChainRun, horizon: int) -> None:
-    """Check the copy/decrement/extend structure along a realized run.
+    """Check a realized run's states against its times.
 
-    Fresh draws cannot be re-derived, but every structural constraint that
-    does not depend on them must hold: pairs list positive counts at rising
-    levels and are not empty, emitted times are first levels, lengths follow
-    the running maximum, the entry at the previous coalescent time dropped by
-    one unless fresh levels were opened, and pairs above it are copied
-    verbatim.  A state longer than the last one then holds a single pair, at
-    its length: its first level is the new running maximum.
+    A run lists one state per time, and every state keeps the structural
+    rules: pairs list positive counts at rising levels and are not empty,
+    emitted times are first levels, lengths follow the running maximum up to
+    the horizon, the entry at the previous coalescent time dropped by one
+    unless fresh levels were opened, and pairs above it are copied verbatim.
+    A terminated run's states are functions of its times, so they must also
+    be ``b_states(run.a_values)``, which catches a wrong fresh draw.  An
+    unfinished run lacks its later times and is checked structurally only.
     """
-    prev: State | None = None
-    running = 0
-    for state, a in zip(run.states, run.a_values):
-        pairs = _check_state(state, a)
-        running = max(running, a)
-        if state[0] != running:
-            raise ChainStateError(f"length {state[0]} != running maximum {running}")
-        if running > horizon:
-            raise ChainStateError(f"length {running} exceeds horizon {horizon}")
-        if prev is not None and running == prev[0]:
-            _check_step(prev[1], pairs)
-        prev = state
+    _validate(run, horizon, accumulate(run.a_values, max), b_states)
 
 
 def validate_d_run(run: ChainRun, horizon: int) -> None:
-    prev: BtState | None = None
-    for state, a in zip(run.states, run.a_values):
-        if state[0] != horizon:
-            raise ChainStateError(f"state length {state[0]} != horizon {horizon}")
-        pairs = _check_state(state, a)
-        if prev is not None:
-            _check_step(prev, pairs)
-        prev = pairs
+    """``validate_b_run`` for the fixed-length chain, whose states have the
+    horizon as length and, once it terminated, ``state_pairs`` of its times."""
+    _validate(run, horizon, repeat(horizon),
+              lambda times: [(horizon, pairs) for pairs in state_pairs(times)])

@@ -14,9 +14,11 @@ Extraction functions recover, for each present individual i:
 
 * its ancestor's rank at every level (``ancestor_index``),
 * the pairwise coalescent times of consecutive individuals (``coalescent_times``),
-* the count of extra daughters of each spine ancestor whose descendants have
-  rank >= i (``extract_D``), and the derived truncated chain state
-  (``extract_B``) and reduced point-measure sequence (``extract_Btilde``).
+* the count D_i(n) of extra daughters of its level-n ancestor whose
+  descendants have rank >= i (``extract_D``), the truncated chain state
+  (``extract_B``) and the reduced point-measure sequence (``extract_Btilde``).
+  All of them, and the b and d chains' states, are read off the times by
+  one scan (``state_pairs``).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice
+from typing import Sequence
 
 import numpy as np
 
@@ -44,8 +47,8 @@ class Tree:
     depth d, for 0 <= d < N.  Depth-N nodes are the present individuals,
     ``k`` of them.  The tree checks each row's width against the row above
     and keeps the counts.  ``parents`` is built on first read;
-    ``child_start``, ``alive`` and ``max_rank`` are built together on first
-    read.  ``horizon`` is N.
+    ``child_start`` and ``alive`` are built together on first read.
+    ``horizon`` is N.
     """
 
     __slots__ = ("horizon", "counts", "k", "attempts", "_parents", "_ranks")
@@ -87,30 +90,15 @@ class Tree:
             self._parents = parents
         return self._parents
 
-    def _build_ranks(self) -> tuple[list[list[int]], list[list[bool]], list[list[int]]]:
+    def _build_ranks(self) -> tuple[list[list[int]], list[list[bool]]]:
         N = self.horizon
-        child_start = []
-        for row in self.counts:
-            starts = []
-            acc = 0
-            for c in row:
-                starts.append(acc)
-                acc += c
-            child_start.append(starts)
-        # alive = has at least one descendant at depth N (present individuals
-        # count as their own descendants)
-        k = self.k
+        child_start = [list(accumulate(row, initial=0))[:-1] for row in self.counts]
         alive: list[list[bool]] = [None] * (N + 1)  # type: ignore[list-item]
-        max_rank: list[list[int]] = [None] * (N + 1)  # type: ignore[list-item]
-        alive[N] = [True] * k
-        max_rank[N] = list(range(1, k + 1))
+        alive[N] = [True] * self.k
         for d in range(N - 1, -1, -1):
-            child_rank = max_rank[d + 1]
-            rank_row = [max(child_rank[s:s + c], default=0)
-                        for s, c in zip(child_start[d], self.counts[d])]
-            alive[d] = [best > 0 for best in rank_row]
-            max_rank[d] = rank_row
-        self._ranks = (child_start, alive, max_rank)
+            below = alive[d + 1]
+            alive[d] = [any(below[s:s + c]) for s, c in zip(child_start[d], self.counts[d])]
+        self._ranks = (child_start, alive)
         return self._ranks
 
     @property
@@ -122,11 +110,6 @@ class Tree:
     def alive(self) -> list[list[bool]]:
         """Whether each node has a descendant among the present individuals."""
         return (self._ranks or self._build_ranks())[1]
-
-    @property
-    def max_rank(self) -> list[list[int]]:
-        """Largest rank of each node's present descendants, 0 when none."""
-        return (self._ranks or self._build_ranks())[2]
 
     def n_nodes(self, depth: int) -> int:
         if not 0 <= depth <= self.horizon:
@@ -261,39 +244,61 @@ def _meeting_levels(tree: Tree, upto: int) -> list[int]:
     return times[1:between[0]] if between else times[1:]
 
 
-def _mark(tree: Tree, depth: int, pos: int, i: int) -> int:
-    """Daughters of node ``pos`` at ``depth`` with a present descendant of
-    rank >= i, minus the one on individual i's own line."""
-    start = tree.child_start[depth][pos]
-    ranks = tree.max_rank[depth + 1][start:start + tree.counts[depth][pos]]
-    return sum(rank >= i for rank in ranks) - 1
-
-
 def coalescent_times(tree: Tree) -> Cpp:
     """Levels at which consecutive present individuals first share an ancestor."""
     return Cpp(tree.k, tuple(_meeting_levels(tree, tree.k - 1)))
 
 
+def state_pairs(times: Sequence[int]) -> list[BtState]:
+    """D_j's nonzero (level, count) pairs, levels rising, for j = 1..len(times).
+
+    D_j(n) counts the pairs j' >= j with A_j' = n before the first one with
+    A_j' > n.  So one scan walks the times right to left with a stack of
+    those pairs, levels falling toward its top: a pair at level x pops the
+    levels below x and adds one at x.  The d chain's state j is ``(N, pairs)``.
+    """
+    stack: list[tuple[int, int]] = []
+    out = []
+    for x in reversed(times):
+        while stack and stack[-1][0] < x:
+            stack.pop()
+        count = stack.pop()[1] + 1 if stack and stack[-1][0] == x else 1
+        stack.append((x, count))
+        out.append(tuple(reversed(stack)))
+    out.reverse()
+    return out
+
+
+def b_states(times: Sequence[int]) -> list[tuple[int, BtState]]:
+    """The b chain's states along the times: D_j's pairs at levels up to
+    l_j = max(A_1..A_j), with length l_j."""
+    return [(length, tuple(pair for pair in pairs if pair[0] <= length))
+            for length, pairs in zip(accumulate(times, max), state_pairs(times))]
+
+
 def extract_D(tree: Tree, i: int, n: int) -> int:
     """Extra daughters of i's level-n ancestor with descendants of rank >= i.
 
-    The daughter leading to individual i always qualifies, so the result is
-    the qualifying-daughter count minus one and is never negative.
+    The daughter leading to individual i always qualifies and is left out.
+    The others are separated from it and each other by the pairs that
+    ``state_pairs`` counts, so D_i(n) is read off the times.
     """
-    return _mark(tree, tree.horizon - n, ancestor_index(tree, i, n) - 1, i)
+    if not 1 <= i <= tree.k:
+        raise DomainError(f"individual {i} outside 1..{tree.k}")
+    if not 1 <= n <= tree.horizon:
+        raise HorizonError(f"level {n} outside [1, {tree.horizon}]")
+    # no pair lies right of individual K, so D_K is 0
+    return dict(state_pairs(coalescent_times(tree).a)[i - 1]).get(n, 0) if i < tree.k else 0
 
 
 def extract_B(tree: Tree, i: int, cpp: Cpp | None = None) -> tuple[int, BtState]:
-    """The D-values of individual i truncated to the running maximum of
-    coalescent times, b = (D_i(1), ..., D_i(l_i)) with l_i = max(A_1..A_i),
-    as the b chain's state ``(l_i, pairs)``: the (level, D-value) of each
-    nonzero D-value, levels rising."""
+    """Individual i's b chain state ``(l_i, pairs)``, entry i - 1 of
+    ``b_states``: the nonzero D_i(n) at levels n <= l_i = max(A_1..A_i)."""
     if cpp is None:
         cpp = coalescent_times(tree)
     if not 1 <= i <= cpp.k - 1:
         raise DomainError(f"individual {i} needs a right neighbor, k={cpp.k}")
-    l_i = max(cpp.a[:i])
-    return l_i, tuple((n, d) for n in range(1, l_i + 1) if (d := extract_D(tree, i, n)))
+    return b_states(cpp.a)[i - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -350,33 +355,20 @@ def extract_Btilde(tree: Tree) -> tuple[BtState, ...]:
 
 
 def cpp_and_marks(tree: Tree, upto: int | None = None) -> tuple[list[int], list[int]]:
-    """Coalescent times A_i with the spine multiplicities D_i(A_i).
+    """Coalescent times A_i with the spine multiplicities D_i(A_i), the
+    first counts of ``state_pairs``.
 
-    The marks are read from the times alone: the daughters of the node where
-    i and i + 1 meet that lead to ranks >= i are separated by the pairs
-    j >= i with A_j = A_i, up to the first j with A_j > A_i, where the walk
-    leaves that node.  So D_i(A_i) counts those j.  ``upto`` limits the
-    number of pairs returned; the walk stops where the last of them meets,
-    and the first pair still apart there ends the scan as a higher meeting.
+    ``upto`` (at least 0) limits the number of pairs returned; the walk
+    stops where the last of them meets, and the first pair still apart there
+    ends the scan as a higher meeting.
     """
+    if upto is not None and upto < 0:
+        raise DomainError(f"cannot read a negative number of pairs, got {upto}")
     pairs = tree.k - 1 if upto is None else min(upto, tree.k - 1)
     if pairs <= 0:
         return [], []
-    scan = _meeting_levels(tree, pairs)
-    # right to left, a stack of (level, pairs at that level so far) with
-    # levels rising from its top down
-    marks = [0] * len(scan)
-    stack: list[list[int]] = []
-    for j in range(len(scan) - 1, -1, -1):
-        a = scan[j]
-        while stack and stack[-1][0] < a:
-            stack.pop()
-        if stack and stack[-1][0] == a:
-            stack[-1][1] += 1
-        else:
-            stack.append([a, 1])
-        marks[j] = stack[-1][1]
-    return scan[:pairs], marks[:pairs]
+    times = _meeting_levels(tree, pairs)
+    return times[:pairs], [d[0][1] for d in state_pairs(times)[:pairs]]
 
 
 def genealogy_from_cpp(cpp: Cpp) -> np.ndarray:

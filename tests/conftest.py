@@ -212,6 +212,103 @@ def recursive_dump_tree(tree):
 
 
 # ---------------------------------------------------------------------------
+# Tree-walk references of the chain states: the rank tables as the tree once
+# built them eagerly, D_i read off the daughters of i's ancestors, and D_i
+# counted straight from the times.
+# ---------------------------------------------------------------------------
+
+
+def eager_tables(counts, horizon):
+    """parents, child_start, alive and max_rank (the largest rank of each
+    node's present descendants, 0 when none), built eagerly."""
+    child_start = []
+    parents = [[-1]]
+    for d in range(horizon):
+        row = counts[d]
+        starts = []
+        acc = 0
+        parent_row = []
+        for j, c in enumerate(row):
+            starts.append(acc)
+            acc += c
+            parent_row.extend([j] * c)
+        child_start.append(starts)
+        parents.append(parent_row)
+    k = len(parents[horizon])
+    alive = [None] * (horizon + 1)
+    max_rank = [None] * (horizon + 1)
+    alive[horizon] = [True] * k
+    max_rank[horizon] = list(range(1, k + 1))
+    for d in range(horizon - 1, -1, -1):
+        row = counts[d]
+        starts = child_start[d]
+        child_rank = max_rank[d + 1]
+        alive_row = []
+        rank_row = []
+        for j, c in enumerate(row):
+            best = 0
+            for pos in range(starts[j], starts[j] + c):
+                if child_rank[pos] > best:
+                    best = child_rank[pos]
+            alive_row.append(best > 0)
+            rank_row.append(best)
+        alive[d] = alive_row
+        max_rank[d] = rank_row
+    return parents, child_start, alive, max_rank
+
+
+class EagerTree:
+    """Duck-typed stand-in for a ``Tree``, carrying the eagerly built tables."""
+
+    def __init__(self, env, counts):
+        self.env = env
+        self.counts = counts
+        self.parents, self.child_start, self.alive, self.max_rank = eager_tables(
+            counts, env.horizon
+        )
+        self.horizon = env.horizon
+        self.k = len(self.parents[env.horizon])
+
+
+def walk_D(tree, i):
+    """(D_i(1), ..., D_i(N)) by the tree walk: climbing from individual i, the
+    daughters of each ancestor with a present descendant of rank >= i, less
+    the one on i's own line.  ``tree`` is an ``EagerTree``."""
+    out = []
+    pos = i - 1
+    for n in range(1, tree.horizon + 1):
+        pos = tree.parents[tree.horizon - n + 1][pos]
+        depth = tree.horizon - n
+        start = tree.child_start[depth][pos]
+        ranks = tree.max_rank[depth + 1][start:start + tree.counts[depth][pos]]
+        out.append(sum(rank >= i for rank in ranks) - 1)
+    return tuple(out)
+
+
+def counted_D(a_values, i, n):
+    """D_i(n) from the counting rule: the pairs j >= i with A_j = n before the
+    first j >= i with A_j > n."""
+    count = 0
+    for a in a_values[i - 1:]:
+        if a > n:
+            break
+        count += a == n
+    return count
+
+
+def counted_states(process, a_values, horizon):
+    """The b or d states of the times, each D_i counted level by level: the
+    b state keeps the levels up to max(A_1..A_i), the d state all up to the
+    horizon."""
+    states = []
+    for i in range(1, len(a_values) + 1):
+        length = max(a_values[:i]) if process == "b" else horizon
+        states.append((length, tuple((n, d) for n in range(1, length + 1)
+                                     if (d := counted_D(a_values, i, n)))))
+    return states
+
+
+# ---------------------------------------------------------------------------
 # Per-level reference of the level table and the spine-sibling samplers: one
 # checked ``pgf``/``pgf_deriv`` call per level and per derivative order, and
 # one ``eta`` call per level, in the order the one-pass table must reproduce

@@ -29,7 +29,13 @@ from gwcoal.cli import EXIT_DEGENERATE, main
 from gwcoal.errors import ChainStateError, DegenerateEnvironmentError, NotLinearFractionalError
 from gwcoal.sampling import UniformStream, draw_from_cumulative
 
-from conftest import dense_validate_b_run, dense_validate_d_run, env_path, per_draw_chain
+from conftest import (
+    counted_states,
+    dense_validate_b_run,
+    dense_validate_d_run,
+    env_path,
+    per_draw_chain,
+)
 
 
 class FixedStream:
@@ -164,6 +170,39 @@ class TestRuns:
         bad.a_values[0] = 3 if bad.a_values[0] != 3 else 2
         with pytest.raises(ChainStateError):
             validate_b_run(bad, binom3.horizon)
+
+    @pytest.mark.parametrize("terminated", [True, False])
+    def test_validators_reject_missing_states(self, terminated):
+        # one state per emitted time, finished or not
+        for validate in (validate_b_run, validate_d_run):
+            with pytest.raises(ChainStateError, match="0 states for 4 times"):
+                validate(ChainRun(a_values=[1, 2, 3, 1], states=[], terminated=terminated), 3)
+        states = [(2, ((2, 1),)), (2, ((1, 1),))]
+        validate_b_run(ChainRun([2, 1], states, terminated), 2)
+        for wrong in (states[:1], states + states[1:]):
+            with pytest.raises(ChainStateError):
+                validate_b_run(ChainRun([2, 1], wrong, terminated), 2)
+
+    @pytest.mark.parametrize("process", ["b", "d"])
+    def test_validators_catch_a_wrong_fresh_draw(self, binom3, process):
+        # a fresh count at step 1 raised by one keeps every structural rule,
+        # so only a terminated run, whose states its times fix, is rejected
+        run_chain, validate = ((b_run, validate_b_run) if process == "b"
+                               else (d_run, validate_d_run))
+        for seed in range(200):
+            run = run_chain(binom3, stream_for_run(seed, 0))
+            # step 1 draws the levels below the first time afresh
+            fresh = [j for j, (level, _) in enumerate(run.states[1][1])
+                     if level < run.a_values[0]] if len(run.states) > 1 else []
+            if fresh:
+                break
+        assert fresh and run.terminated
+        length, pairs = run.states[1]
+        level, v = pairs[fresh[0]]
+        run.states[1] = (length, pairs[:fresh[0]] + ((level, v + 1),) + pairs[fresh[0] + 1:])
+        validate(ChainRun(run.a_values, run.states, terminated=False), binom3.horizon)
+        with pytest.raises(ChainStateError, match="^state 2 is .* but the times give"):
+            validate(run, binom3.horizon)
 
     @pytest.mark.parametrize("state", [
         (2, ()), (2, ((1, 1), (2, -1))), (2, ((1, -1),)),
@@ -563,8 +602,9 @@ def test_pair_validators_match_dense_reference(name, process, run_id, field, del
     """A real run with one entry moved by ``delta``: a level, a count, a
     length or an emitted time, checked against the horizon or one level
     less.  The pair validators reject it exactly when the dense reference
-    does, or when a count is negative: the dense d reference let negative
-    counts through."""
+    does, or when a count is negative (the dense d reference let negative
+    counts through), or when the run terminated and a state is not the one
+    its times give, counted level by level."""
     env = VALIDATED_ENVS[name]
     horizon = env.horizon - short
     run = (b_run if process == "b" else d_run)(env, stream_for_run(5, run_id))
@@ -583,6 +623,8 @@ def test_pair_validators_match_dense_reference(name, process, run_id, field, del
     validate, reference = ((validate_b_run, dense_validate_b_run) if process == "b"
                            else (validate_d_run, dense_validate_d_run))
     negative = any(v < 0 for _, pairs in run.states for _, v in pairs)
-    assert _rejects(validate, run, horizon) == (_rejects(reference, run, horizon) or negative)
+    differs = run.terminated and run.states != counted_states(process, run.a_values, horizon)
+    assert _rejects(validate, run, horizon) == (_rejects(reference, run, horizon) or negative
+                                                or differs)
     if delta == 0 and not short:
         validate(run, horizon)

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -30,17 +32,22 @@ from gwcoal.errors import (
     DegenerateEnvironmentError,
     DomainError,
     EnumerationGuardError,
+    HorizonError,
 )
 from gwcoal import sampling
 from gwcoal.sampling import UniformStream, campaign_streams, rng_for_run
-from gwcoal.tree import bt_fold, bt_min, bt_star, bt_update
+from gwcoal.tree import b_states, bt_fold, bt_min, bt_star, bt_update, state_pairs
+from gwcoal.verify import REFERENCE_A, REFERENCE_B_ROWS
 
 from conftest import (
+    ENVS,
+    EagerTree,
     env_path,
     parent_walk_cpp_and_marks,
     per_draw_condition,
     per_draw_counts,
     recursive_dump_tree,
+    walk_D,
 )
 
 
@@ -161,12 +168,13 @@ class TestMarks:
             cpp = coalescent_times(tree)
             a_vals, marks = cpp_and_marks(tree)
             assert tuple(a_vals) == cpp.a
+            ref = EagerTree(varying3, tree.counts)
             for i in range(1, tree.k):
-                assert marks[i - 1] == extract_D(tree, i, cpp.a[i - 1])
+                assert marks[i - 1] == walk_D(ref, i)[cpp.a[i - 1] - 1]
 
     @pytest.mark.parametrize("name", ["binom_n3", "varying_n3", "binom_n5", "binom_n6"])
     def test_marks_read_from_times(self, name):
-        # D_i(A_i) against the rank tables, and every ``upto`` a prefix of
+        # D_i(A_i) against the tree walk, and every ``upto`` a prefix of
         # the whole, with no rank table built
         env = load_environment(env_path(name))
         for run in range(60):
@@ -176,7 +184,13 @@ class TestMarks:
             for upto in range(tree.k + 1):
                 assert cpp_and_marks(tree, upto=upto) == (a_vals[:upto], marks[:upto])
             assert tree._ranks is None
-            assert marks == [extract_D(tree, i, a) for i, a in enumerate(a_vals, 1)]
+            ref = EagerTree(env, tree.counts)
+            assert marks == [walk_D(ref, i)[a - 1] for i, a in enumerate(a_vals, 1)]
+
+    def test_negative_upto_rejected(self, tree_3leaves):
+        assert cpp_and_marks(tree_3leaves, upto=0) == ([], [])
+        with pytest.raises(DomainError):
+            cpp_and_marks(tree_3leaves, upto=-1)
 
     def test_upto_walks_until_a_higher_meeting(self):
         # root -> 3 daughters with 2, 1 and 3 leaves: pairs meet at levels
@@ -274,6 +288,65 @@ class TestCountWalk:
         assert max(sizes) > 10
 
 
+def _check_scan(env, tree, cells=True):
+    """Every b and d state read off the times against the tree walk, with
+    ``extract_B`` for every individual and, if ``cells``, ``extract_D`` for
+    every individual and level: each of its calls walks the tree for the
+    times again."""
+    N = env.horizon
+    cpp = coalescent_times(tree)
+    ref = EagerTree(env, tree.counts)
+    walked = [walk_D(ref, i) for i in range(1, tree.k + 1)]
+    pairs = [tuple((n, d) for n, d in enumerate(vec, 1) if d) for vec in walked]
+    b = [(length, tuple(pr for pr in prs if pr[0] <= length))
+         for length, prs in zip(accumulate(cpp.a, max), pairs)]
+    assert b_states(cpp.a) == b
+    assert state_pairs(cpp.a) == pairs[:-1]
+    assert [extract_B(tree, i, cpp) for i in range(1, tree.k)] == b
+    if cells:
+        assert [tuple(extract_D(tree, i, n) for n in range(1, N + 1))
+                for i in range(1, tree.k + 1)] == walked
+
+
+# the critical (1/4, 1/2, 1/4) law over 200 generations
+CRITICAL_N200 = constant_environment(FiniteSupportLaw((0.25, 0.5, 0.25)), 200)
+
+
+class TestStateScan:
+    """The one scan of the times against the tree walk of ``walk_D``."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_count_rows())
+    @example([[3], [2, 0, 3], [1, 0, 1, 0, 2]])
+    @example([[2], [1, 2], [0, 1, 0], [3], [2, 0, 1]])
+    @example([[2], [0, 1], [0], [], []])  # extinct tail, K = 0
+    @example([[2], [0, 1], [1]])
+    def test_matches_tree_walk_on_count_rows(self, rows):
+        env = constant_environment(FiniteSupportLaw((0.25,) * 4), len(rows))
+        _check_scan(env, Tree(env, rows))
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1))
+    def test_matches_tree_walk_at_horizon_200(self, seed):
+        tree = condition_on_survival(CRITICAL_N200, stream_for_run(seed, 0))
+        _check_scan(CRITICAL_N200, tree, cells=False)
+
+    @pytest.mark.parametrize("name", sorted(path.stem for path in ENVS.glob("*.json")))
+    def test_matches_tree_walk_on_bundled_envs(self, name):
+        env = load_environment(env_path(name))
+        for run in range(100):
+            _check_scan(env, condition_on_survival(env, stream_for_run(29, run)))
+
+    def test_reference_rows_are_the_scan_of_their_times(self):
+        assert b_states(REFERENCE_A) == list(REFERENCE_B_ROWS)
+
+    def test_extract_D_checks_its_cell(self, tree_3leaves):
+        with pytest.raises(DomainError):
+            extract_D(tree_3leaves, 4, 1)
+        with pytest.raises(HorizonError):
+            extract_D(tree_3leaves, 1, 3)
+
+
 class TestReducedSequence:
     def test_update_rules(self):
         # consuming the minimum reveals nothing new
@@ -301,9 +374,10 @@ class TestReducedSequence:
             tree = condition_on_survival(binom3, stream_for_run(seed, 2))
             cpp = coalescent_times(tree)
             seq = extract_Btilde(tree)
+            ref = EagerTree(binom3, tree.counts)
             state = ()
             for i in range(1, tree.k):
-                state = bt_update(state, cpp.a[i - 1], extract_D(tree, i, cpp.a[i - 1]))
+                state = bt_update(state, cpp.a[i - 1], walk_D(ref, i)[cpp.a[i - 1] - 1])
                 assert seq[i - 1] == state
 
 
@@ -322,9 +396,10 @@ class TestSharedWalk:
                 meet = next(n for n in range(1, N + 1)
                             if ancestor_index(tree, i, n) == ancestor_index(tree, i + 1, n))
                 assert cpp.a[i - 1] == meet
+            ref = EagerTree(env, tree.counts)
             state, folded = (), []
             for i in range(1, tree.k):
-                state = bt_update(state, cpp.a[i - 1], extract_D(tree, i, cpp.a[i - 1]))
+                state = bt_update(state, cpp.a[i - 1], walk_D(ref, i)[cpp.a[i - 1] - 1])
                 folded.append(state)
             assert bt_fold(*cpp_and_marks(tree)) == tuple(folded)
 
@@ -359,57 +434,6 @@ class TestSimulation:
         p = 39 / 64
         se = (p * (1 - p) / n) ** 0.5
         assert abs(alive / n - p) < 4 * se
-
-
-def _eager_tables(counts, horizon):
-    """child_start, alive and max_rank as the tree once built them eagerly."""
-    child_start = []
-    parents = [[-1]]
-    for d in range(horizon):
-        row = counts[d]
-        starts = []
-        acc = 0
-        parent_row = []
-        for j, c in enumerate(row):
-            starts.append(acc)
-            acc += c
-            parent_row.extend([j] * c)
-        child_start.append(starts)
-        parents.append(parent_row)
-    k = len(parents[horizon])
-    alive = [None] * (horizon + 1)
-    max_rank = [None] * (horizon + 1)
-    alive[horizon] = [True] * k
-    max_rank[horizon] = list(range(1, k + 1))
-    for d in range(horizon - 1, -1, -1):
-        row = counts[d]
-        starts = child_start[d]
-        child_rank = max_rank[d + 1]
-        alive_row = []
-        rank_row = []
-        for j, c in enumerate(row):
-            best = 0
-            for pos in range(starts[j], starts[j] + c):
-                if child_rank[pos] > best:
-                    best = child_rank[pos]
-            alive_row.append(best > 0)
-            rank_row.append(best)
-        alive[d] = alive_row
-        max_rank[d] = rank_row
-    return parents, child_start, alive, max_rank
-
-
-class _EagerTree:
-    """Duck-typed stand-in carrying the eagerly built tables."""
-
-    def __init__(self, env, counts):
-        self.env = env
-        self.counts = counts
-        self.parents, self.child_start, self.alive, self.max_rank = _eager_tables(
-            counts, env.horizon
-        )
-        self.horizon = env.horizon
-        self.k = len(self.parents[env.horizon])
 
 
 PINNED_RUNS = [(seed, run) for seed in (0, 1, 7, 42, 2 ** 63) for run in range(10)]
@@ -462,17 +486,17 @@ class TestRejectionOnCounts:
         cases += [(env6, simulate_tree(env6, stream_for_run(12, run))) for run in range(20)]
         assert len(cases) == 200
         for env, tree in cases:
-            ref = _EagerTree(env, tree.counts)
+            ref = EagerTree(env, tree.counts)
             assert tree.parents == ref.parents
             assert tree.child_start == ref.child_start
             assert tree.alive == ref.alive
-            assert tree.max_rank == ref.max_rank
             assert [tree.n_nodes(d) for d in range(env.horizon + 1)] == list(map(len, ref.parents))
             assert dump_tree(tree) == dump_tree(ref) == recursive_dump_tree(ref)
             assert cpp_and_marks(tree) == cpp_and_marks(ref)
             for i in range(1, tree.k + 1):
+                walked = walk_D(ref, i)
                 for n in range(1, env.horizon + 1):
-                    assert extract_D(tree, i, n) == extract_D(ref, i, n)
+                    assert extract_D(tree, i, n) == walked[n - 1]
 
     def test_tables_not_built_for_coalescent_times(self, binom3):
         tree = condition_on_survival(binom3, stream_for_run(4, 0))
@@ -482,7 +506,7 @@ class TestRejectionOnCounts:
         cpp_and_marks(tree, upto=1)
         assert tree._parents is None
         assert tree._ranks is None
-        assert tree.max_rank[tree.horizon] == list(range(1, tree.k + 1))
+        assert tree.alive[tree.horizon] == [True] * tree.k
         assert tree._ranks is not None
         assert tree._parents is None
         assert len(tree.parents[tree.horizon]) == tree.k
