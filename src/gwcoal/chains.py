@@ -20,9 +20,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress
 from operator import le
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -292,67 +292,47 @@ def lf_campaign(env: Environment, seed: int, n: int,
 # ---------------------------------------------------------------------------
 
 
-def _check_state(state: State, a: int) -> BtState:
-    """The state's pairs, once they are checked to list positive counts at
-    levels rising within 1..length, the first of them at the emitted time."""
-    length, pairs = state
-    if not pairs:
-        raise ChainStateError(f"state {state} is all zero; termination ends a run")
-    below = 0
-    for level, v in pairs:
-        if not below < level <= length:
-            raise ChainStateError(f"state {state} does not list its levels rising in 1..{length}")
-        if v <= 0:
-            raise ChainStateError(f"nonpositive count in state {state}")
-        below = level
-    if pairs[0][0] != a:
-        raise ChainStateError(f"emitted {a} but the first level is {pairs[0][0]}")
-    return pairs
-
-
-def _validate(run: ChainRun, horizon: int, lengths: Iterable[int],
-              exact: Callable[[list[int]], list[State]]) -> None:
-    """``validate_b_run`` with state j of length ``lengths[j]``, terminated
-    runs checked against ``exact(run.a_values)``."""
-    if len(run.states) != len(run.a_values):
-        raise ChainStateError(f"{len(run.states)} states for {len(run.a_values)} times")
-    prev: State | None = None
-    for state, a, length in zip(run.states, run.a_values, lengths):
-        pairs = _check_state(state, a)
-        if state[0] != length:
-            raise ChainStateError(f"state length {state[0]}, expected {length}")
-        if length > horizon:
-            raise ChainStateError(f"length {length} exceeds horizon {horizon}")
-        # a same-length step drops the entry at the previous first level by
-        # one and copies the pairs above it
-        if prev is not None and length == prev[0]:
-            above = tuple([pr for pr in pairs if pr[0] >= prev[1][0][0]])
-            if above != bt_star(prev[1]):
-                raise ChainStateError("the step did not decrement the previous time and copy above it")
-        prev = state
-    if run.terminated:
-        for j, (state, want) in enumerate(zip(run.states, exact(run.a_values)), 1):
-            if state != want:
-                raise ChainStateError(f"state {j} is {state}, but the times give {want}")
+def _validate(run: ChainRun, horizon: int,
+              exact: Callable[[list[int], BtState], list[State]]) -> None:
+    """``validate_b_run`` with ``exact(times, after)`` the states of the
+    times followed by D_{m+1}'s pairs ``after``."""
+    times = run.a_values
+    if len(run.states) != len(times):
+        raise ChainStateError(f"{len(run.states)} states for {len(times)} times")
+    if times and not (1 <= min(times) and max(times) <= horizon):
+        raise ChainStateError(f"times span {min(times)}..{max(times)}, outside 1..{horizon}")
+    after: BtState = ()
+    if not run.terminated and run.states:
+        # the pairs above the first go through the scan unchanged, so the
+        # comparison cannot see what is wrong with them
+        length, pairs = last = run.states[-1]
+        below = 0
+        for level, v in pairs:
+            if not below < level <= length or v <= 0:
+                raise ChainStateError(
+                    f"state {last} does not list positive counts at levels rising in 1..{length}")
+            below = level
+        after = bt_star(pairs)
+    for j, (state, want) in enumerate(zip(run.states, exact(times, after)), 1):
+        if state != want:
+            raise ChainStateError(f"state {j} is {state}, but the times give {want}")
 
 
 def validate_b_run(run: ChainRun, horizon: int) -> None:
     """Check a realized run's states against its times.
 
-    A run lists one state per time, and every state keeps the structural
-    rules: pairs list positive counts at rising levels and are not empty,
-    emitted times are first levels, lengths follow the running maximum up to
-    the horizon, the entry at the previous coalescent time dropped by one
-    unless fresh levels were opened, and pairs above it are copied verbatim.
-    A terminated run's states are functions of its times, so they must also
-    be ``b_states(run.a_values)``, which catches a wrong fresh draw.  An
-    unfinished run lacks its later times and is checked structurally only.
+    A run lists one state per time, each time in 1..horizon.  The states
+    are then functions of the times: each must equal ``b_states`` of them,
+    which catches a wrong fresh draw.  A terminated run owes no pairs after
+    its last time; an unfinished one owes its last state's pairs less one
+    at its first level, once they are checked to be positive counts at
+    levels rising within its length.
     """
-    _validate(run, horizon, accumulate(run.a_values, max), b_states)
+    _validate(run, horizon, b_states)
 
 
 def validate_d_run(run: ChainRun, horizon: int) -> None:
-    """``validate_b_run`` for the fixed-length chain, whose states have the
-    horizon as length and, once it terminated, ``state_pairs`` of its times."""
-    _validate(run, horizon, repeat(horizon),
-              lambda times: [(horizon, pairs) for pairs in state_pairs(times)])
+    """``validate_b_run`` for the fixed-length chain, whose states are
+    ``(horizon, pairs)`` with the ``state_pairs`` of its times."""
+    _validate(run, horizon, lambda times, after: [(horizon, pairs)
+                                                   for pairs in state_pairs(times, after)])

@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chain.add_argument(
         "--validate",
         action="store_true",
-        help="check structural invariants along every run (exit 1 on violation)",
+        help="check every run's states against its times (exit 1 on violation)",
     )
     p_chain.set_defaults(parser=p_chain, func=cmd_chain)
 

@@ -34,4 +34,4 @@ class AttemptCapError(GwcoalError, RuntimeError):
 
 
 class ChainStateError(GwcoalError, ValueError):
-    """Backward-chain state violates a structural invariant."""
+    """Backward-chain state that the chain cannot hold or its times do not give."""

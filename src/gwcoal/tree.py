@@ -18,7 +18,8 @@ Extraction functions recover, for each present individual i:
   descendants have rank >= i (``extract_D``), the truncated chain state
   (``extract_B``) and the reduced point-measure sequence (``extract_Btilde``).
   All of them, and the b and d chains' states, are read off the times by
-  one scan (``state_pairs``).
+  one scan (``state_pairs``).  The scan of a chain run cut short starts
+  from the pairs that its last state still owes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -249,31 +250,46 @@ def coalescent_times(tree: Tree) -> Cpp:
     return Cpp(tree.k, tuple(_meeting_levels(tree, tree.k - 1)))
 
 
-def state_pairs(times: Sequence[int]) -> list[BtState]:
-    """D_j's nonzero (level, count) pairs, levels rising, for j = 1..len(times).
-
-    D_j(n) counts the pairs j' >= j with A_j' = n before the first one with
-    A_j' > n.  So one scan walks the times right to left with a stack of
-    those pairs, levels falling toward its top: a pair at level x pops the
-    levels below x and adds one at x.  The d chain's state j is ``(N, pairs)``.
-    """
-    stack: list[tuple[int, int]] = []
-    out = []
+def _scan(times: Sequence[int], stack: list[tuple[int, int]]) -> Iterator[list[tuple[int, int]]]:
+    """``stack`` after each time, the times walked right to left: it starts
+    as D_{m+1}'s (level, count) pairs, levels falling toward its top, for
+    m = len(times), and a time x pops the levels below x and adds one at x,
+    leaving D_j's pairs after A_j.  The one list is changed in place."""
     for x in reversed(times):
         while stack and stack[-1][0] < x:
             stack.pop()
         count = stack.pop()[1] + 1 if stack and stack[-1][0] == x else 1
         stack.append((x, count))
-        out.append(tuple(reversed(stack)))
+        yield stack
+
+
+def state_pairs(times: Sequence[int], after: BtState = ()) -> list[BtState]:
+    """D_j's nonzero (level, count) pairs, levels rising, for j = 1..len(times).
+
+    D_j(n) counts the pairs j' >= j with A_j' = n before the first one with
+    A_j' > n, so ``_scan`` reads them off the times.  ``after`` is D_{m+1}'s
+    pairs, levels rising, for a run cut after m = len(times) times, and ``()``
+    for a run that ended.  The d chain's state j is ``(N, pairs)``.
+    """
+    out = [tuple(reversed(stack)) for stack in _scan(times, list(reversed(after)))]
     out.reverse()
     return out
 
 
-def b_states(times: Sequence[int]) -> list[tuple[int, BtState]]:
+def b_states(times: Sequence[int], after: BtState = ()) -> list[tuple[int, BtState]]:
     """The b chain's states along the times: D_j's pairs at levels up to
-    l_j = max(A_1..A_j), with length l_j."""
-    return [(length, tuple(pair for pair in pairs if pair[0] <= length))
-            for length, pairs in zip(accumulate(times, max), state_pairs(times))]
+    l_j = max(A_1..A_j), with length l_j; ``after`` as in ``state_pairs``."""
+    out = []
+    cut = 0
+    for length, stack in zip(reversed(list(accumulate(times, max))),
+                             _scan(times, list(reversed(after)))):
+        # the levels above l_j lie at the bottom of the stack; no later time
+        # reaches them, and l_j only falls, so their number only grows
+        while stack[cut][0] > length:
+            cut += 1
+        out.append((length, tuple(reversed(stack[cut:]))))
+    out.reverse()
+    return out
 
 
 def extract_D(tree: Tree, i: int, n: int) -> int:
@@ -355,8 +371,8 @@ def extract_Btilde(tree: Tree) -> tuple[BtState, ...]:
 
 
 def cpp_and_marks(tree: Tree, upto: int | None = None) -> tuple[list[int], list[int]]:
-    """Coalescent times A_i with the spine multiplicities D_i(A_i), the
-    first counts of ``state_pairs``.
+    """Coalescent times A_i with the spine multiplicities D_i(A_i), each
+    the count on top of ``_scan``'s stack after A_i.
 
     ``upto`` (at least 0) limits the number of pairs returned; the walk
     stops where the last of them meets, and the first pair still apart there
@@ -368,7 +384,9 @@ def cpp_and_marks(tree: Tree, upto: int | None = None) -> tuple[list[int], list[
     if pairs <= 0:
         return [], []
     times = _meeting_levels(tree, pairs)
-    return times[:pairs], [d[0][1] for d in state_pairs(times)[:pairs]]
+    marks = [stack[-1][1] for stack in _scan(times, [])]
+    marks.reverse()
+    return times[:pairs], marks[:pairs]
 
 
 def genealogy_from_cpp(cpp: Cpp) -> np.ndarray:

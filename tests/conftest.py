@@ -308,6 +308,18 @@ def counted_states(process, a_values, horizon):
     return states
 
 
+def counted_run_states(process, run, horizon):
+    """``counted_states`` of a run's times.  An unfinished run's times are
+    continued by the pairs its last state owes: that state's pairs less one
+    at the first level, each (level, count) as count times at that level,
+    which D_{m+1} counts as those pairs when they are positive and rising."""
+    times = list(run.a_values)
+    if not run.terminated and run.states and run.states[-1][1]:
+        (first, count), *above = run.states[-1][1]
+        times += [level for level, v in [(first, count - 1), *above] for _ in range(v)]
+    return counted_states(process, times, horizon)[:len(run.a_values)]
+
+
 # ---------------------------------------------------------------------------
 # Per-level reference of the level table and the spine-sibling samplers: one
 # checked ``pgf``/``pgf_deriv`` call per level and per derivative order, and

@@ -30,7 +30,7 @@ from gwcoal.errors import ChainStateError, DegenerateEnvironmentError, NotLinear
 from gwcoal.sampling import UniformStream, draw_from_cumulative
 
 from conftest import (
-    counted_states,
+    counted_run_states,
     dense_validate_b_run,
     dense_validate_d_run,
     env_path,
@@ -139,6 +139,10 @@ class TestSteps:
         assert dense((5, ((2, 1), (5, 3)))) == (0, 1, 0, 0, 3)
 
 
+VALIDATED_ENVS = {name: load_environment(env_path(name))
+                  for name in ("binom_n3", "varying_n3", "binom_n6", "lf_half_n6")}
+
+
 class TestRuns:
     def test_full_binary_run(self):
         env = constant_environment(dirac(2), 2)
@@ -153,6 +157,17 @@ class TestRuns:
             validate_b_run(rb, binom3.horizon)
             rd = d_run(varying3, stream_for_run(seed, 1))
             validate_d_run(rd, varying3.horizon)
+        # runs cut short after 1, 2, 3 or 5 times
+        unfinished = 0
+        for env in VALIDATED_ENVS.values():
+            samplers = EtaSamplers(env)
+            for cap in (1, 2, 3, 5):
+                for run_id in range(100):
+                    for run_chain, validate in ((b_run, validate_b_run), (d_run, validate_d_run)):
+                        run = run_chain(env, stream_for_run(3, run_id), cap, samplers=samplers)
+                        validate(run, env.horizon)
+                        unfinished += not run.terminated
+        assert unfinished > 1000
 
     def test_validator_rejects_corruption(self, binom3):
         run = None
@@ -183,10 +198,20 @@ class TestRuns:
             with pytest.raises(ChainStateError):
                 validate_b_run(ChainRun([2, 1], wrong, terminated), 2)
 
+    @pytest.mark.parametrize("terminated", [True, False])
+    def test_validators_reject_a_time_past_the_horizon(self, terminated):
+        run = ChainRun([3, 1], [(3, ((3, 1),)), (3, ((1, 1),))], terminated)
+        for validate in (validate_b_run, validate_d_run):
+            validate(run, 3)
+            with pytest.raises(ChainStateError, match=r"^times span 1\.\.3, outside 1\.\.2$"):
+                validate(run, 2)
+
     @pytest.mark.parametrize("process", ["b", "d"])
     def test_validators_catch_a_wrong_fresh_draw(self, binom3, process):
-        # a fresh count at step 1 raised by one keeps every structural rule,
-        # so only a terminated run, whose states its times fix, is rejected
+        # a fresh count at step 1 raised by one: the terminated run's times
+        # fix every state, so it is rejected.  Cut short, the run passes, as
+        # the corrupted state is its last one, whose pairs above its first
+        # level are owed to the times that did not come
         run_chain, validate = ((b_run, validate_b_run) if process == "b"
                                else (d_run, validate_d_run))
         for seed in range(200):
@@ -196,7 +221,7 @@ class TestRuns:
                      if level < run.a_values[0]] if len(run.states) > 1 else []
             if fresh:
                 break
-        assert fresh and run.terminated
+        assert fresh and run.terminated and len(run.states) == 2
         length, pairs = run.states[1]
         level, v = pairs[fresh[0]]
         run.states[1] = (length, pairs[:fresh[0]] + ((level, v + 1),) + pairs[fresh[0] + 1:])
@@ -216,8 +241,31 @@ class TestRuns:
         # dense forms of the negative states have the structure of a step
         # from (0, 1): only the sign gives them away
         run = ChainRun(a_values=[2, 1], states=[(2, ((2, 1),)), state])
-        with pytest.raises(ChainStateError):
-            validate_b_run(run, 2)
+        for validate in (validate_b_run, validate_d_run):
+            with pytest.raises(ChainStateError):
+                validate(run, 2)
+
+    @pytest.mark.parametrize("process", ["b", "d"])
+    def test_validators_catch_a_raised_count_before_the_last_state(self, process):
+        # an unfinished run's last state fixes the pairs after its times, so
+        # every earlier state is one the times give
+        run_chain, validate = ((b_run, validate_b_run) if process == "b"
+                               else (d_run, validate_d_run))
+        tried = 0
+        for env in VALIDATED_ENVS.values():
+            for run_id in range(100):
+                run = run_chain(env, stream_for_run(3, run_id), 5)
+                if run.terminated:
+                    continue
+                for step, (length, pairs) in enumerate(run.states[:-1]):
+                    for j, (level, v) in enumerate(pairs):
+                        states = list(run.states)
+                        states[step] = (length, pairs[:j] + ((level, v + 1),) + pairs[j + 1:])
+                        with pytest.raises(ChainStateError,
+                                           match=f"^state {step + 1} is .* but the times give"):
+                            validate(ChainRun(run.a_values, states), env.horizon)
+                        tried += 1
+        assert tried > 250
 
     @pytest.mark.parametrize("process, state", [("b", (1, ((1, 1), (2, 1)))),
                                                 ("d", (2, ((1, 1), (3, 1))))])
@@ -590,40 +638,46 @@ def _rejects(validate, run, horizon):
     return False
 
 
-VALIDATED_ENVS = {name: load_environment(env_path(name))
-                  for name in ("binom_n3", "varying_n3", "binom_n6", "lf_half_n6")}
-
-
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(name=st.sampled_from(sorted(VALIDATED_ENVS)), process=st.sampled_from("bd"),
-       run_id=st.integers(0, 500), field=st.sampled_from(["level", "count", "length", "a"]),
-       delta=st.integers(-2, 2), short=st.booleans(), data=st.data())
-def test_pair_validators_match_dense_reference(name, process, run_id, field, delta, short, data):
-    """A real run with one entry moved by ``delta``: a level, a count, a
-    length or an emitted time, checked against the horizon or one level
-    less.  The pair validators reject it exactly when the dense reference
-    does, or when a count is negative (the dense d reference let negative
-    counts through), or when the run terminated and a state is not the one
-    its times give, counted level by level."""
+       run_id=st.integers(0, 500), cap=st.sampled_from([1, 2, 3, 5, None]),
+       field=st.sampled_from(["level", "count", "length", "a"]),
+       delta=st.integers(-2, 2), short=st.booleans(), step=st.integers(0, 63),
+       pick=st.integers(0, 63))
+# a fresh count raised in the first state of a run cut after two times
+@example(name="binom_n3", process="b", run_id=0, cap=2, field="count", delta=1, short=False,
+         step=0, pick=0)
+def test_pair_validators_match_dense_reference(name, process, run_id, cap, field, delta, short,
+                                               step, pick):
+    """A real run, unfinished after ``cap`` times or not capped, with one
+    entry moved by ``delta``: a level, a count, a length or an emitted time,
+    in the state and pair that ``step`` and ``pick`` name modulo their
+    numbers, checked against the horizon or one level less.  The pair
+    validators reject it exactly when the dense reference does, or when a
+    count is negative (the dense d reference let negative counts through),
+    or when a state is not the one its times give, counted level by level
+    from the times continued by the pairs an unfinished run's last state
+    owes."""
     env = VALIDATED_ENVS[name]
     horizon = env.horizon - short
-    run = (b_run if process == "b" else d_run)(env, stream_for_run(5, run_id))
+    run = (b_run if process == "b" else d_run)(env, stream_for_run(5, run_id),
+                                               cap or 1_000_000)
     assume(run.states)
-    step = data.draw(st.integers(0, len(run.states) - 1))
+    step %= len(run.states)
     length, pairs = run.states[step]
     if field == "a":
         run.a_values[step] += delta
     elif field == "length":
         run.states[step] = (length + delta, pairs)
     else:
-        j = data.draw(st.integers(0, len(pairs) - 1))
+        j = pick % len(pairs)
         level, v = pairs[j]
         pair = (level + delta, v) if field == "level" else (level, v + delta)
         run.states[step] = (length, pairs[:j] + (pair,) + pairs[j + 1:])
     validate, reference = ((validate_b_run, dense_validate_b_run) if process == "b"
                            else (validate_d_run, dense_validate_d_run))
     negative = any(v < 0 for _, pairs in run.states for _, v in pairs)
-    differs = run.terminated and run.states != counted_states(process, run.a_values, horizon)
+    differs = run.states != counted_run_states(process, run, horizon)
     assert _rejects(validate, run, horizon) == (_rejects(reference, run, horizon) or negative
                                                 or differs)
     if delta == 0 and not short:

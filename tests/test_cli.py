@@ -774,7 +774,8 @@ class TestChain:
         code, out, err = run_cli(capsys, "chain", "--env", env_path("binom_n3"),
                                  "--validate", "--samples", "5")
         assert code == EXIT_CHECK_FAILED and len(calls) == 4
-        assert err == "validation failure: emitted 2 but the first level is 1\n"
+        assert err == ("validation failure: state 1 is (2, ((1, 1),)), "
+                       "but the times give (2, ((2, 1),))\n")
         assert out == ""
 
     def test_unfinished_runs_have_empty_k(self, capsys, dirac2_env):

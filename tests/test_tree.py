@@ -12,10 +12,12 @@ from gwcoal import (
     LinearFractionalLaw,
     Tree,
     ancestor_index,
+    b_run,
     coalescent_times,
     condition_on_survival,
     constant_environment,
     cpp_and_marks,
+    d_run,
     dirac,
     dump_tree,
     extract_B,
@@ -42,6 +44,7 @@ from gwcoal.verify import REFERENCE_A, REFERENCE_B_ROWS
 from conftest import (
     ENVS,
     EagerTree,
+    counted_states,
     env_path,
     parent_walk_cpp_and_marks,
     per_draw_condition,
@@ -336,6 +339,34 @@ class TestStateScan:
         env = load_environment(env_path(name))
         for run in range(100):
             _check_scan(env, condition_on_survival(env, stream_for_run(29, run)))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 8), max_size=40))
+    @example([2, 1, 1, 3, 2, 1, 3])
+    def test_cut_scan_equals_full_scan(self, times):
+        # cut after m times, the scan starts from D_{m+1}'s pairs at the
+        # levels from A_m up: D_m's pairs less one at A_m, or those the b
+        # state keeps
+        pairs, states = state_pairs(times), b_states(times)
+        for m in range(1, len(times) + 1):
+            assert state_pairs(times[:m], bt_star(pairs[m - 1])) == pairs[:m]
+            assert b_states(times[:m], bt_star(pairs[m - 1])) == states[:m]
+            assert b_states(times[:m], bt_star(states[m - 1][1])) == states[:m]
+
+    @pytest.mark.parametrize("process", ["b", "d"])
+    def test_cut_scan_of_runs_at_horizon_200(self, process):
+        run_chain = b_run if process == "b" else d_run
+        cut = 0
+        for run_id in range(30):
+            run = run_chain(CRITICAL_N200, stream_for_run(11, run_id))
+            want = counted_states(process, run.a_values, 200)
+            for m in range(1, len(want) + 1):
+                after = bt_star(want[m - 1][1])
+                got = (b_states(run.a_values[:m], after) if process == "b" else
+                       [(200, pairs) for pairs in state_pairs(run.a_values[:m], after)])
+                assert got == want[:m]
+                cut += 1
+        assert cut > 100
 
     def test_reference_rows_are_the_scan_of_their_times(self):
         assert b_states(REFERENCE_A) == list(REFERENCE_B_ROWS)

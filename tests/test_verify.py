@@ -238,13 +238,12 @@ class TestReferenceTable:
         assert verify.REFERENCE_BTILDE[10] == ((4, 1),)
 
     @pytest.mark.parametrize("name, index, value, clauses", [
-        # a time off the states' first levels also moves the running maxima,
-        # the transition rules and the reduced recursion
-        ("REFERENCE_A", 1, 3, ["coalescent times", "lengths", "structural transition rules",
-                               "reduced sequence"]),
+        # a time off the states' first levels also moves the running maxima
+        # and the reduced recursion
+        ("REFERENCE_A", 1, 3, ["lengths", "chain states", "reduced sequence"]),
         ("REFERENCE_L", 1, 3, ["lengths"]),
-        # the second pair must be the first pair's star: (2, 2) is (2, 1) now
-        ("REFERENCE_B_ROWS", 2, (2, ((1, 1), (2, 2))), ["structural transition rules"]),
+        # the times give (2, 1): one time 2 follows before a higher one
+        ("REFERENCE_B_ROWS", 2, (2, ((1, 1), (2, 2))), ["chain states"]),
         ("REFERENCE_BTILDE", 10, ((4, 2),), ["reduced sequence"]),
     ])
     def test_each_broken_row_fails(self, monkeypatch, capsys, name, index, value, clauses):
