@@ -228,9 +228,9 @@ def lf_run(env: Environment, rng, max_individuals: int = 1_000_000) -> ChainRun:
 
     The paper shows that when every offspring law is linear fractional the
     coalescent times are i.i.d., so the i-th time is the i-th uniform read
-    through ``lf_cumulative`` and nothing else.  ``lf_campaign`` reads most
-    runs of a long campaign that way off a matrix of uniforms, and calls
-    this for the rest.
+    through ``lf_cumulative`` and nothing else.  ``lf_campaign`` reads every
+    run's first block of uniforms that way off a matrix, and calls this for
+    the runs that read past it.
     """
     N = env.horizon
     cum = env.levels.lf_cumulative
@@ -255,36 +255,36 @@ def lf_campaign(env: Environment, seed: int, n: int,
     ``searchsorted`` over ``lf_cumulative``.  A run ends at the first
     uniform of its row that falls past the horizon, or is left unfinished
     after ``max_individuals`` times; a run decided within its row makes no
-    stream.  ``lf_run`` reads the others on their own streams: a run whose
-    row holds no end while the cap lets it read further, and every run of
-    a sub-chunk without blocks (a campaign of fewer than ``_LONG`` runs, or
-    the rest of one whose runs mostly read past their blocks).
+    stream.  A run whose row holds no end while the cap lets it read
+    further keeps the row's times, and ``lf_run`` reads the rest on its
+    stream, past the row.
     """
     cum = np.array(env.levels.lf_cumulative)
     for blocks, size, stream in campaign_blocks(seed, n):
-        if blocks is None:
-            for i in range(size):
-                yield lf_run(env, stream(i), max_individuals)
-            continue
         width = blocks.shape[1]
         # bisect_right(cum, u) is N, past the horizon, exactly when u >= cum[-1]
         past = blocks >= cum[-1]
         ends = np.where(past.any(axis=1), past.argmax(axis=1), width)
         # the times a run reads off its row: those before its end, at most
-        # the cap, in one search over the rows' leading uniforms
-        counts = np.minimum(ends, max_individuals)
+        # the cap, in one search over the rows' leading uniforms; the cap is
+        # clamped to the row first, as numpy takes no int past 64 bits
+        counts = np.minimum(ends, min(max_individuals, width))
         times = np.searchsorted(cum, blocks[np.arange(width) < counts[:, None]], side="right")
         times += 1
         times = times.tolist()
         capped = max_individuals <= width
         start = 0
         for i, (end, count) in enumerate(zip(ends.tolist(), counts.tolist())):
+            row = times[start:start + count]
+            start += count
             if end < width or capped:
-                yield ChainRun(times[start:start + count], terminated=end < max_individuals)
+                yield ChainRun(row, terminated=end < max_individuals)
             else:
                 # no end in the row, and the run may read further
-                yield lf_run(env, stream(i), max_individuals)
-            start += count
+                rest = stream(i)
+                rest.take(width)
+                run = lf_run(env, rest, max_individuals - width)
+                yield ChainRun(row + run.a_values, terminated=run.terminated)
 
 
 # ---------------------------------------------------------------------------

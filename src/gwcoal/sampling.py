@@ -5,14 +5,14 @@ Run ``r`` of seed ``s`` reads the PCG64 stream of ``SeedSequence((s, r))``
 in order, so each run's output depends on its own pair only.
 ``stream_for_run`` builds that stream for one run; ``campaign_streams``
 builds it for runs ``0..n-1`` on one generator, hashing every run's seed
-sequence at once.  A campaign of at least ``_LONG`` runs also computes its
-runs' first blocks of uniforms in numpy, from PCG64's LCG jumped ahead and
-its XSL-RR output, so a run that reads no further never sets the
-generator's state.  ``campaign_blocks`` hands out those blocks a sub-chunk
-of runs at a time, with each run's stream made on demand, so a caller
-that reads a run's values off its block makes no stream for it.  The
-uniforms read, and the rule that a stream is read to its end before the
-next one is made, are the same either way.
+sequence at once and computing the runs' first blocks of uniforms in
+numpy, from PCG64's LCG jumped ahead and its XSL-RR output, so a run that
+reads no further never sets the generator's state.  ``campaign_blocks``
+hands out those blocks a sub-chunk of runs at a time, with each run's
+stream made on demand, so a caller that reads a run's values off its
+block makes no stream for it.  The uniforms read, and the rule that a
+stream is read to its end before the next one is made, are those of
+``stream_for_run``.
 """
 
 from __future__ import annotations
@@ -60,12 +60,10 @@ class UniformStream:
 
     __slots__ = ("_rng", "_block", "_buf", "_pos", "_lease")
 
-    def __init__(self, rng: np.random.Generator | int, block: int = 8192):
+    def __init__(self, rng: np.random.Generator, block: int = 8192):
         if block < 1:
             # an empty refill would leave take() and first_reaching() reading forever
             raise DomainError(f"block must be >= 1, got {block}")
-        if isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(np.random.SeedSequence(_check_seed(rng)))
         self._rng = rng
         # not min(), which costs about 0.25 µs more, once per run of a campaign
         self._block = block if block <= MAX_WIDTH else MAX_WIDTH
@@ -144,13 +142,7 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _CHUNK = 4096
-# A campaign of at least _LONG runs computes its runs' first blocks in
-# numpy, _SUB runs at a time.  A run that reads past its block pays more
-# than one seated as its stream is made, and blocks computed for fewer runs
-# pay more of the numpy calls' fixed cost, so a shorter campaign seats
-# every run, and a long one stops computing blocks once most of its runs
-# read past them.
-_LONG = 128
+# a campaign computes its runs' first blocks in numpy, _SUB runs at a time
 _SUB = 256
 
 
@@ -292,33 +284,24 @@ def _first_blocks(columns: list[np.ndarray]) -> np.ndarray:
 
 
 class _CampaignRng:
-    """The generator slot of one campaign, the ``_rng`` of every stream whose
-    first block the campaign computed.
+    """The generator slot of one campaign, the ``_rng`` of all its streams.
 
-    It stands for the current run: ``block``, that first block, and ``run``,
+    It stands for the current run: ``block``, its first block, and ``run``,
     the run's index in the seed words ``seeds`` while the shared PCG64 is
     not yet at the run's state past the block.  The run's first ``random``
-    call returns the block; the next one seats the PCG64, counts the run in
-    ``past`` and draws.  A stream calls ``random`` only while its lease
-    holds, so every call is the current run's.
+    call returns the block; the next one sets the PCG64 to that state and
+    draws.  A stream calls ``random`` only while its lease holds, so every
+    call is the current run's.
     """
 
-    __slots__ = ("bitgen", "rng", "draws", "seeds", "run", "block", "past")
+    __slots__ = ("bitgen", "rng", "seeds", "run", "block")
 
     def __init__(self):
         self.bitgen = np.random.PCG64(0)
         self.rng = np.random.Generator(self.bitgen)
-        self.draws = 0  # the size of the current run's block, 0 for none
         self.seeds: list[list[int]] = []
         self.run = -1
         self.block: np.ndarray | None = None
-        self.past = 0
-
-    def seat(self, run: int) -> None:
-        """Set the shared PCG64 to the state of ``run`` past its block."""
-        state, inc = _pcg64_state(self.seeds, run, self.draws)
-        self.bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                             "has_uint32": 0, "uinteger": 0}
 
     def random(self, size: int) -> np.ndarray:
         block = self.block
@@ -327,34 +310,30 @@ class _CampaignRng:
             self.block = None
             return block
         if self.run >= 0:
-            self.seat(self.run)
+            state, inc = _pcg64_state(self.seeds, self.run, _FIRST)
+            self.bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                 "has_uint32": 0, "uinteger": 0}
             self.run = -1
-            self.past += 1
         return self.rng.random(size)
 
 
-SubChunk = tuple[np.ndarray | None, int, Callable[[int], UniformStream]]
+SubChunk = tuple[np.ndarray, int, Callable[[int], UniformStream]]
 
 
 def campaign_blocks(seed: int, n: int) -> Iterator[SubChunk]:
-    """The runs 0..n-1 of seed ``seed``, a sub-chunk of runs at a time, as
+    """The runs 0..n-1 of seed ``seed``, ``_SUB`` runs at a time, as
     ``(blocks, size, stream)``.
 
-    ``size`` counts the sub-chunk's runs.  ``blocks`` holds their first
-    ``_FIRST`` uniforms, one row per run, or is None where the campaign
-    computes none.  ``stream(i)`` makes the stream of the sub-chunk's i-th
-    run, which reads the uniforms of ``stream_for_run``; a caller that reads
-    a run's values off its row makes no stream for it.  The streams share
-    one generator, so they are made in run order, each read to its end
-    before the next is made, and a sub-chunk's before the next sub-chunk is
-    taken: a stream that needs more uniforms after that raises
-    ``RuntimeError``, even one that has read none.
-
-    A campaign of at least ``_LONG`` runs computes blocks, ``_SUB`` runs at
-    a time, and sets the generator to a run's state only when the run reads
-    past its block.  After a sub-chunk of which more than half the runs
-    read past their blocks it stops, and from then on sets the generator as
-    each stream is made, as a shorter campaign does throughout.
+    ``size`` counts the sub-chunk's runs and ``blocks`` holds their first
+    ``_FIRST`` uniforms, one row per run.  ``stream(i)`` makes the stream of
+    the sub-chunk's i-th run, which reads the uniforms of ``stream_for_run``
+    and sets the shared generator to the run's state only when it reads
+    past its row; a caller that reads a run's values off its row makes no
+    stream for it.  The streams share that generator, so they are made in
+    run order, each read to its end before the next is made, and a
+    sub-chunk's before the next sub-chunk is taken: a stream that needs
+    more uniforms after that raises ``RuntimeError``, even one that has read
+    none.
     """
     seed = _check_seed(seed)
     if not 0 <= n <= _MASK32 + 1:
@@ -365,22 +344,15 @@ def campaign_blocks(seed: int, n: int) -> Iterator[SubChunk]:
 
 def _sub_chunks(seed: int, n: int) -> Iterator[SubChunk]:
     slot = _CampaignRng()
-    blocks = n >= _LONG
     lease = [False]
-    sub, part = 0, None
 
     def stream(i: int) -> UniformStream:
         # run sub + i of the chunk; the lease of the stream made before it ends
         nonlocal lease
         lease[0] = False
         lease = [True]
-        if part is None:
-            # seated now, the stream draws from the generator itself
-            slot.seat(sub + i)
-            out = UniformStream(slot.rng)
-        else:
-            slot.run, slot.block = sub + i, part[i]
-            out = UniformStream(slot)
+        slot.run, slot.block = sub + i, part[i]
+        out = UniformStream(slot)
         out._lease = lease
         return out
 
@@ -389,10 +361,9 @@ def _sub_chunks(seed: int, n: int) -> Iterator[SubChunk]:
         slot.seeds = [c.tolist() for c in columns]
         runs = len(columns[0])
         for sub in range(0, runs, _SUB):
-            # a block pays for itself only in a run that reads no further
-            blocks = blocks and 2 * slot.past <= _SUB
-            slot.draws, slot.past = (_FIRST if blocks else 0), 0
-            part = _first_blocks([c[sub:sub + _SUB] for c in columns]) if blocks else None
+            # the last sub-chunk's streams are done with
+            lease[0] = False
+            part = _first_blocks([c[sub:sub + _SUB] for c in columns])
             yield part, min(_SUB, runs - sub), stream
 
 
@@ -406,6 +377,8 @@ def campaign_streams(seed: int, n: int) -> Iterator[UniformStream]:
 def as_stream(source: UniformStream | np.random.Generator | int) -> UniformStream:
     if isinstance(source, UniformStream):
         return source
+    if isinstance(source, (int, np.integer)):
+        source = np.random.default_rng(np.random.SeedSequence(_check_seed(source)))
     return UniformStream(source)
 
 

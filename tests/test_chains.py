@@ -377,7 +377,7 @@ class TestClosedFormSampler:
 def critical_lf_n200():
     """Horizon 200, seeded LF laws with r = p: a time passes the horizon
     with probability about 1/200, so most runs read past their first
-    blocks and a long campaign stops computing them."""
+    blocks, and ``lf_campaign`` continues them through ``lf_run``."""
     rng = np.random.default_rng(17)
     return Environment(tuple(LinearFractionalLaw(p, p) for p in rng.uniform(0.4, 0.6, 200)))
 
@@ -395,11 +395,11 @@ def fields(run):
 
 
 class TestLfCampaign:
-    """``lf_campaign`` reads most runs of a long campaign off the first-block
+    """``lf_campaign`` reads every run's first block off the first-block
     matrix; every run must be ``lf_run``'s on ``stream_for_run``'s stream."""
 
     # 641 ends in a partial sub-chunk
-    LENGTHS = (127, 128, 300, 641)
+    LENGTHS = (1, 20, 127, 128, 300, 641)
     SEEDS = (0, 1, 2 ** 32, 2 ** 64 - 1)
     CAPS = (1, 31, 32, 33, DEFAULT_CAP)
 
@@ -421,22 +421,14 @@ class TestLfCampaign:
             assert got == expected[:n], (n, cap)
 
     @staticmethod
-    def fallback_runs(env, seed, n):
-        """The runs the block rule leaves to ``lf_run`` at the default cap:
-        those that read past their first block while blocks are computed,
-        and every run once they are not."""
-        blocks = n >= sampling._LONG
-        fallback = 0
-        for sub in range(0, n, sampling._SUB):
-            size = min(sampling._SUB, n - sub)
-            if not blocks:
-                fallback += size
-                continue
-            past = sum(len(lf_run(env, stream_for_run(seed, run)).a_values) + 1 > sampling._FIRST
-                       for run in range(sub, sub + size))
-            fallback += past
-            blocks = 2 * past <= sampling._SUB
-        return fallback
+    def fallback_runs(env, seed, n, cap):
+        """The runs ``lf_campaign`` continues through ``lf_run``: those with
+        no end among their first ``_FIRST`` uniforms, when the cap is above
+        ``_FIRST``."""
+        if cap <= sampling._FIRST:
+            return 0
+        return sum(len(lf_run(env, stream_for_run(seed, run)).a_values) >= sampling._FIRST
+                   for run in range(n))
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_only_fallback_runs_call_lf_run(self, monkeypatch, lf_env, n):
@@ -447,31 +439,13 @@ class TestLfCampaign:
             return lf_run(*args)
 
         monkeypatch.setattr(gwcoal.chains, "lf_run", counting)
-        runs = list(lf_campaign(lf_env, 5, n))
-        assert len(runs) == n
-        assert len(calls) == self.fallback_runs(lf_env, 5, n)
-        if n >= sampling._LONG and lf_env.horizon <= 6:
-            assert len(calls) < n // 10
-        # a run capped within its block reads no further, so none falls back
-        calls.clear()
-        list(lf_campaign(lf_env, 5, n, sampling._FIRST))
-        assert len(calls) == (0 if n >= sampling._LONG else n)
-
-    def test_blocks_stop_when_most_runs_read_past_them(self, monkeypatch):
-        computed = []
-        first_blocks = sampling._first_blocks
-
-        def counted(columns):
-            computed.append(len(columns[0]))
-            return first_blocks(columns)
-
-        monkeypatch.setattr(sampling, "_first_blocks", counted)
-        deep, short = critical_lf_n200(), load_environment(env_path("lf_half_n6"))
-        list(lf_campaign(deep, 3, 641))
-        assert computed == [sampling._SUB]
-        computed.clear()
-        list(lf_campaign(short, 3, 641))
-        assert computed == [sampling._SUB, sampling._SUB, 641 - 2 * sampling._SUB]
+        for cap in (DEFAULT_CAP, sampling._FIRST):
+            calls.clear()
+            runs = list(lf_campaign(lf_env, 5, n, cap))
+            assert len(runs) == n
+            assert len(calls) == self.fallback_runs(lf_env, 5, n, cap)
+            if lf_env.horizon <= 6:
+                assert 10 * len(calls) <= n
 
     @pytest.mark.parametrize("cap", [1, 32, 33, DEFAULT_CAP])
     def test_uniforms_on_the_cumulative_values(self, monkeypatch, lf_half_n6, cap):

@@ -796,6 +796,17 @@ class TestChain:
             assert line.split(",")[1] == ""
         assert "unfinished=10" in err
 
+    @pytest.mark.parametrize("samples", ["5", "300"])
+    @pytest.mark.parametrize("cap", [2 ** 63, 2 ** 64])
+    def test_lf_cap_past_int64(self, capsys, cap, samples):
+        # numpy takes no int past 64 bits; a cap this high writes the rows of
+        # the default cap
+        argv = ["chain", "--process", "lf", "--env", env_path("lf_half_n6"), "--samples", samples]
+        code, out, err = run_cli(capsys, *argv, "--max-individuals", str(cap))
+        assert code == EXIT_OK
+        assert (out, err) == run_cli(capsys, *argv)[1:]
+        assert len(out.splitlines()) == int(samples) + 1
+
 
 CAMPAIGNS = {
     "simulate": ["simulate"],
@@ -810,17 +821,16 @@ CAMPAIGNS = {
     ("lf_half_n6", "simulate"), ("lf_half_n6", "chain-lf"),
 ])
 def test_rows_do_not_depend_on_the_campaign_length(tmp_path, env_name, command):
-    # a campaign below _LONG runs seats each run's generator; from _LONG on,
-    # numpy computes every run's first block
+    # one sub-chunk of first blocks, and three, the last of one run
     argv = CAMPAIGNS[command]
     outs = []
-    for runs in (sampling._LONG - 1, 3 * sampling._LONG):
+    for runs in (20, 2 * sampling._SUB + 1):
         path = tmp_path / f"{runs}.csv"
         assert main(argv + ["--env", env_path(env_name), "--samples", str(runs),
                             "--seed", "9", "--out", str(path)]) == EXIT_OK
         outs.append(path.read_bytes().splitlines(keepends=True))
     short, long = outs
-    assert len(short) == sampling._LONG and len(long) == 3 * sampling._LONG + 1
+    assert len(short) == 21 and len(long) == 2 * sampling._SUB + 2
     assert long[:len(short)] == short
 
 

@@ -1,6 +1,7 @@
 import ast
 import math
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from gwcoal.sampling import (
     _pcg64_state,
     _seed_states,
     as_stream,
+    campaign_blocks,
     campaign_streams,
     cumulative,
     draw_count,
@@ -42,11 +44,11 @@ class TestStreams:
         with pytest.raises(DomainError, match=r"2\*\*64"):
             rng_for_run(seed, 0)
         with pytest.raises(DomainError, match=r"2\*\*64"):
-            UniformStream(seed)
+            as_stream(seed)
 
     def test_largest_seed_accepted(self):
         assert 0 <= stream_for_run(2 ** 64 - 1, 0).next() < 1
-        assert 0 <= UniformStream(2 ** 64 - 1).next() < 1
+        assert 0 <= as_stream(2 ** 64 - 1).next() < 1
 
     def test_as_stream_accepts_int_rng_stream(self):
         s = as_stream(7)
@@ -138,16 +140,15 @@ class TestStreams:
     def test_block_is_capped_at_max_width(self):
         # draw_forward checks a draw's size only where a row crosses a
         # block's end, so it reads at most one block past MAX_WIDTH
-        assert UniformStream(0, block=10 * MAX_WIDTH)._block == MAX_WIDTH
-        assert UniformStream(0, block=64)._block == 64
+        assert UniformStream(np.random.default_rng(0), block=10 * MAX_WIDTH)._block == MAX_WIDTH
+        assert UniformStream(np.random.default_rng(0), block=64)._block == 64
 
     @pytest.mark.parametrize("block", [0, -5])
     def test_block_below_one_rejected(self, block):
         # an empty block refills to nothing, so take() would never return;
         # a negative one reached numpy; both are refused when the stream is made
-        for rng in (np.random.default_rng(0), 0):
-            with pytest.raises(DomainError, match=rf"block must be >= 1, got {block}$"):
-                UniformStream(rng, block=block)
+        with pytest.raises(DomainError, match=rf"block must be >= 1, got {block}$"):
+            UniformStream(np.random.default_rng(0), block=block)
 
     def test_smallest_block_accepted(self):
         stream = UniformStream(np.random.default_rng(3), block=1)
@@ -203,7 +204,7 @@ class TestCampaignStreams:
             reference = np.random.PCG64(np.random.SeedSequence((seed, run)))
             state, inc = _pcg64_state(words, index, 0)
             assert reference.state["state"] == {"state": state, "inc": inc}
-            # the state a long campaign seats past a run's first block
+            # the state a campaign seats past a run's first block
             reference.random_raw(32)
             state, inc = _pcg64_state(words, index, 32)
             assert reference.state["state"] == {"state": state, "inc": inc}
@@ -216,9 +217,8 @@ class TestCampaignStreams:
             assert stream.take(size) == reference.take(size)
             assert [stream.next() for _ in range(size)] == [reference.next() for _ in range(size)]
 
-    # a short campaign seats each run's generator as its stream is made; a
-    # long one hands each run a precomputed first block
-    LEASE_RUNS = (3, sampling._LONG)
+    # a campaign of one sub-chunk, and one whose last stream is in the second
+    LEASE_RUNS = (3, sampling._SUB + 1)
 
     def test_stale_stream_refill_raises(self):
         for runs in self.LEASE_RUNS:
@@ -248,9 +248,7 @@ class TestCampaignStreams:
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 32, 2 ** 32 + 1, 2 ** 64 - 1])
     def test_long_campaign_reads_are_those_of_stream_for_run(self, seed, deep_every):
         # every run, or every third, reads 1 000 uniforms, the others stay
-        # inside their first blocks: the campaign stops computing blocks
-        # after the first sub-chunk, or computes them throughout
-        assert self.LONG_RUNS >= sampling._LONG
+        # inside their first blocks
         for run, stream in enumerate(campaign_streams(seed, self.LONG_RUNS)):
             total = 1000 if run % deep_every == 0 else 1 + run % 32
             expected = stream_for_run(seed, run).take(total)
@@ -258,9 +256,10 @@ class TestCampaignStreams:
             assert len(read) == total
             assert all(u is None or u == v for u, v in zip(read, expected)), run
 
-    @pytest.mark.parametrize("deep_every, sub_chunks", [(1, 1), (2, 3), (3, 3)])
-    def test_blocks_stop_once_most_runs_read_past_them(self, monkeypatch, deep_every,
-                                                        sub_chunks):
+    @pytest.mark.parametrize("deep_every", [1, 2, 0])
+    @pytest.mark.parametrize("runs", [1, 20, 641])
+    def test_first_blocks_once_per_sub_chunk(self, monkeypatch, runs, deep_every):
+        # every run, every other one, or none reads past its first block
         computed = []
 
         def counted(columns):
@@ -269,13 +268,23 @@ class TestCampaignStreams:
 
         first_blocks = sampling._first_blocks
         monkeypatch.setattr(sampling, "_first_blocks", counted)
-        for run, stream in enumerate(campaign_streams(2, self.LONG_RUNS)):
-            stream.take(33 if run % deep_every == 0 else 32)
-        assert len(computed) == sub_chunks
-        # a campaign below _LONG runs computes none
-        for stream in campaign_streams(2, sampling._LONG - 1):
-            stream.take(1)
-        assert len(computed) == sub_chunks
+        for run, stream in enumerate(campaign_streams(2, runs)):
+            size = 33 if deep_every and run % deep_every == 0 else 32
+            assert stream.take(size) == stream_for_run(2, run).take(size)
+        assert len(computed) == -(-runs // sampling._SUB)
+        assert sum(computed) == runs
+
+    @pytest.mark.parametrize("runs", [2 * sampling._SUB, sampling._CHUNK + 1])
+    def test_stream_held_past_its_sub_chunk_raises(self, runs):
+        # the last stream of a sub-chunk, and of a chunk of seed words
+        sub_chunks = campaign_blocks(4, runs)
+        held = -(-runs // sampling._SUB) - 1
+        *_, (_, size, stream) = islice(sub_chunks, held)
+        last = stream(size - 1)
+        assert last.take(1) == stream_for_run(4, held * sampling._SUB - 1).take(1)
+        next(sub_chunks)
+        with pytest.raises(RuntimeError, match="next run"):
+            last.take(100)
 
     def test_run_ids_past_32_bits_rejected(self):
         # raised before any run id is hashed

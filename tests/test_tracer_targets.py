@@ -67,16 +67,16 @@ def test_traced_campaign_counts(tracer, tmp_path, capsys):
 
 
 def test_traced_long_campaign_counts(tracer, tmp_path, capsys, monkeypatch):
-    # a campaign of _LONG runs or more reads its first blocks off numpy: the
-    # tracer still counts each run's stream and the uniforms it reads.  An
-    # lf run decided within its first block is read off the block matrix
-    # and makes no stream, so only the lf runs that read past their blocks
-    # are counted, as streams and as lf_run calls
+    # a campaign reads its first blocks off numpy: the tracer still counts
+    # each run's stream and the uniforms it reads.  An lf run decided within
+    # its first block is read off the block matrix and makes no stream, so
+    # only the lf runs that read past their blocks are counted, as streams
+    # and as lf_run calls
     from gwcoal import cli, sampling
     from gwcoal.chains import lf_run
     from gwcoal.sampling import UniformStream, rng_for_run
 
-    runs = sampling._LONG
+    runs = sampling._SUB + 1
     env = str(Path(__file__).resolve().parent.parent / "envs" / "lf_half_n6.json")
     commands = (["simulate"], ["chain", "--process", "b"], ["chain", "--process", "lf"])
 
@@ -125,6 +125,7 @@ def test_traced_long_campaign_counts(tracer, tmp_path, capsys, monkeypatch):
     assert any(s._rng.generated > 32 for s in streams)
     # the lf runs with no end among their first 32 uniforms
     past = [s for s in lf_streams if s._rng.generated > 32]
+    assert past
     counted = streams + past
     used = sum(s._rng.generated - (len(s._buf) - s._pos) for s in counted)
     assert metrics["sampling.streams"] == len(counted)
