@@ -8,10 +8,13 @@ The two central objects are
   backward-chain transition kernel.
 
 They are computed by unrelated code paths, so their agreement is the main
-correctness certificate of the package.  Further checks cover the identities
-for the first coalescent time, the embedded hand-worked reference genealogy,
-the non-Markov witness for the reduced point-measure sequence, and the
-independence structure special to linear-fractional environments.
+correctness certificate of the package.  In exact arithmetic the certificate
+compares the two routes as weighted automata over the coalescent times, in
+residues, and enumerates the outcomes only to size a failure.  Further
+checks cover the identities for the first coalescent time, the embedded
+hand-worked reference genealogy, the non-Markov witness for the reduced
+point-measure sequence, and the independence structure special to
+linear-fractional environments.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .automata import PRIMES, same_word_law, tree_automaton, word_count
 from .chains import ChainRun, State, validate_b_run
 from .disttable import DistTable, outcome_key, tv_distance
 from .environment import TAIL_CUT, Environment, lf_a1_tail
@@ -449,6 +453,55 @@ def _tree_chain_gap(env: Environment, guard: int) -> tuple[Number, int, float]:
     if not env.is_finite_support:
         slack = max(0.0, float(1 - dead - alive)) / float(alive) + max(0.0, 1.0 - ended)
     return 0.5 * gap, outcomes, slack
+
+
+# ---------------------------------------------------------------------------
+# The exact certificate by automaton equivalence: the b chain's kernel as an
+# automaton of ``automata``, against the tree's depth-first walk.
+# ---------------------------------------------------------------------------
+
+
+def _chain_automaton(sweep: _Sweep):
+    """The b chain from ``sweep.start`` over the states it reaches by moves
+    of positive mass, its weights the integer numerators over
+    ``sweep.scale`` of ``_Sweep.transitions``: a move's letter is the first
+    level of its next state, and an ending move adds to the end weight.
+    Each state charges its transitions once."""
+    moves, end = {}, {}
+    todo = [sweep.start]
+    while todo:
+        state = todo.pop()
+        if state in moves:
+            continue
+        out = sweep.transitions(state)
+        sweep.charge(len(out))
+        moves[state] = [(a, nxt, p) for nxt, a, p in out if a is not None and p]
+        end[state] = sum(p for _, a, p in out if a is None)
+        todo.extend(nxt for _, nxt, _ in moves[state])
+    return {sweep.start: 1}, moves, end
+
+
+def _automata_verdict(env: Environment, guard: int) -> int | None:
+    """The tree automaton of an exact environment against its b chain
+    automaton, mod each of ``PRIMES``: the number of outcomes when the two
+    word laws agree, 0 when they differ, and None when that is not settled:
+    no tree survives, a denominator is 0 mod a prime, or the work of the
+    automata and their span checks passes ``guard``."""
+    if env.levels.column(env.horizon)[0] == 1:
+        return None
+    sweep = _Sweep(env, "b", guard, "automata exceeded their budget")
+    try:
+        chain = start, moves, end = _chain_automaton(sweep)
+        for prime in PRIMES:
+            k = pow(sweep.scale, -1, prime)  # numerators over scale
+            residues = (start, {s: [(a, nxt, p * k % prime) for a, nxt, p in out]
+                                for s, out in moves.items()},
+                        {s: e * k % prime for s, e in end.items()})
+            if not same_word_law(tree_automaton(env, prime), residues, prime, sweep.charge):
+                return 0
+    except (EnumerationGuardError, ValueError):
+        return None
+    return word_count(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -938,16 +991,26 @@ def a1_telescoping_check(env: Environment) -> CheckResult:
 
 def tree_vs_chain_check(env: Environment, guard: int = 2_000_000) -> CheckResult:
     """Total variation between the tree law and the b chain law, streamed:
-    each chain outcome is compared with the tree's numerator as it ends."""
-    gap, outcomes, extra = _tree_chain_gap(env, guard)
-    passed = float(gap) <= 1e-10 + extra
-    mode = "rational" if env.is_exact else "float"
+    each chain outcome is compared with the tree's numerator as it ends.
+
+    An exact environment passes only at a gap of 0.  Its two laws are first
+    compared as automata (``_automata_verdict``); the outcomes are
+    enumerated only to size a gap where the automata differ, where the line
+    then fails, or where the comparison is not settled."""
+    exact = env.is_exact
+    verdict = _automata_verdict(env, guard) if exact else None
+    if verdict:
+        gap, outcomes, extra = 0, verdict, 0.0
+    else:
+        gap, outcomes, extra = _tree_chain_gap(env, guard)
+    threshold = 0.0 if exact else 1e-10
+    mode = "rational" if exact else "float"
     return CheckResult(
         name=f"tree-vs-chain-tv-{mode}",
         env=env,
         metric=float(gap),
-        threshold=1e-10,
-        passed=passed,
+        threshold=threshold,
+        passed=verdict != 0 and gap <= threshold + extra,
         detail=f"outcomes={outcomes} truncation={extra:.3e} exact_zero={gap == 0}",
     )
 

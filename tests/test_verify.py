@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -40,7 +41,7 @@ from gwcoal.errors import (
     EnvFormatError,
     NotLinearFractionalError,
 )
-from gwcoal import verify
+from gwcoal import automata, verify
 from gwcoal.chains import dense
 from gwcoal.cli import EXIT_CHECK_FAILED, main
 from gwcoal.disttable import outcome_key
@@ -796,17 +797,92 @@ def _edit_outcomes(monkeypatch, edit):
 
 def _reference_check(env):
     """``tree_vs_chain_check`` of an exact environment from the public
-    Fraction tables and ``tv_distance``, with the exact gap."""
+    Fraction tables and ``tv_distance``, with the exact gap; only a gap of
+    0 passes."""
     tree_law = exact_tree_law(env, guard=2_000_000)
     chain_law = exact_chain_law(env, guard=2_000_000)
     gap = tv_distance(tree_law, chain_law)
     detail = f"outcomes={len(tree_law)} truncation={0.0:.3e} exact_zero={gap == 0}"
-    return gap, (float(gap), float(gap) <= 1e-10, detail)
+    return gap, (float(gap), gap == 0, detail)
+
+
+# laws with entries of 2**-40: a move of one numerator unit sizes a gap far
+# below any float threshold
+TINY = Fraction(1, 2**40)
+TINY_N3 = Environment((
+    FiniteSupportLaw((Fraction(1, 4), Fraction(1, 2) - TINY, Fraction(1, 4) + TINY)),
+    FiniteSupportLaw((Fraction(1, 4) + TINY, Fraction(1, 2), Fraction(1, 4) - TINY)),
+    FiniteSupportLaw((Fraction(1, 4) - TINY, Fraction(1, 2) + TINY, Fraction(1, 4))),
+))
+
+
+def _move_unit(monkeypatch, state=(0, ())):
+    """Move one numerator unit of the b chain's transitions out of ``state``
+    from its second move of positive mass to its first."""
+    real = verify._Sweep.transitions
+
+    def moved(self, at):
+        out = list(real(self, at))
+        if at == state:
+            i, j = [n for n, (_, _, p) in enumerate(out) if p][:2]
+            out[i] = (*out[i][:2], out[i][2] + 1)
+            out[j] = (*out[j][:2], out[j][2] - 1)
+        return out
+
+    monkeypatch.setattr(verify._Sweep, "transitions", moved)
+
+
+def _words(automaton):
+    """The word law of an automaton with ``Fraction`` weights, keyed as the
+    public tables are: every word of positive weight, by a walk over the
+    forward vectors of the words, in integers over a common denominator."""
+    start, moves, end = automaton
+    weights = [*start.values(), *end.values(), *(w for out in moves.values() for _, _, w in out)]
+    den = math.lcm(*(Fraction(w).denominator for w in weights))
+
+    def num(w):
+        return int(w * den)
+
+    moves = {s: [(a, nxt, num(w)) for a, nxt, w in out] for s, out in moves.items()}
+    end = {s: num(w) for s, w in end.items()}
+    law = {}
+    todo = [({s: num(w) for s, w in start.items()}, [], den)]
+    while todo:
+        vec, word, scale = todo.pop()
+        weight = sum(x * end[s] for s, x in vec.items())
+        if weight:
+            law[outcome_key(len(word) + 1, word)] = Fraction(weight, scale * den)
+        nexts: dict = {}
+        for s, x in vec.items():
+            for a, nxt, w in moves[s]:
+                into = nexts.setdefault(a, {})
+                into[nxt] = into.get(nxt, 0) + x * w
+        todo.extend((vec, [*word, a], scale * den) for a, vec in nexts.items())
+    return law
+
+
+def _is_prime(n):
+    """Miller-Rabin on the first twelve primes, deterministic below 3.3e24."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class TestIntegerCertificate:
-    """The rational tree-vs-chain check compares integer numerators; it must
-    report what ``tv_distance`` reports on the public Fraction tables."""
+    """The rational tree-vs-chain check compares the tree and b chain
+    automata; it must report what ``tv_distance`` reports on the public
+    Fraction tables, and sizes a gap by the integer-numerator enumeration."""
 
     @pytest.mark.parametrize("name", sorted(EXACT_ENVS))
     def test_matches_fraction_tables(self, name):
@@ -814,18 +890,18 @@ class TestIntegerCertificate:
         gap, expected = _reference_check(env)
         res = tree_vs_chain_check(env)
         assert (res.metric, res.passed, res.detail) == expected
-        assert res.name == "tree-vs-chain-tv-rational" and gap == 0
+        assert res.name == "tree-vs-chain-tv-rational" and gap == 0 and res.threshold == 0
 
     @pytest.mark.parametrize("edit", ["perturb", "drop", "extra"])
     def test_disagreement_is_exact(self, monkeypatch, varying3, edit):
+        # the edits reach the outcome stream of the enumeration that sizes a
+        # gap, which the automata do not read
         _edit_outcomes(monkeypatch, edit)
         exact = varying3.as_rational()
-        gap, expected = _reference_check(exact)
-        assert isinstance(gap, Fraction) and gap > 0
-        res = tree_vs_chain_check(exact)
-        assert (res.metric, res.passed, res.detail) == expected
-        assert "exact_zero=False" in res.detail
-        assert verify._tree_chain_gap(exact, 2_000_000)[0] == gap
+        gap, (metric, passed, detail) = _reference_check(exact)
+        assert isinstance(gap, Fraction) and gap > 0 and not passed
+        outcomes = int(detail.split()[0].removeprefix("outcomes="))
+        assert verify._tree_chain_gap(exact, 2_000_000) == (gap, outcomes, 0.0)
 
     def test_no_fraction_per_outcome(self, monkeypatch):
         # only the public tables form a Fraction for each outcome; what is
@@ -840,6 +916,71 @@ class TestIntegerCertificate:
         monkeypatch.setattr(Fraction, "__new__", counting)
         res = tree_vs_chain_check(FULL_SUPPORT_N3)
         assert res.detail.startswith("outcomes=60879 ") and made[0] < 1000
+
+    @pytest.mark.parametrize("name", sorted(EXACT_ENVS))
+    def test_no_enumeration_when_automata_agree(self, monkeypatch, name):
+        env = EXACT_ENVS[name]().as_rational()
+
+        def refuse(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(verify, "_tree_numerators", refuse)
+        monkeypatch.setattr(verify, "_chain_outcomes", refuse)
+        res = tree_vs_chain_check(env)
+        assert res.passed and res.metric == 0
+
+    def test_guard_falls_back_to_enumeration(self, monkeypatch, varying3):
+        # the automata and their span checks take 484 units here, the
+        # enumeration 89 (the b sweep; the tree takes 73): below 484 the line
+        # enumerates, and raises where the enumeration raises
+        exact = varying3.as_rational()
+        assert verify._automata_verdict(exact, 483) is None
+        assert tree_vs_chain_check(exact, guard=89).passed
+        with pytest.raises(EnumerationGuardError):
+            tree_vs_chain_check(exact, guard=88)
+        monkeypatch.setattr(verify, "_tree_numerators", None)
+        assert tree_vs_chain_check(exact, guard=484).passed
+
+    @pytest.mark.parametrize("name", sorted(EXACT_ENVS))
+    def test_tree_automaton_is_tree_law(self, name):
+        env = EXACT_ENVS[name]().as_rational()
+        tree_law = exact_tree_law(env)
+        assert _words(automata.tree_automaton(env)) == tree_law
+        sweep = verify._Sweep(env, "b", 2_000_000, "")
+        assert automata.word_count(verify._chain_automaton(sweep)) == len(tree_law)
+
+    def test_primes_are_prime(self):
+        assert all(map(_is_prime, automata.PRIMES)) and len(set(automata.PRIMES)) == 2
+        assert not _is_prime(2**61 + 1) and not _is_prime(561)
+
+    @pytest.mark.parametrize("name", [*sorted(EXACT_ENVS), "tiny_n3"])
+    def test_moved_unit_fails(self, monkeypatch, name):
+        env = TINY_N3 if name == "tiny_n3" else EXACT_ENVS[name]().as_rational()
+        _move_unit(monkeypatch)
+        gap, expected = _reference_check(env)
+        assert gap > 0
+        res = tree_vs_chain_check(env)
+        assert (res.metric, res.passed, res.detail) == expected
+        if name == "tiny_n3":  # within the float line's threshold of 1e-10
+            assert 0 < res.metric < 1e-40
+
+    @pytest.mark.parametrize("name", ["binom_n3", "varying_n3"])
+    def test_mutated_tree_weight_fails(self, monkeypatch, name):
+        env = EXACT_ENVS[name]().as_rational()
+        real = verify.tree_automaton
+
+        def mutated(env, prime=None):
+            start, moves, end = real(env, prime)
+            state = next(s for s in start if moves[s])
+            a, nxt, w = moves[state][0]
+            moves[state][0] = (a, nxt, (w + 1) % prime)
+            return start, moves, end
+
+        monkeypatch.setattr(verify, "tree_automaton", mutated)
+        gap, (metric, _, detail) = _reference_check(env)
+        res = tree_vs_chain_check(env)
+        assert (res.metric, res.passed, res.detail) == (metric, False, detail)
+        assert gap == 0
 
 
 FLOAT_ENVS = {
@@ -975,6 +1116,30 @@ def test_prefix_extension_matches_loop_reference(env):
         verify._tree_numerators(form, work)
         with pytest.raises(EnumerationGuardError):
             verify._tree_numerators(form, work - 1)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(env=DYADIC_ENVS)
+@example(env=Environment((FiniteSupportLaw((0.25, 0.0, 0.75)), FiniteSupportLaw((0.5, 0.5)),
+                          FiniteSupportLaw((0.0, 0.25, 0.25, 0.5)))))
+def test_automata_match_enumeration(env):
+    """The rational line settled by the automata reports what the
+    enumeration route reports, or raises what it raises: the same metric,
+    verdict and detail, on envs that cannot survive too."""
+    exact = env.as_rational()
+
+    def line():
+        try:
+            res = tree_vs_chain_check(exact)
+        except (EnumerationGuardError, DegenerateEnvironmentError) as exc:
+            return type(exc)
+        return res.metric, res.passed, res.detail
+
+    fast = line()
+    with mock.patch.object(verify, "_automata_verdict", return_value=None):
+        assert line() == fast
+    if not isinstance(fast, type):
+        assert verify._automata_verdict(exact, 2_000_000) > 0
 
 
 class TestLfSupportGuard:
