@@ -13,6 +13,7 @@ word the same weight, in residues mod a prime, so that
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .environment import Environment
@@ -22,9 +23,11 @@ from .environment import Environment
 PRIMES = (2**61 - 1, 2**62 - 57)
 
 
-def tree_automaton(env: Environment, prime: int | None = None):
+def tree_automaton(env: Environment, prime: int | None = None, charge=lambda units: None):
     """The depth-first walk of a tree conditioned on survival, in residues
-    mod ``prime`` or, without one, in ``Fraction``s.
+    mod ``prime`` or, without one, in ``Fraction``s.  Each level of descents
+    passes its size to ``charge`` before it is built, and so do the moves,
+    counted before any is.
 
     Level l = 1..N reproduces by f_l = ``laws[N - l]``, and u_l is its
     extinction probability from ``Environment.levels``; no eta law is read.
@@ -67,10 +70,22 @@ def tree_automaton(env: Environment, prime: int | None = None):
     # descents[n]: (c_1..c_n, weight) of a descent from level n, zeros dropped
     descents = [[((), 1)]]
     for l in range(1, N + 1):
+        charge(len(descents[-1]) * len(descent[l]))
         descents.append([(low + (c,), red(x * w)) for low, x in descents[-1]
                          for c, w in enumerate(descent[l]) if w])
     inv_alive = 1 / (1 - u[N]) if prime is None else pow(red(1 - u[N]), -1, prime)
     start = {c: red(x * inv_alive) for c, x in descents[N]}
+    # letter n leaves a state once per descent for each of its first c_n
+    # siblings, only the first where u_{n-1} is 0, unless a c_l > 0 below
+    # n has u_{l-1} = 0; ``lower`` counts the c_1..c_{n-1} that do not
+    widths = [len(w) for w in descent[1:]]
+    count, lower = 0, 1
+    for n in range(1, N + 1):
+        live = u[n - 1] != 0
+        siblings = sum(c if live else min(c, 1) for c in range(widths[n - 1]))
+        count += lower * siblings * len(descents[n - 1]) * math.prod(widths[n:])
+        lower *= widths[n - 1] if live else 1
+    charge(count)
     moves, end = {}, {}
     for c in itertools.product(*(range(len(w)) for w in descent[1:])):
         out = moves[c] = []
@@ -82,6 +97,8 @@ def tree_automaton(env: Environment, prime: int | None = None):
                     for low, w in descents[n - 1]:
                         out.append((n, low + (c[n - 1] - j,) + c[n:], red(x * w)))
             below = red(below * dead[n][c[n - 1]])
+            if not below:  # every later move weighs 0, and so does the end
+                break
         end[c] = below
     return start, moves, end
 
@@ -115,8 +132,9 @@ def same_word_law(one, two, prime: int, charge) -> bool:
     span a space with a basis among the vectors of words no longer than the
     states: each new independent vector is kept, reduced against those
     before it, and extended by every letter.  The laws agree mod ``prime``
-    exactly when every kept vector dots to 0.  Each kept vector passes the
-    number of moves of both automata to ``charge``."""
+    exactly when every kept vector dots to 0.  Each vector passes the size
+    of the basis it is reduced against to ``charge``, and each kept vector
+    the number of moves of both automata."""
     index: dict = {}
     for side, (_, moves, _) in enumerate((one, two)):
         for state in moves:
@@ -131,7 +149,9 @@ def same_word_law(one, two, prime: int, charge) -> bool:
             i = index[side, state]
             ending[i] = sign * end[state] % prime
             for a, nxt, w in out:
-                rows.setdefault(a, [[] for _ in range(n)])[i].append((index[side, nxt], w))
+                if a not in rows:
+                    rows[a] = [[] for _ in range(n)]
+                rows[a][i].append((index[side, nxt], w))
         for state, w in start.items():
             vec[index[side, state]] = w % prime
     cost = sum(len(out) for _, moves, _ in (one, two) for out in moves.values())
@@ -139,6 +159,7 @@ def same_word_law(one, two, prime: int, charge) -> bool:
     todo = [vec]
     while todo:
         vec = todo.pop()
+        charge(len(basis))
         for pivot, kept in basis:
             c = vec[pivot]
             if c:

@@ -8,9 +8,11 @@ The two central objects are
   backward-chain transition kernel.
 
 They are computed by unrelated code paths, so their agreement is the main
-correctness certificate of the package.  In exact arithmetic the certificate
+correctness certificate of the package.  On the exact form of the
+environment, which every dyadic float environment has, the certificate
 compares the two routes as weighted automata over the coalescent times, in
-residues, and enumerates the outcomes only to size a failure.  Further
+residues, and enumerates the outcomes only to size a failure or where the
+automata cannot settle it.  Further
 checks cover the identities for the first coalescent time, the embedded
 hand-worked reference genealogy, the non-Markov witness for the reduced
 point-measure sequence, and the independence structure special to
@@ -25,6 +27,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .errors import (
     ChainStateError,
     DegenerateEnvironmentError,
     EnumerationGuardError,
+    EnvFormatError,
     NotLinearFractionalError,
 )
 from .laws import FiniteSupportLaw, Number
@@ -176,8 +180,10 @@ def _tree_numerators(env: Environment, guard: int) -> tuple[dict[str, Number], N
                 keys = [ck if key is None else key if ck is None else key + junction + ck
                         for key in keys for ck in child_keys]
                 built += 1
-            masses = (math.prod(ms, start=p_count)
-                      for ms in itertools.product(child_masses, repeat=count))
+            # below the deepest level a child's one pattern has mass 1, and
+            # any number of them leaves P(count) as it is
+            masses = [p_count] if child_masses == [1] else (
+                math.prod(ms, start=p_count) for ms in itertools.product(child_masses, repeat=count))
             for key, mass in zip(keys, masses):
                 merged[key] = merged.get(key, zero) + mass
         patterns = merged
@@ -259,17 +265,26 @@ class _Sweep:
     def __init__(self, env: Environment, process: str, guard: int, overflow: str):
         if process not in ("b", "d"):
             raise ValueError("process must be 'b' or 'd'")
-        self.tables = _eta_tables(env)
+        self.env = env
         self.start = (0, ()) if process == "b" else None
         self.exact = env.is_exact
         self.one: Number = 1 if self.exact else 1.0
-        self.scale = math.prod(math.lcm(t.zero.denominator, *(q.denominator for _, q in t.items))
-                               for t in self.tables) if self.exact else 1
         self.guard = guard
         self.overflow = overflow
         self.work = 0
         self._memo: dict = {}
         self._laws: dict = {}
+
+    @cached_property
+    def tables(self) -> list[_LevelTable]:
+        """The eta tables, built on first use."""
+        return _eta_tables(self.env)
+
+    @cached_property
+    def scale(self) -> int:
+        """The product of the tables' common denominators; 1 in floats."""
+        return math.prod(math.lcm(t.zero.denominator, *(q.denominator for _, q in t.items))
+                         for t in self.tables) if self.exact else 1
 
     def transitions(self, state) -> list[tuple[State | None, int | None, Number]]:
         """(next state or None, its first level, probability) of every
@@ -397,8 +412,22 @@ def _chain_outcomes(env: Environment, process: str, guard: int):
     """(K, history, mass, denominator) of every run of the chain sweep,
     yielded at the end of the step that ends it, the history folded by
     ``_times_text``.  Exact masses are integers over ``scale ** K``; float
-    masses are over 1."""
+    masses are over 1.
+
+    At horizon 1 every time is 1 and every step after the first has
+    probability 1, so a run whose first step draws k from the level-1 eta
+    table ends at step k + 1 with that draw's mass; those runs are read off
+    the table in the order the sweep ends them, with its float stop rule."""
     sweep = _Sweep(env, process, guard, f"chain sweep exceeded {guard} transitions")
+    if env.horizon == 1:
+        runs = sorted((nxt[1][0][1] if nxt else 0, p) for nxt, _, p in sweep.transitions(sweep.start))
+        # the mass of the runs from the i-th on: the sweep's frontier
+        going = list(itertools.accumulate(p for _, p in reversed(runs)))[::-1]
+        for i, (k, p) in enumerate(runs, 1):
+            yield k + 1, "1," * k, p * sweep.scale**k, sweep.scale ** (k + 1)
+            if not sweep.exact and i < len(runs) and going[i] < 1e-14:
+                return
+        return
     frontier = {sweep.start: {"": sweep.one}}
     steps = 0
     while frontier:
@@ -481,23 +510,27 @@ def _chain_automaton(sweep: _Sweep):
     return {sweep.start: 1}, moves, end
 
 
-def _automata_verdict(env: Environment, guard: int) -> int | None:
+def _automata_verdict(env: Environment | None, guard: int) -> int | None:
     """The tree automaton of an exact environment against its b chain
     automaton, mod each of ``PRIMES``: the number of outcomes when the two
     word laws agree, 0 when they differ, and None when that is not settled:
-    no tree survives, a denominator is 0 mod a prime, or the work of the
-    automata and their span checks passes ``guard``."""
-    if env.levels.column(env.horizon)[0] == 1:
+    no exact environment, no tree survives, a denominator is 0 mod a prime,
+    or the work of the automata and their span checks passes ``guard``."""
+    if env is None or env.levels.column(env.horizon)[0] == 1:
         return None
     sweep = _Sweep(env, "b", guard, "automata exceeded their budget")
     try:
-        chain = start, moves, end = _chain_automaton(sweep)
+        chain = None
         for prime in PRIMES:
+            # a tree automaton charges its moves before it builds any, so a
+            # wide law passes the guard before the chain's tables are formed
+            tree = tree_automaton(env, prime, sweep.charge)
+            chain = start, moves, end = chain or _chain_automaton(sweep)
             k = pow(sweep.scale, -1, prime)  # numerators over scale
             residues = (start, {s: [(a, nxt, p * k % prime) for a, nxt, p in out]
                                 for s, out in moves.items()},
                         {s: e * k % prime for s, e in end.items()})
-            if not same_word_law(tree_automaton(env, prime), residues, prime, sweep.charge):
+            if not same_word_law(tree, residues, prime, sweep.charge):
                 return 0
     except (EnumerationGuardError, ValueError):
         return None
@@ -989,17 +1022,37 @@ def a1_telescoping_check(env: Environment) -> CheckResult:
     )
 
 
-def tree_vs_chain_check(env: Environment, guard: int = 2_000_000) -> CheckResult:
-    """Total variation between the tree law and the b chain law, streamed:
-    each chain outcome is compared with the tree's numerator as it ends.
+def _exact_form(env: Environment) -> Environment | None:
+    """``env`` if it is exact, else its exact binary form, None without one
+    (a law that is not dyadic or does not sum to exactly 1, or an lf law)."""
+    try:
+        return env if env.is_exact else env.as_rational()
+    except EnvFormatError:
+        return None
 
-    An exact environment passes only at a gap of 0.  Its two laws are first
-    compared as automata (``_automata_verdict``); the outcomes are
-    enumerated only to size a gap where the automata differ, where the line
-    then fails, or where the comparison is not settled."""
+
+def tree_vs_chain_check(env: Environment, guard: int = 2_000_000) -> CheckResult:
+    """Total variation between the tree law and the b chain law.
+
+    The two laws of the environment's exact form are first compared as
+    automata (``_automata_verdict``): where they agree, the line reads a gap
+    of 0.  The outcomes are enumerated, each chain outcome compared with the
+    tree's numerator as it ends (``_tree_chain_gap``), only to size a gap
+    where the automata differ, and the line then fails whatever the gap, or
+    where they cannot settle it: no exact form, as for a law that is not
+    dyadic or an lf law, and the cases of ``_automata_verdict``.  An exact
+    environment passes only at a gap of 0, a float one within 1e-10 and the
+    truncation slack."""
+    return _tree_vs_chain_line(env, guard, _automata_verdict(_exact_form(env), guard))
+
+
+def _tree_vs_chain_line(env: Environment, guard: int, verdict: int | None) -> CheckResult:
+    """``tree_vs_chain_check`` given the verdict of the automata."""
     exact = env.is_exact
-    verdict = _automata_verdict(env, guard) if exact else None
     if verdict:
+        # the enumeration's sweep forms the eta laws, which can fail in
+        # floats where those of the exact form do not
+        env.levels.etas()
         gap, outcomes, extra = 0, verdict, 0.0
     else:
         gap, outcomes, extra = _tree_chain_gap(env, guard)
@@ -1053,17 +1106,21 @@ def run_verify_suite(
     """The default verification battery for one environment; ``rational``
     also checks a short finite-support one in its exact form."""
     results = [figure1_consistency()]
-    # distinct genealogies grow as g(n) = g(n-1) + g(n-1)^2 per generation,
-    # so the exhaustive comparison is a short-horizon instrument; geometric
-    # tails further cap the LF case at horizon one
+    # the span check of the automata grows with the cube of their states, a
+    # product of the laws' widths over the levels, and past horizon 3 it
+    # costs seconds; an lf law has no exact form, and its geometric tails cap
+    # the enumeration at horizon one
     telescoped = env
     if (env.is_finite_support and env.horizon <= 3) or env.horizon == 1:
-        results.append(tree_vs_chain_check(env, guard=guard))
+        # the float and the rational line read one verdict of one exact form
+        exact = _exact_form(env)
+        verdict = _automata_verdict(exact, guard)
+        results.append(_tree_vs_chain_line(env, guard, verdict))
         if rational and env.is_finite_support and env.horizon <= 3:
             # exact only where the rational sweep runs: exact values grow
             # doubly exponentially in size with the depth
-            telescoped = env.as_rational()
-            results.append(tree_vs_chain_check(telescoped, guard=guard))
+            telescoped = exact or env.as_rational()
+            results.append(_tree_vs_chain_line(telescoped, guard, verdict))
     for n in range(1, min(3, env.horizon) + 1):
         if env.is_finite_support or n <= 2:
             results.append(a1_identity_check(env, n))

@@ -19,7 +19,7 @@ from gwcoal.errors import (
     HorizonError,
 )
 from gwcoal.sampling import cumulative, draw_count, geometric_from_uniform
-from gwcoal.verify import _Sweep, _offspring_support
+from gwcoal.verify import _Sweep, _offspring_support, _times_text
 
 ENVS = Path(__file__).resolve().parent.parent / "envs"
 
@@ -593,3 +593,20 @@ def chain_step_laws(env, process="b", max_steps=6):
         if not frontier:
             break
     return out
+
+
+def lockstep_chain_outcomes(env, process, guard):
+    """``verify._chain_outcomes`` by the lockstep sweep at every horizon, 1
+    included: (K, history text, mass, denominator) of each run as its step
+    ends it, the float sweep stopping once less than 1e-14 is still going."""
+    sweep = _Sweep(env, process, guard, f"chain sweep exceeded {guard} transitions")
+    frontier = {sweep.start: {"": sweep.one}}
+    steps = 0
+    while frontier:
+        steps += 1
+        frontier, ended = sweep.step(frontier, _times_text)
+        for hist, mass in ended.items():
+            yield steps, hist, mass, sweep.scale**steps
+        if not sweep.exact and frontier and sum(
+                mass for hists in frontier.values() for mass in hists.values()) < 1e-14:
+            break

@@ -347,17 +347,18 @@ class TestExitCodes:
         path.write_text(json.dumps({"horizon": horizon, "laws": [law] * horizon}))
         return str(path)
 
-    @pytest.mark.parametrize("argv, horizon", [
-        (["eta"], 2), (["chain", "--process", "b"], 2), (["chain", "--process", "d"], 2),
-        (["verify"], 1),
-    ], ids=["eta", "chain-b", "chain-d", "verify"])
-    def test_wide_pmf_eta_law_rejected(self, capsys, tmp_path, argv, horizon):
+    @pytest.mark.parametrize("argv, horizon, width", [
+        (["eta"], 2, 173), (["chain", "--process", "b"], 2, 173),
+        (["chain", "--process", "d"], 2, 173), (["verify"], 1, 173), (["verify"], 1, 256),
+    ], ids=["eta", "chain-b", "chain-d", "verify", "verify-dyadic"])
+    def test_wide_pmf_eta_law_rejected(self, capsys, tmp_path, argv, horizon, width):
         # the eta law's j-th derivative term j!/(j-k)! overflows a float past
         # 170!; verify reaches the eta law first at horizon 1, where its
-        # enumerations stay under the guard
-        code, out, err = run_cli(capsys, *argv, "--env", self.wide_env(tmp_path, 173, horizon))
+        # enumerations stay under the guard, and so it does where the
+        # automata of the law's exact binary form settle its float line
+        code, out, err = run_cli(capsys, *argv, "--env", self.wide_env(tmp_path, width, horizon))
         assert code == EXIT_CONFIG
-        assert err == ("error: eta law at level 1: a pmf law of width 173 overflows the float "
+        assert err == (f"error: eta law at level 1: a pmf law of width {width} overflows the float "
                        "derivative formula\n")
         assert out == "" and "Traceback" not in err
 

@@ -43,7 +43,7 @@ from gwcoal.errors import (
 )
 from gwcoal import automata, verify
 from gwcoal.chains import dense
-from gwcoal.cli import EXIT_CHECK_FAILED, main
+from gwcoal.cli import EXIT_CHECK_FAILED, EXIT_GUARD, EXIT_OK, main
 from gwcoal.disttable import outcome_key
 from gwcoal.environment import LevelTable
 from gwcoal.tree import cpp_and_marks, simulate_tree
@@ -54,7 +54,9 @@ from gwcoal.verify import (
     encode_bt,
 )
 
-from conftest import ENVS, chain_step_laws, dense_transitions, env_path, loop_tree_numerators
+from conftest import (
+    ENVS, chain_step_laws, dense_transitions, env_path, lockstep_chain_outcomes,
+    loop_tree_numerators)
 
 # conditioned genealogy law of the two-generation three-point environment,
 # derived by enumerating all surviving shapes by hand before any code ran
@@ -429,6 +431,30 @@ class TestSuite:
         names = [r.name for r in run_verify_suite(varying3, rational=True)]
         assert calls == [1]
         assert "tree-vs-chain-tv-rational" in names and "a1-tail-telescoping" in names
+
+    def test_rational_runs_the_automata_once(self, monkeypatch, varying3):
+        # the float and the rational line read one verdict, and neither
+        # enumerates the tree's patterns
+        calls = []
+        real = verify._automata_verdict
+        monkeypatch.setattr(verify, "_automata_verdict",
+                            lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(verify, "_tree_numerators", None)
+        lines = {r.name: r for r in run_verify_suite(varying3, rational=True)}
+        assert calls == [1]
+        for mode in ("float", "rational"):
+            res = lines[f"tree-vs-chain-tv-{mode}"]
+            assert res.passed and res.metric == 0 and res.detail.startswith("outcomes=42 ")
+
+    def test_automata_settle_past_the_enumeration(self):
+        # six children at most on each of three levels: the tree's patterns
+        # pass the default guard, the automata of the exact form do not
+        env = constant_environment(FiniteSupportLaw((0.25, 0.25, 0.125, 0.125, 0.125, 0.125)), 3)
+        with pytest.raises(EnumerationGuardError):
+            verify._tree_numerators(env, 2_000_000)
+        results = run_verify_suite(env)
+        assert all(res.passed for res in results)
+        assert results[1].name == "tree-vs-chain-tv-float" and results[1].metric == 0
 
     def test_check_result_serializes(self, varying3):
         res = tree_vs_chain_check(varying3)
@@ -814,6 +840,12 @@ TINY_N3 = Environment((
     FiniteSupportLaw((Fraction(1, 4) + TINY, Fraction(1, 2), Fraction(1, 4) - TINY)),
     FiniteSupportLaw((Fraction(1, 4) - TINY, Fraction(1, 2) + TINY, Fraction(1, 4))),
 ))
+# the youngest law has no death, so that u is 0 at level 1 as at level 0
+NO_DEATH_N3 = Environment((
+    FiniteSupportLaw((Fraction(1, 4), Fraction(0), Fraction(1, 2), Fraction(1, 4))),
+    FiniteSupportLaw((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))),
+    FiniteSupportLaw((Fraction(0), Fraction(1, 2), Fraction(1, 2))),
+))
 
 
 def _move_unit(monkeypatch, state=(0, ())):
@@ -830,6 +862,21 @@ def _move_unit(monkeypatch, state=(0, ())):
         return out
 
     monkeypatch.setattr(verify._Sweep, "transitions", moved)
+
+
+def _mutate_tree_weight(monkeypatch):
+    """Add 1 to the first move of the first start state of the tree
+    automaton that has a move, in residues."""
+    real = verify.tree_automaton
+
+    def mutated(env, prime=None, charge=lambda units: None):
+        start, moves, end = real(env, prime, charge)
+        state = next(s for s in start if moves[s])
+        a, nxt, w = moves[state][0]
+        moves[state][0] = (a, nxt, (w + 1) % prime)
+        return start, moves, end
+
+    monkeypatch.setattr(verify, "tree_automaton", mutated)
 
 
 def _words(automaton):
@@ -930,16 +977,50 @@ class TestIntegerCertificate:
         assert res.passed and res.metric == 0
 
     def test_guard_falls_back_to_enumeration(self, monkeypatch, varying3):
-        # the automata and their span checks take 484 units here, the
-        # enumeration 89 (the b sweep; the tree takes 73): below 484 the line
+        # the automata and their span checks take 792 units here, the
+        # enumeration 89 (the b sweep; the tree takes 73): below 792 the line
         # enumerates, and raises where the enumeration raises
         exact = varying3.as_rational()
-        assert verify._automata_verdict(exact, 483) is None
+        assert verify._automata_verdict(exact, 791) is None
         assert tree_vs_chain_check(exact, guard=89).passed
         with pytest.raises(EnumerationGuardError):
             tree_vs_chain_check(exact, guard=88)
         monkeypatch.setattr(verify, "_tree_numerators", None)
-        assert tree_vs_chain_check(exact, guard=484).passed
+        assert tree_vs_chain_check(exact, guard=792).passed
+
+    def test_tree_moves_charged_before_built(self, monkeypatch):
+        # thirty-two entries of 1/32 at each of three levels: the tree
+        # automaton's 14 328 510 moves pass the guard before any is built,
+        # and before the chain's tables are formed; the line then
+        # enumerates, which raises
+        env = constant_environment(FiniteSupportLaw((1 / 32,) * 32), 3)
+        charged = []
+
+        def charge(units):
+            charged.append(units)
+            if sum(charged) > 2_000_000:
+                raise EnumerationGuardError("past the guard")
+
+        monkeypatch.setattr(automata, "itertools", None)  # no state is built
+        with pytest.raises(EnumerationGuardError):
+            automata.tree_automaton(env.as_rational(), automata.PRIMES[0], charge)
+        assert charged == [31, 31**2, 31**3, 14_328_510]
+        monkeypatch.setattr(verify, "_eta_tables", None)
+        assert verify._automata_verdict(env.as_rational(), 2_000_000) is None
+        monkeypatch.undo()
+        with pytest.raises(EnumerationGuardError):
+            tree_vs_chain_check(env)
+
+    @pytest.mark.parametrize("name", [*sorted(EXACT_ENVS), "no_death"])
+    def test_tree_moves_charged_are_built(self, name):
+        # the moves' count matches the moves built, in residues and in
+        # Fractions, also where a law without death makes u 0 above level 0
+        env = NO_DEATH_N3 if name == "no_death" else EXACT_ENVS[name]().as_rational()
+        for prime in (None, *automata.PRIMES):
+            charged = []
+            _, moves, _ = automata.tree_automaton(env, prime, charged.append)
+            assert len(charged) == env.horizon + 1
+            assert charged[-1] == sum(map(len, moves.values()))
 
     @pytest.mark.parametrize("name", sorted(EXACT_ENVS))
     def test_tree_automaton_is_tree_law(self, name):
@@ -967,28 +1048,25 @@ class TestIntegerCertificate:
     @pytest.mark.parametrize("name", ["binom_n3", "varying_n3"])
     def test_mutated_tree_weight_fails(self, monkeypatch, name):
         env = EXACT_ENVS[name]().as_rational()
-        real = verify.tree_automaton
-
-        def mutated(env, prime=None):
-            start, moves, end = real(env, prime)
-            state = next(s for s in start if moves[s])
-            a, nxt, w = moves[state][0]
-            moves[state][0] = (a, nxt, (w + 1) % prime)
-            return start, moves, end
-
-        monkeypatch.setattr(verify, "tree_automaton", mutated)
+        _mutate_tree_weight(monkeypatch)
         gap, (metric, _, detail) = _reference_check(env)
         res = tree_vs_chain_check(env)
         assert (res.metric, res.passed, res.detail) == (metric, False, detail)
         assert gap == 0
 
 
+# a law that is not dyadic: its binary values do not sum to exactly 1, so the
+# environment has no exact form and its float line enumerates
+NON_DYADIC_N3 = constant_environment(FiniteSupportLaw((0.1, 0.3, 0.6)), 3)
 FLOAT_ENVS = {
     "binom_n3": lambda: load_environment(env_path("binom_n3")),
     "varying_n3": lambda: load_environment(env_path("varying_n3")),
     "lf_half_n1": lambda: load_environment(env_path("lf_half_n1")),
     "full_support_n3": lambda: FULL_SUPPORT_N3_FLOAT,
+    "non_dyadic_n3": lambda: NON_DYADIC_N3,
 }
+# the float environments that have an exact form
+DYADIC_FLOAT_ENVS = ("binom_n3", "full_support_n3", "varying_n3")
 
 
 def _float_reference_check(env):
@@ -1006,37 +1084,90 @@ def _float_reference_check(env):
 
 
 class TestFloatCertificate:
-    """The float tree-vs-chain check streams the chain's outcomes against the
-    tree's masses; it must report what ``tv_distance`` reports on the public
-    float tables, bit for bit where the terms' sum does not depend on their
-    order."""
+    """The float tree-vs-chain check of a dyadic environment compares the
+    automata of its exact form and reads a gap of 0 where they agree.
+    Without an exact form it streams the chain's outcomes against the
+    tree's masses; it must then report what ``tv_distance`` reports on the
+    public float tables, bit for bit where the terms' sum does not depend on
+    their order."""
 
     @pytest.mark.parametrize("name", sorted(FLOAT_ENVS))
-    def test_matches_public_tables(self, name):
+    def test_matches_public_tables(self, monkeypatch, name):
         env = FLOAT_ENVS[name]()
-        _, expected = _float_reference_check(env)
+        gap, expected = _float_reference_check(env)
+        if name in DYADIC_FLOAT_ENVS:
+            # the public tables agree within the threshold, and the automata
+            # settle the line with no tree enumeration
+            assert expected[1] and gap <= 1e-10
+            outcomes = expected[2].split()[0]
+            expected = (0.0, True, f"{outcomes} truncation=0.000e+00 exact_zero=True")
+
+            def refuse(*args):
+                raise AssertionError("enumerated")
+
+            monkeypatch.setattr(verify, "_tree_numerators", refuse)
+        else:
+            with pytest.raises(EnvFormatError):
+                env.as_rational()
         res = tree_vs_chain_check(env)
         assert (res.metric, res.passed, res.detail) == expected
         assert res.name == "tree-vs-chain-tv-float" and res.passed
 
     @pytest.mark.parametrize("edit", ["perturb", "drop", "extra"])
-    def test_disagreement_matches_public_tables(self, monkeypatch, varying3, edit):
+    def test_disagreement_matches_public_tables(self, monkeypatch, edit):
         # the streamed check adds its terms one by one in outcome order,
         # while ``tv_distance`` rounds their exact sum once (``math.fsum``);
         # with one large term next to rounding-sized ones the last bits can
         # differ (perturb: 0.5 against 0.5000000000000001), so the metric is
         # held to the rounding bound of n nonnegative terms, 2 n 2**-53 of
-        # their sum
+        # their sum.  The environment has no exact form, so the edits reach
+        # the line.
+        env = NON_DYADIC_N3
         _edit_outcomes(monkeypatch, edit)
-        gap, (metric, passed, detail) = _float_reference_check(varying3)
+        gap, (metric, passed, detail) = _float_reference_check(env)
         assert gap > 0
-        res = tree_vs_chain_check(varying3)
-        n = len(set(exact_tree_law(varying3)) | set(exact_chain_law(varying3)))
+        res = tree_vs_chain_check(env)
+        n = len(set(exact_tree_law(env)) | set(exact_chain_law(env)))
         assert res.metric == pytest.approx(metric, rel=2 * n * 2**-53, abs=0)
         assert (res.passed, res.detail) == (passed, detail)
         # a finite-support env has no slack to absorb the edit: dropping an
-        # outcome of mass 0.028 fails too
+        # outcome of mass 0.011 fails too
         assert not res.passed and "truncation=0.000e+00" in res.detail
+
+    @pytest.mark.parametrize("name", ["binom_n3", "varying_n3"])
+    def test_moved_unit_fails(self, monkeypatch, name):
+        # one numerator unit of the exact form's start transitions moves,
+        # so the automata differ
+        env = FLOAT_ENVS[name]()
+        _move_unit(monkeypatch)
+        assert verify._automata_verdict(env.as_rational(), 2_000_000) == 0
+        res = tree_vs_chain_check(env)
+        assert res.name == "tree-vs-chain-tv-float" and not res.passed
+
+    @pytest.mark.parametrize("name", ["binom_n3", "varying_n3"])
+    def test_mutated_tree_weight_fails(self, monkeypatch, name):
+        # the enumeration never reads the tree automaton: it sizes a gap
+        # within the threshold, and the line fails on the automata's verdict
+        env = FLOAT_ENVS[name]()
+        _mutate_tree_weight(monkeypatch)
+        gap, (metric, passed, detail) = _float_reference_check(env)
+        res = tree_vs_chain_check(env)
+        assert passed and gap <= 1e-10
+        assert (res.metric, res.passed, res.detail) == (metric, False, detail)
+
+    def test_guard_falls_back_to_enumeration(self, monkeypatch, capsys, varying3):
+        # the automata of the exact form and their span checks take 792
+        # units; below that the line enumerates, so plain verify passes from
+        # the enumeration's 89 units up and exits 4 below, as the
+        # enumeration alone did
+        argv = ["verify", "--env", env_path("varying_n3"), "--guard"]
+        assert verify._automata_verdict(varying3.as_rational(), 791) is None
+        assert main([*argv, "89"]) == EXIT_OK
+        assert main([*argv, "88"]) == EXIT_GUARD
+        capsys.readouterr()
+        monkeypatch.setattr(verify, "_tree_numerators", None)
+        assert main([*argv, "792"]) == EXIT_OK
+        assert "PASS tree-vs-chain-tv-float metric=0.000e+00" in capsys.readouterr().out
 
     def test_lf_slack_is_truncated_mass(self):
         # geometric tails are cut, so an lf env keeps the tables' leak as slack
@@ -1047,13 +1178,17 @@ class TestFloatCertificate:
         assert extra > 0 and f"truncation={extra:.3e}" in res.detail
 
     def test_no_outcome_key_text(self, monkeypatch, varying3):
-        # neither mode forms the public tables' string keys
+        # neither mode forms the public tables' string keys, whether the
+        # automata settle the line or the outcomes are enumerated
         def refuse(*args):
             raise AssertionError("outcome_key called")
 
         monkeypatch.setattr(verify, "outcome_key", refuse)
-        for env in (varying3, varying3.as_rational()):
+        for env in (varying3, varying3.as_rational(), NON_DYADIC_N3):
             res = tree_vs_chain_check(env)
+            assert res.passed, res.detail
+            with mock.patch.object(verify, "_automata_verdict", return_value=None):
+                res = tree_vs_chain_check(env)
             assert res.passed, res.detail
 
 
@@ -1125,12 +1260,13 @@ def test_prefix_extension_matches_loop_reference(env):
 def test_automata_match_enumeration(env):
     """The rational line settled by the automata reports what the
     enumeration route reports, or raises what it raises: the same metric,
-    verdict and detail, on envs that cannot survive too."""
+    verdict and detail, on envs that cannot survive too.  So does the float
+    line, which reads the same verdict."""
     exact = env.as_rational()
 
-    def line():
+    def line(form=exact):
         try:
-            res = tree_vs_chain_check(exact)
+            res = tree_vs_chain_check(form)
         except (EnumerationGuardError, DegenerateEnvironmentError) as exc:
             return type(exc)
         return res.metric, res.passed, res.detail
@@ -1138,8 +1274,51 @@ def test_automata_match_enumeration(env):
     fast = line()
     with mock.patch.object(verify, "_automata_verdict", return_value=None):
         assert line() == fast
+        slow = line(env)
     if not isinstance(fast, type):
         assert verify._automata_verdict(exact, 2_000_000) > 0
+    # the float line reads the verdict of the same exact form; enumerated, it
+    # passes with the same outcomes or raises the same error
+    assert line(env) == fast
+    if isinstance(fast, type):
+        assert slow is fast
+    else:
+        assert slow[1] and slow[2].split()[0] == fast[2].split()[0]
+
+
+ONE_LEVEL_ENVS = {
+    "lf_half": Environment((LinearFractionalLaw(0.5, 0.5),)),
+    "lf_r1_p004": Environment((LinearFractionalLaw(1.0, 0.04),)),
+    "lf_r03_p09": Environment((LinearFractionalLaw(0.3, 0.9),)),
+    "pmf_gap": Environment((FiniteSupportLaw((0.25, 0.0, 0.5, 0.25)),)),
+    "pmf_gap_exact": Environment((FiniteSupportLaw((0.25, 0.0, 0.5, 0.25)),)).as_rational(),
+    "pmf_no_death": Environment((FiniteSupportLaw((0.0, 0.5, 0.5)),)),
+    "pmf_non_dyadic": Environment((FiniteSupportLaw((0.1, 0.2, 0.3, 0.4)),)),
+    "pmf_rare": Environment((FiniteSupportLaw((1 - 2**-40, 2**-41, 2**-41)),)),
+}
+
+
+class TestOneLevel:
+    """At horizon 1 the chain's runs are read off the level-1 eta table."""
+
+    @pytest.mark.parametrize("process", ["b", "d"])
+    @pytest.mark.parametrize("name", sorted(ONE_LEVEL_ENVS))
+    def test_outcomes_match_the_lockstep_sweep(self, name, process):
+        # the same runs in the same order, bit-equal masses, and the float
+        # sweep's stop at less than 1e-14 still going
+        env = ONE_LEVEL_ENVS[name]
+        got = list(verify._chain_outcomes(env, process, 2_000_000))
+        ref = list(lockstep_chain_outcomes(env, process, 2_000_000))
+        assert [(k, hist, repr(mass), den) for k, hist, mass, den in got] \
+            == [(k, hist, repr(mass), den) for k, hist, mass, den in ref]
+
+    def test_rare_death_passes(self):
+        # about 3 000 runs, each a single line of times 1: the lockstep
+        # sweep carried them all and passed its 2 000 000 transitions
+        env = Environment((LinearFractionalLaw(1.0, 0.01),))
+        results = run_verify_suite(env)
+        assert all(res.passed for res in results), [r.detail for r in results]
+        assert results[1].detail.startswith("outcomes=2979 ")
 
 
 class TestLfSupportGuard:
