@@ -31,7 +31,7 @@ from .errors import (
     NotLinearFractionalError,
 )
 from .laws import FiniteSupportLaw, LinearFractionalLaw, Number, OffspringLaw
-from .sampling import cumulative
+from .sampling import cumulative, guide_table
 
 _NO_SURVIVAL = "survival probability is zero; conditioned quantities undefined"
 
@@ -236,11 +236,20 @@ class LevelTable:
             u = nxt
 
     @cached_property
-    def offspring_cumulatives(self) -> list[tuple[float, ...] | None]:
-        """Cumulative table of each generation's finite-support law, oldest
-        first; None for a linear-fractional law."""
-        return [cumulative(law.probs) if isinstance(law, FiniteSupportLaw) else None
-                for law in self.laws]
+    def offspring_steps(self) -> tuple[tuple[OffspringLaw, tuple[float, ...] | None,
+                                             bytes | None], ...]:
+        """(law, cumulative table, guide table) of each generation, oldest
+        first, as a forward draw reads them: the ``guide_table`` is None for
+        a finite-support law of 255 or more entries, and both tables are
+        None for a linear-fractional law."""
+        steps = []
+        for law in self.laws:
+            if isinstance(law, FiniteSupportLaw):
+                cum = cumulative(law.probs)
+                steps.append((law, cum, guide_table(cum)))
+            else:
+                steps.append((law, None, None))
+        return tuple(steps)
 
     @cached_property
     def _lf_sums(self) -> list[float]:

@@ -58,7 +58,7 @@ class UniformStream:
     which checks its size guard where a row crosses a block's end, reads at
     most one block past the guard."""
 
-    __slots__ = ("_rng", "_block", "_buf", "_pos", "_lease")
+    __slots__ = ("_rng", "_block", "_buf", "_pos", "_lease", "_src", "_codes")
 
     def __init__(self, rng: np.random.Generator, block: int = 8192):
         if block < 1:
@@ -69,6 +69,10 @@ class UniformStream:
         self._block = block if block <= MAX_WIDTH else MAX_WIDTH
         self._buf: list[float] = []
         self._pos = 0
+        # what the generator returned for the current block, and its bucket
+        # bytes once ``codes`` has made them
+        self._src = None
+        self._codes: bytes | None = None
         # a campaign stream shares its generator: [False] once the next run has it
         self._lease: list[bool] | None = None
 
@@ -76,9 +80,29 @@ class UniformStream:
         if self._lease is not None and not self._lease[0]:
             raise RuntimeError("a campaign stream was read after the next run's stream was made")
         size = min(self._block, max(_FIRST, 2 * len(self._buf)))
-        self._buf = self._rng.random(size).tolist()
+        src = self._src = self._rng.random(size)
+        self._buf = src.tolist()
         self._pos = 0
+        self._codes = None
         return self._buf
+
+    def codes(self) -> bytes:
+        """floor(256·u) for each uniform u of the current block, one byte
+        each: its bucket in a ``guide_table``.  Made on the first ask per
+        block, from the array the generator returned, or from the floats
+        where a wrapped generator returned something else; the first block
+        of a campaign stream is cut from its sub-chunk's."""
+        codes = self._codes
+        if codes is None:
+            src, rng = self._src, self._rng
+            if type(rng) is _CampaignRng and src is rng.first:
+                codes = rng.first_codes()
+            else:
+                if not isinstance(src, np.ndarray):
+                    src = np.array(self._buf, dtype=float)
+                codes = _buckets(src).tobytes()
+            self._codes = codes
+        return codes
 
     def next(self) -> float:
         if self._pos >= len(self._buf):
@@ -130,6 +154,12 @@ class UniformStream:
 
 def stream_for_run(seed: int, run_id: int) -> UniformStream:
     return UniformStream(rng_for_run(seed, run_id))
+
+
+def _buckets(uniforms: np.ndarray) -> np.ndarray:
+    """floor(256·u) of each uniform, as uint8: ×256 is exact in binary, and
+    the cast truncates."""
+    return (uniforms * 256.0).astype(np.uint8)
 
 
 # numpy's SeedSequence: O'Neill's seed_seq hash with a pool of four 32-bit words
@@ -294,7 +324,7 @@ class _CampaignRng:
     call is the current run's.
     """
 
-    __slots__ = ("bitgen", "rng", "seeds", "run", "block")
+    __slots__ = ("bitgen", "rng", "seeds", "run", "block", "first", "row", "part", "buckets")
 
     def __init__(self):
         self.bitgen = np.random.PCG64(0)
@@ -302,6 +332,21 @@ class _CampaignRng:
         self.seeds: list[list[int]] = []
         self.run = -1
         self.block: np.ndarray | None = None
+        # the current run's first block, its row in the sub-chunk's blocks
+        # ``part``, and their bucket bytes once a forward draw asked
+        self.first: np.ndarray | None = None
+        self.row = 0
+        self.part: np.ndarray | None = None
+        self.buckets: bytes | None = None
+
+    def first_codes(self) -> bytes:
+        """The bucket bytes of ``first``, cut from one ``_buckets`` over the
+        sub-chunk's first blocks."""
+        buckets = self.buckets
+        if buckets is None:
+            buckets = self.buckets = _buckets(self.part).tobytes()
+        start = self.row * _FIRST
+        return buckets[start:start + _FIRST]
 
     def random(self, size: int) -> np.ndarray:
         block = self.block
@@ -351,7 +396,8 @@ def _sub_chunks(seed: int, n: int) -> Iterator[SubChunk]:
         nonlocal lease
         lease[0] = False
         lease = [True]
-        slot.run, slot.block = sub + i, part[i]
+        slot.run, slot.row = sub + i, i
+        slot.block = slot.first = part[i]
         out = UniformStream(slot)
         out._lease = lease
         return out
@@ -363,7 +409,9 @@ def _sub_chunks(seed: int, n: int) -> Iterator[SubChunk]:
         for sub in range(0, runs, _SUB):
             # the last sub-chunk's streams are done with
             lease[0] = False
-            part = _first_blocks([c[sub:sub + _SUB] for c in columns])
+            part = slot.part = _first_blocks([c[sub:sub + _SUB] for c in columns])
+            # their blocks may still be mapped, but not through these bytes
+            slot.buckets = slot.first = None
             yield part, min(_SUB, runs - sub), stream
 
 
@@ -389,6 +437,31 @@ def cumulative(probs: Sequence[float | Fraction]) -> tuple[float, ...]:
         acc += float(p)
         out.append(acc)
     return tuple(out)
+
+
+# the byte of a guide table's bucket that holds a cumulative value
+_SPLIT = 255
+
+
+def guide_table(cum: Sequence[float]) -> bytes | None:
+    """Chen and Asau's guide table of a cumulative table, over 256 buckets
+    of the uniforms: entry k is ``bisect_right(cum, u)`` for every u in
+    [k/256, (k+1)/256), or 255 where a value of ``cum`` lies strictly inside
+    that bucket, so that the count there depends on u.  ×256 is exact in
+    binary, so a value on a bucket's edge is placed exactly.  None for a
+    table of 255 or more values, whose counts may reach 255."""
+    if len(cum) >= _SPLIT:
+        return None
+    table = bytearray(256)
+    # cum[i] <= u for every u of bucket edges[i] and the buckets after it
+    edges = [min(math.ceil(256.0 * c), 256) for c in cum]
+    for count, (lo, hi) in enumerate(zip(edges, edges[1:] + [256]), 1):
+        table[lo:hi] = bytes((count,)) * (hi - lo)
+    for c in cum:
+        scaled = 256.0 * c
+        if scaled < 256.0 and scaled != math.floor(scaled):
+            table[int(scaled)] = _SPLIT
+    return bytes(table)
 
 
 def draw_from_cumulative(cum: Sequence[float], stream: UniformStream) -> int:
@@ -424,7 +497,11 @@ def draw_forward(env: Environment, stream: UniformStream,
     draw read when none survives, and the number of draws read.  The
     uniforms read are those of one ``draw_count`` per individual, in order:
     ``pmf`` generations are read off the stream's block, a founder dead at
-    its uniform costing one comparison.
+    its uniform costing one comparison.  A ``pmf`` row that fits the block
+    maps the bucket bytes of its uniforms (``UniformStream.codes``) through
+    the generation's ``guide_table`` in one ``bytes.translate``, and is read
+    again by ``bisect_right`` only where a byte is 255; the rows stay bytes
+    until the draw is returned.
 
     A draw of more than ``MAX_WIDTH`` individuals, all its generations
     together, raises EnumerationGuardError before it is built into a tree.
@@ -435,15 +512,15 @@ def draw_forward(env: Environment, stream: UniformStream,
     read in place pay nothing for it and a draw reads at most one block
     past the bound.
     """
-    cums = env.levels.offspring_cumulatives
-    levels = list(zip(env.laws, cums))
-    first = cums[0]
+    levels = env.levels.offspring_steps
+    first = levels[0][1]
     if first is not None:
         empty = first[0]  # a founder's uniform below it gives no child
         levels = levels[1:]
-    buf, pos = stream._buf, stream._pos
+    buf, pos, codes = stream._buf, stream._pos, stream._codes
     end = len(buf)
-    counts: list[list[int]] | None = []
+    counts: list | None = []
+    mapped: list[int] = []  # the depths of the draw's rows held as bytes
     width = read = 0
     while read < limit:
         read += 1
@@ -452,7 +529,7 @@ def draw_forward(env: Environment, stream: UniformStream,
             base = -pos
         else:
             if pos == end:
-                buf = stream._refill()
+                buf, codes = stream._refill(), None
                 pos, end = 0, len(buf)
             u = buf[pos]
             pos += 1
@@ -462,7 +539,8 @@ def draw_forward(env: Environment, stream: UniformStream,
             width = bisect_right(first, u)
             counts = [[width]]
             base = 1 - pos
-        for law, cum in levels:
+        mapped = []
+        for law, cum, guide in levels:
             if cum is None or pos + width > end:
                 # an lf generation, or a row that crosses the block's end
                 size = base + pos + width
@@ -470,10 +548,10 @@ def draw_forward(env: Environment, stream: UniformStream,
                     raise _too_wide(size)
                 stream._pos = pos
                 if cum is None:
-                    row = [draw_count(law, stream) for _ in range(width)]
+                    row = _lf_row(law, stream, width)
                 else:
                     row = [bisect_right(cum, u) for u in stream.take(width)]
-                buf, pos = stream._buf, stream._pos
+                buf, pos, codes = stream._buf, stream._pos, stream._codes
                 end = len(buf)
                 base = size - pos
                 width = sum(row)
@@ -481,8 +559,18 @@ def draw_forward(env: Environment, stream: UniformStream,
                 width = bisect_right(cum, buf[pos])
                 pos += 1
                 row = [width]
-            else:
+            elif guide is None:
                 row = list(map(bisect_right, repeat(cum), buf[pos:pos + width]))
+                pos += width
+                width = sum(row)
+            else:
+                if codes is None:
+                    codes = stream.codes()
+                row = codes[pos:pos + width].translate(guide)
+                if _SPLIT in row:
+                    row = list(map(bisect_right, repeat(cum), buf[pos:pos + width]))
+                else:
+                    mapped.append(len(counts))
                 pos += width
                 width = sum(row)
             counts.append(row)
@@ -495,8 +583,40 @@ def draw_forward(env: Environment, stream: UniformStream,
             break
     stream._pos = pos
     if counts is None:
-        counts = [[0]]
+        return [[0]], width, read
+    for depth in mapped:
+        counts[depth] = list(counts[depth])
     return counts, width, read
+
+
+def _lf_row(law: LinearFractionalLaw, stream: UniformStream, width: int) -> list[int]:
+    """The child counts of ``width`` individuals of an lf law, read in place
+    off the stream's block by the expressions of ``draw_count``, with
+    1 - r and log1p(-p) formed once; an individual whose uniforms may cross
+    the block's end is read by ``draw_count``."""
+    fail = 1.0 - law.r
+    log_fail = math.log1p(-law.p) if law.p < 1.0 else None
+    buf, pos = stream._buf, stream._pos
+    end = len(buf)
+    row = []
+    for _ in range(width):
+        if pos + 1 >= end:
+            stream._pos = pos
+            row.append(draw_count(law, stream))
+            buf, pos = stream._buf, stream._pos
+            end = len(buf)
+        elif buf[pos] < fail:
+            row.append(0)
+            pos += 1
+        elif log_fail is None:
+            row.append(1)
+            pos += 1
+        else:
+            # geometric_from_uniform's expression, on the next uniform
+            row.append(1 + int(math.log1p(-buf[pos + 1]) / log_fail))
+            pos += 2
+    stream._pos = pos
+    return row
 
 
 def draw_count(law: OffspringLaw, stream: UniformStream) -> int:

@@ -118,6 +118,8 @@ def exact_tree_law(env: Environment, guard: int = 500_000) -> DistTable:
     ``Fraction`` per outcome, formed from the integer numerators.
     """
     patterns, dead, alive = _tree_numerators(env, guard)
+    if env.horizon == 1:
+        patterns = {"1," * (k - 1): p for k, p in patterns.items()}
     table = DistTable({
         outcome_key(k, a): Fraction(p, alive) if env.is_exact else p / alive
         for k, a, p in sorted((t.count(",") + 1, t[:-1], p) for t, p in patterns.items())
@@ -127,13 +129,16 @@ def exact_tree_law(env: Environment, guard: int = 500_000) -> DistTable:
     return table
 
 
-def _tree_numerators(env: Environment, guard: int) -> tuple[dict[str, Number], Number, Number]:
+def _tree_numerators(env: Environment,
+                     guard: int) -> tuple[dict[str | int, Number], Number, Number]:
     """The surviving patterns of ``exact_tree_law`` with their masses, the
     dead mass and the surviving mass ``alive``.
 
     A pattern is keyed by the b sweep's history text, every coalescent time
     followed by a comma: ``""`` for K = 1, ``"1,3,"`` for K = 3 with times
-    (1, 3); the dead pattern is keyed None.  The patterns of a subtree's
+    (1, 3); the dead pattern is keyed None.  At horizon 1 every time is 1,
+    and a pattern is keyed by K, so that the keys' memory grows with the
+    support, not with its square.  The patterns of a subtree's
     ``c`` children are the combinations of ``c`` child patterns in
     ``itertools.product`` order, and each key extends the key of its first
     ``c - 1`` children, so a key is one concatenation, shared across the
@@ -153,7 +158,7 @@ def _tree_numerators(env: Environment, guard: int) -> tuple[dict[str, Number], N
     # rooted at the current depth: 1, or in exact mode the common
     # denominator of the numerators
     total: Number = 1 if exact else 1.0
-    patterns: dict[str | None, Number] = {"": total}
+    patterns: dict[str | int | None, Number] = {"": total}
     work = 0
     for depth in range(N - 1, -1, -1):
         junction = f"{N - depth},"
@@ -170,8 +175,12 @@ def _tree_numerators(env: Environment, guard: int) -> tuple[dict[str, Number], N
             items = [(c, p.numerator * (den // p.denominator) * total ** (top - c))
                      for c, p in items]
             total = den * total**top
-        child_keys, child_masses = list(patterns), list(patterns.values())
         zero = 0 * total
+        if N == 1:
+            # the founder's count is K, and each child's one pattern has mass 1
+            patterns = {count or None: zero + p_count for count, p_count in items}
+            break
+        child_keys, child_masses = list(patterns), list(patterns.values())
         merged: dict[str | None, Number] = {}
         keys: list[str | None] = [None]  # the keys of every combination of `built` children
         built = 0
@@ -449,7 +458,8 @@ def _tree_chain_gap(env: Environment, guard: int) -> tuple[Number, int, float]:
 
     The b chain's outcomes are compared as they end against the tree's
     numerators, which are popped by the sweep's history text as they are
-    matched.  For an exact environment an
+    matched, or at horizon 1 by K, as ``_tree_numerators`` keys them there.
+    For an exact environment an
     outcome agrees when ``tree * den == chain * alive``, and only outcomes
     that disagree, or that one side lacks, add a ``Fraction`` to the gap, so
     that the gap equals ``tv_distance`` on the two public tables.  In float
@@ -465,8 +475,9 @@ def _tree_chain_gap(env: Environment, guard: int) -> tuple[Number, int, float]:
     outcomes = len(tree)
     gap: Number = Fraction(0) if exact else 0.0
     ended = 0.0
-    for _, hist, mass, den in _chain_outcomes(env, "b", guard):
-        num = tree.pop(hist, 0)
+    by_k = env.horizon == 1
+    for k, hist, mass, den in _chain_outcomes(env, "b", guard):
+        num = tree.pop(k if by_k else hist, 0)
         if exact:
             if num * den != mass * alive:
                 gap += abs(Fraction(num, alive) - Fraction(mass, den))

@@ -1,5 +1,6 @@
 import ast
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import gwcoal
 from gwcoal import sampling
-from gwcoal import FiniteSupportLaw, LinearFractionalLaw, stream_for_run
+from gwcoal import Environment, FiniteSupportLaw, LinearFractionalLaw, stream_for_run
 from gwcoal.errors import DomainError
 from gwcoal.sampling import (
     MAX_WIDTH,
@@ -24,8 +25,12 @@ from gwcoal.sampling import (
     draw_count,
     draw_from_cumulative,
     geometric_failures,
+    guide_table,
     rng_for_run,
 )
+from gwcoal.cli import main
+
+from conftest import env_path
 
 
 class TestStreams:
@@ -358,3 +363,157 @@ class TestDiscreteDraws:
             total += v
         assert zero / n == pytest.approx(0.4, abs=0.01)
         assert total / n == pytest.approx(law.mean(), abs=0.03)
+
+
+def _bucket_ends(k):
+    """The least and the greatest double in [k/256, (k+1)/256)."""
+    return k / 256, float(np.nextafter((k + 1) / 256, 0.0))
+
+
+# cumulative values anywhere in [0, 1], on bucket edges among them
+_CUM_VALUES = st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                        st.integers(min_value=0, max_value=256).map(lambda k: k / 256))
+
+
+class TestGuideTables:
+    """A guide table's entry is the count ``bisect_right`` gives every
+    uniform of its bucket, or 255 where the bucket holds a cumulative value;
+    the counts being monotone in u, the bucket's two ends settle it."""
+
+    def check(self, cum):
+        table = guide_table(cum)
+        assert len(table) == 256
+        for k, entry in enumerate(table):
+            lo, hi = _bucket_ends(k)
+            low, high = bisect_right(cum, lo), bisect_right(cum, hi)
+            if entry == 255:
+                assert low != high
+                assert any(lo < c < (k + 1) / 256 for c in cum)
+            else:
+                assert entry == low == high
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.one_of(st.just(0), st.integers(min_value=1, max_value=10 ** 6)),
+                            min_size=1, max_size=40).filter(any))
+    def test_laws(self, weights):
+        # non-dyadic laws, zero-probability entries among them
+        total = sum(weights)
+        self.check(cumulative(FiniteSupportLaw(tuple(w / total for w in weights)).probs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(_CUM_VALUES, min_size=1, max_size=254))
+    def test_any_cumulative_table(self, values):
+        # cum[-1] below 1 too, and values on a bucket's edges
+        self.check(tuple(sorted(values)))
+
+    def test_rounded_sum_below_one(self):
+        cum = cumulative((0.1,) * 10)
+        assert cum[-1] < 1.0
+        self.check(cum)
+        # the last bucket's uniforms past cum[-1] count every entry
+        assert bisect_right(cum, _bucket_ends(255)[1]) == 10
+
+    @pytest.mark.parametrize("size, has_table", [(254, True), (255, False), (300, False)])
+    def test_wide_law_has_no_table(self, size, has_table):
+        law = FiniteSupportLaw((1 / size,) * size)
+        assert (guide_table(cumulative(law.probs)) is not None) == has_table
+        (_, cum, guide), = Environment((law,)).levels.offspring_steps
+        assert guide == guide_table(cum)
+
+    def test_lf_law_has_no_tables(self, lf_law):
+        half = FiniteSupportLaw((0.5, 0.5))
+        assert Environment((lf_law, half)).levels.offspring_steps == (
+            (lf_law, None, None), (half, (0.5, 1.0), guide_table((0.5, 1.0))))
+
+
+class TestBucketBytes:
+    """``UniformStream.codes``: floor(256·u) of each uniform of the block."""
+
+    @staticmethod
+    def expected(stream):
+        return bytes(int(256 * u) for u in stream._buf)
+
+    def test_stream_blocks(self):
+        stream = UniformStream(rng_for_run(3, 1), block=100)
+        for _ in range(4):
+            stream.take(len(stream._buf) - stream._pos + 1)
+            assert stream.codes() == self.expected(stream)
+            assert stream.codes() is stream.codes()
+
+    def test_generator_that_returns_no_array(self):
+        # a generator wrapped so that random() returns only what has tolist()
+        class Wrapped:
+            def __init__(self, block):
+                self.block = block
+
+            def tolist(self):
+                return self.block.tolist()
+
+        class Rng:
+            def __init__(self):
+                self.rng = rng_for_run(5, 0)
+
+            def random(self, size):
+                return Wrapped(self.rng.random(size))
+
+        stream = UniformStream(Rng())
+        stream.next()
+        assert stream.codes() == self.expected(stream)
+
+    def test_campaign_first_blocks(self):
+        for run, stream in enumerate(campaign_streams(7, 2 * sampling._SUB + 5)):
+            stream.next()
+            assert stream.codes() == self.expected(stream)
+            if run % 50 == 0:
+                stream.take(sampling._FIRST)
+                assert stream.codes() == self.expected(stream)
+
+    def test_campaign_stream_past_its_lease(self):
+        # a stream read on after the next run's was made, or after the next
+        # sub-chunk was taken, still maps its own block
+        streams = campaign_streams(7, 3)
+        first = next(streams)
+        first.next()
+        second = next(streams)
+        second.next()
+        assert first.codes() == self.expected(first)
+        assert second.codes() == self.expected(second)
+        sub_chunks = campaign_blocks(7, sampling._SUB + 3)
+        _, size, make = next(sub_chunks)
+        last = make(size - 1)
+        last.next()
+        expected = self.expected(last)
+        assert len(expected) == sampling._FIRST
+        _, size, _ = next(sub_chunks)
+        assert size == 3
+        assert last.codes() == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["chain", "--process", "b", "--env", env_path("binom_n6")],
+        ["chain", "--process", "d", "--env", env_path("varying_n3")],
+        ["chain", "--process", "lf", "--env", env_path("lf_half_n6")],
+    ])
+    def test_chain_campaigns_make_no_bucket_bytes(self, monkeypatch, tmp_path, argv):
+        def fail(uniforms):
+            raise AssertionError("a chain campaign made bucket bytes")
+
+        monkeypatch.setattr(sampling, "_buckets", fail)
+        out = str(tmp_path / "out.csv")
+        assert main(argv + ["--samples", str(sampling._SUB + 44), "--seed", "2",
+                            "--out", out]) == 0
+
+    def test_forward_campaign_makes_bucket_bytes_per_sub_chunk(self, monkeypatch, tmp_path):
+        made = []
+        buckets = sampling._buckets
+
+        def counted(uniforms):
+            made.append(uniforms.shape)
+            return buckets(uniforms)
+
+        monkeypatch.setattr(sampling, "_buckets", counted)
+        out = str(tmp_path / "out.csv")
+        assert main(["simulate", "--env", env_path("binom_n6"), "--samples",
+                     str(sampling._SUB + 44), "--seed", "2", "--out", out]) == 0
+        # one op over each sub-chunk's first blocks, and one per later block
+        assert [shape for shape in made if len(shape) == 2] == [
+            (sampling._SUB, sampling._FIRST), (44, sampling._FIRST)]

@@ -37,7 +37,7 @@ from gwcoal.errors import (
     HorizonError,
 )
 from gwcoal import sampling
-from gwcoal.sampling import UniformStream, campaign_streams, rng_for_run
+from gwcoal.sampling import UniformStream, campaign_streams, draw_forward, rng_for_run
 from gwcoal.tree import b_states, bt_fold, bt_min, bt_star, bt_update, state_pairs
 from gwcoal.verify import REFERENCE_A, REFERENCE_B_ROWS
 
@@ -571,6 +571,15 @@ WALK_ENVS = {"high_rejection_n6": HIGH_REJECTION_N6, "wide_n4": WIDE_N4,
              "varying_n3": load_environment(env_path("varying_n3"))}
 
 
+# pmf laws of up to five entries, zero and non-dyadic ones among them, and
+# lf laws with means up to 10/3
+_DRAW_LAWS = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=5).filter(any)
+    .map(lambda w: FiniteSupportLaw(tuple(x / sum(w) for x in w))),
+    st.builds(LinearFractionalLaw, st.floats(min_value=0.0, max_value=1.0),
+              st.floats(min_value=0.3, max_value=0.95)))
+
+
 def _streams(seed, run, block):
     """Two streams over the same uniforms, in blocks of ``block``."""
     return (UniformStream(rng_for_run(seed, run), block),
@@ -665,6 +674,52 @@ class TestDeadDrawWalk:
                         f"^a forward draw reached {largest} individuals, "
                         f"more than {largest - 1}$")):
                     condition_on_survival(env, new)
+
+    @settings(max_examples=120, deadline=None)
+    @given(laws=st.lists(_DRAW_LAWS, min_size=1, max_size=6),
+           seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+           block=st.sampled_from([1, 3, 32, 8192]))
+    def test_guided_rows_match_per_draw_reference(self, laws, seed, block):
+        # non-dyadic pmf rows through their guide tables, lf rows read in
+        # place, at any block size
+        env = Environment(tuple(laws))
+        ref, new = _streams(seed, 0, block)
+        for _ in range(6):
+            counts, width = per_draw_counts(env, ref)
+            got, got_width, read = draw_forward(env, new, 1)
+            assert (got, got_width, read) == (counts, width, 1)
+            assert all(type(row) is list for row in got)
+        assert new.take(3) == ref.take(3)
+
+    @pytest.mark.parametrize("block", [1, 3, 32, 8192])
+    def test_uniforms_on_and_beside_the_cumulative_values(self, block):
+        # every uniform on a cumulative value, one ulp off it or on a
+        # bucket's edge: the buckets a guide table marks 255 are read by
+        # bisect, the others by the table
+        env = Environment((FiniteSupportLaw((0.25, 0.5, 0.25)),)
+                          + (FiniteSupportLaw((0.3, 0.3, 0.4)),) * 5
+                          + (FiniteSupportLaw((1 / 3,) * 3),))
+        steps = env.levels.offspring_steps
+        cums = {c for _, cum, _ in steps for c in cum if c < 1.0}
+        pool = sorted({v for c in cums for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))}
+                      | {k / 256 for k in range(256)} | {float(np.nextafter(1.0, 0.0))})
+
+        class Script:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def random(self, size):
+                return self.rng.choice(pool, size)
+
+        split = 0
+        for seed in range(20):
+            ref, new = UniformStream(Script(seed), block), UniformStream(Script(seed), block)
+            for _ in range(10):
+                counts, width = per_draw_counts(env, ref)
+                assert draw_forward(env, new, 1)[:2] == (counts, width)
+            split += sum(guide[int(256 * u)] == 255 for _, _, guide in steps
+                         for u in new._buf[:new._pos])
+        assert split > 0
 
     @pytest.mark.parametrize("block", [3, 8, 32])
     def test_dead_draws_straddling_a_refill(self, block):

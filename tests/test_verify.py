@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -1210,6 +1211,14 @@ LF_N1_ENVS = st.builds(lambda r, p: Environment((LinearFractionalLaw(r, p),)),
                        st.sampled_from([0.05, 0.3, 0.5, 0.9]))
 
 
+def _pattern_outcome(key):
+    """(K, times text) of a tree pattern's key: its history text, or at
+    horizon 1, where every time is 1, K itself."""
+    if isinstance(key, int):
+        return key, ",".join(["1"] * (key - 1))
+    return key.count(",") + 1, key[:-1]
+
+
 def _outcome_or_error(numerators, env, guard):
     try:
         return numerators(env, guard)
@@ -1224,9 +1233,9 @@ def _outcome_or_error(numerators, env, guard):
                           FiniteSupportLaw((0.2, 0.5, 0.3)))))
 def test_prefix_extension_matches_loop_reference(env):
     """The tree's patterns, built by prefix extension and keyed by history
-    text, equal the product loop's: the same outcomes in the same order,
-    bit-equal masses, dead and surviving mass, and the same smallest
-    passing guard, in floats and for the exact form of the environment
+    text (by K at horizon 1), equal the product loop's: the same outcomes
+    in the same order, bit-equal masses, dead and surviving mass, and the
+    same smallest passing guard, in floats and for the exact form of the environment
     (lf laws have none).  Dyadic masses multiply exactly, so the order of
     each product shows only on the non-dyadic example, which has no exact
     form either."""
@@ -1245,7 +1254,7 @@ def test_prefix_extension_matches_loop_reference(env):
             continue
         patterns, dead, alive, work = ref
         got, got_dead, got_alive = new
-        assert [((t.count(",") + 1, t[:-1]), repr(p)) for t, p in got.items()] \
+        assert [(_pattern_outcome(t), repr(p)) for t, p in got.items()] \
             == [(key, repr(p)) for key, p in patterns.items()]
         assert (repr(got_dead), repr(got_alive)) == (repr(dead), repr(alive))
         verify._tree_numerators(form, work)
@@ -1319,6 +1328,24 @@ class TestOneLevel:
         results = run_verify_suite(env)
         assert all(res.passed for res in results), [r.detail for r in results]
         assert results[1].detail.startswith("outcomes=2979 ")
+
+
+    def test_tree_keys_grow_linearly_with_the_support(self):
+        # keyed by K, not by K - 1 times "1,", the tree's outcomes hold
+        # memory linear in the geometric support, which doubles from p =
+        # 0.01 to 0.005
+        def peak(p):
+            tracemalloc.start()
+            try:
+                res = tree_vs_chain_check(Environment((LinearFractionalLaw(1.0, p),)))
+                return tracemalloc.get_traced_memory()[1], res
+            finally:
+                tracemalloc.stop()
+
+        (small, res_small), (large, res_large) = peak(0.01), peak(0.005)
+        assert res_small.passed and res_large.passed
+        assert res_large.detail.startswith("outcomes=5972 ")
+        assert large < 2.5 * small
 
 
 class TestLfSupportGuard:
